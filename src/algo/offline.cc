@@ -130,10 +130,15 @@ OfflineResult solve_offline(const model::Instance& instance,
 
   OfflineResult result;
   solve::LpSolution sol;
-  // Auto solver choice: the dense IPM wins below a few hundred rows, PDHG
-  // above. Parallel PDHG shifts the crossover downward — its per-iteration
-  // cost drops with the worker count while the IPM's O(rows^3) factor does
-  // not — so when LP threads are engaged the IPM cutoff is halved. With
+  // Auto solver choice: the IPM wins below a few hundred rows, PDHG above.
+  // The IPM's bordered factor only saves work on the leading rows that no
+  // column touches twice; in the horizon LP that is only slot 0's J demand
+  // rows (each x_ij of slot 0 also meets a capacity row right after them),
+  // so the factor stays about O(rows^3) and the row cutoff keeps its
+  // dense-era value. Parallel PDHG shifts the crossover
+  // downward — its per-iteration cost drops with the worker count while
+  // the IPM's factor does not — so when LP threads are engaged the IPM
+  // cutoff is halved. With
   // ECA_LP_THREADS unset (the default) this resolves to 1 and the choice is
   // unchanged.
   const std::size_t lp_workers =

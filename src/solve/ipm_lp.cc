@@ -7,14 +7,11 @@
 
 #include "common/check.h"
 #include "common/fault.h"
-#include "linalg/dense_matrix.h"
+#include "linalg/bordered_cholesky.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace eca::solve {
-
-using linalg::Cholesky;
-using linalg::DenseMatrix;
 
 namespace {
 
@@ -47,7 +44,7 @@ struct IpmMetrics {
 }  // namespace
 
 // All solver state: the internal standard form, the iterate and scratch
-// vectors, the normal matrix and its Cholesky factor. Everything is sized
+// vectors, and the normal matrix with its factor. Everything is sized
 // with assign()/clear() so buffers keep their capacity across solves — after
 // the first solve of a given shape, subsequent solves do not allocate.
 struct IpmWorkspace::Impl {
@@ -61,8 +58,11 @@ struct IpmWorkspace::Impl {
   Vec upper;  // +inf when unbounded above
   // Column-wise sparse A. The outer vector only ever grows; inner vectors
   // are cleared (capacity retained) and the first `n` reused per build.
-  std::vector<std::vector<std::pair<std::size_t, double>>> columns;
+  linalg::SparseColumns columns;
   std::size_t columns_in_use = 0;
+  // No column touches two of the rows [0, d), so the leading d x d block of
+  // A Theta A' is diagonal (d = J for both per-slot baseline LPs).
+  std::size_t d = 0;
   double objective_constant = 0.0;
 
   // Mapping back to the original problem.
@@ -85,8 +85,10 @@ struct IpmWorkspace::Impl {
   Vec dx_aff, dz_aff, dw_aff, dv_aff;
   Vec rxz, rwv;
   Vec tg, atg, atdy;
-  DenseMatrix normal;
-  Cholesky chol;
+  linalg::BorderedCholesky normal;
+
+  // --- best iterate inside the soft tolerance (cold-attempt fallback) -----
+  Vec best_x, best_y;
 
   // --- warm-start candidate scratch ----------------------------------------
   Vec wx, wy, wz, ww, wv, w_aty;
@@ -198,6 +200,8 @@ void build_standard_form(const LpProblem& lp, Impl& sf) {
           {static_cast<std::size_t>(row), t.value});
     }
   }
+  // Columns past sf.n are empty leftovers of larger builds.
+  sf.d = linalg::BorderedCholesky::diagonal_prefix(sf.columns, sf.m);
 }
 
 // y = A x (column-wise A).
@@ -359,16 +363,24 @@ void InteriorPointLp::solve_into(const LpProblem& lp, IpmWorkspace& ws,
   if (fault_fire(FaultSite::kIpmFail)) [[unlikely]] {
     sol.status = SolveStatus::kNumericalError;
   }
-  if (sol.warm_started && sol.status != SolveStatus::kOptimal) {
+  // A warm-started run counts as converged only at the full tolerance: an
+  // iterate accepted at the numerical floor inside the 100x soft tolerance
+  // can sit measurably off the constraints where the cold run converges.
+  const double tol = options_.tolerance;
+  const bool converged = sol.status == SolveStatus::kOptimal &&
+                         sol.primal_residual < tol &&
+                         sol.dual_residual < tol && sol.gap < tol;
+  if (sol.warm_started && !converged) {
     // The hint steered the iteration somewhere the cold start would not
     // have gone (divergence heuristics can mistake a bad trajectory for
     // unboundedness). A warm start is an optimization, never a correctness
     // risk: rerun cold, bit-identical to a never-warmed solve.
     if (obs::metrics_enabled()) IpmMetrics::get().warm_retries.add(1);
     ECA_LOG_WARN(
-        "ipm: warm-started solve failed (status=%s after %d iterations); "
-        "retrying cold",
-        to_string(sol.status), sol.iterations);
+        "ipm: warm-started solve failed (status=%s after %d iterations, "
+        "primal=%.3e dual=%.3e gap=%.3e); retrying cold",
+        to_string(sol.status), sol.iterations, sol.primal_residual,
+        sol.dual_residual, sol.gap);
     solve_attempt(lp, ws, IpmWarmStart{}, sol);
     // The retry counts as an ipm_fail hit of its own: occurrences number
     // completed attempts, not solve_into calls.
@@ -538,8 +550,19 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   dv_aff.assign(n, 0.0);
   rxz.assign(n, 0.0);
   rwv.assign(n, 0.0);
-  DenseMatrix& normal = sf.normal;
-  Cholesky& chol = sf.chol;
+  linalg::BorderedCholesky& normal = sf.normal;
+
+  // Best iterate whose residuals and gap all sit inside the soft tolerance
+  // (see the fallback after the loop). Sized up front so that recording it
+  // never allocates in a steady-state resolve.
+  const double soft = 100.0 * options_.tolerance;
+  sf.best_x.resize(n);
+  sf.best_y.resize(m);
+  int best_iter = -1;
+  double best_worst = soft;
+  double best_primal = 0.0;
+  double best_dual = 0.0;
+  double best_gap = 0.0;
 
   auto compute_residuals = [&] {
     col_multiply(sf, x, ax);
@@ -576,11 +599,20 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
       sol.status = SolveStatus::kOptimal;
       break;
     }
+    if (!sol.warm_started && rel_rb < best_worst && rel_ru < best_worst &&
+        rel_rc < best_worst && rel_gap < best_worst) {
+      std::copy(x.begin(), x.end(), sf.best_x.begin());
+      std::copy(y.begin(), y.end(), sf.best_y.begin());
+      best_iter = iter;
+      best_worst = std::max({rel_rb, rel_ru, rel_rc, rel_gap});
+      best_primal = sol.primal_residual;
+      best_dual = sol.dual_residual;
+      best_gap = sol.gap;
+    }
     // Numerical floor: once the complementarity has collapsed far below the
     // residuals, no further progress is possible in double precision.
     // Accept a near-optimal point rather than grinding to a failure.
     if (mu < 1e-13) {
-      const double soft = 100.0 * options_.tolerance;
       if (rel_rb < soft && rel_rc < soft && rel_ru < soft && rel_gap < soft) {
         sol.status = SolveStatus::kOptimal;
       } else {
@@ -616,20 +648,8 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
     double reg = options_.regularization * (1.0 + mu);
     bool factorization_failed = false;
     for (;;) {
-      normal.resize(m, m);  // zero-fill; storage reused across iterations
-      for (std::size_t j = 0; j < n; ++j) {
-        const auto& col = sf.columns[j];
-        const double t = theta[j];
-        for (std::size_t p = 0; p < col.size(); ++p) {
-          for (std::size_t q = p; q < col.size(); ++q) {
-            const double val = t * col[p].second * col[q].second;
-            normal(col[p].first, col[q].first) += val;
-            if (p != q) normal(col[q].first, col[p].first) += val;
-          }
-        }
-      }
-      for (std::size_t r = 0; r < m; ++r) normal(r, r) += reg;
-      if (chol.factor(normal)) break;
+      normal.assemble(sf.columns, n, m, sf.d, theta, reg);
+      if (normal.factor()) break;
       reg = std::max(reg * 100.0, 1e-12);
       if (reg > 1e2) {
         factorization_failed = true;
@@ -653,7 +673,7 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
       col_multiply(sf, sf.tg, sf.atg);
       for (std::size_t r = 0; r < m; ++r) rhs[r] = rb[r] - sf.atg[r];
       std::copy(rhs.begin(), rhs.end(), ody.begin());
-      chol.solve_in_place(ody);
+      normal.solve_in_place(ody);
       col_multiply_transpose(sf, ody, sf.atdy);
       for (std::size_t j = 0; j < n; ++j) {
         odx[j] = theta[j] * (sf.atdy[j] + g[j]);
@@ -729,9 +749,22 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   if (sol.status == SolveStatus::kNumericalError) {
     // A failed factorization late in the solve usually means the iterate is
     // already at the numerical floor; accept it when close to tolerance.
-    const double soft = 100.0 * options_.tolerance;
     if (sol.primal_residual < soft && sol.dual_residual < soft &&
         sol.gap < soft) {
+      sol.status = SolveStatus::kOptimal;
+    } else if (best_iter >= 0) {
+      // The iterate stalled inside the soft tolerance and then blew up at
+      // the numerical floor. A cold retry would replay the same
+      // trajectory, so return the best iterate it passed through instead.
+      ECA_LOG_WARN(
+          "ipm: numerical error after %d iterations; returning iterate %d "
+          "(primal=%.3e dual=%.3e gap=%.3e)",
+          sol.iterations, best_iter, best_primal, best_dual, best_gap);
+      std::copy(sf.best_x.begin(), sf.best_x.end(), x.begin());
+      std::copy(sf.best_y.begin(), sf.best_y.end(), y.begin());
+      sol.primal_residual = best_primal;
+      sol.dual_residual = best_dual;
+      sol.gap = best_gap;
       sol.status = SolveStatus::kOptimal;
     }
   } else if (sol.status != SolveStatus::kOptimal) {

@@ -1,4 +1,4 @@
-// Dense Mehrotra predictor-corrector interior-point method for LPs.
+// Mehrotra predictor-corrector interior-point method for LPs.
 //
 // This is the "exact" LP solver of the suite, intended for problems whose row
 // count (after adding one slack per inequality row) is at most a few
@@ -9,19 +9,31 @@
 //
 // eliminating fixed variables, shifting lower bounds to zero and adding one
 // slack per inequality row, then runs the classic predictor-corrector scheme
-// with normal-equations solves (dense Cholesky with diagonal regularization).
+// with normal-equations solves (Cholesky with diagonal regularization). The
+// normal matrix A Theta A' is factored by linalg::BorderedCholesky: the
+// longest prefix of rows that no column touches twice (the J demand rows of
+// a per-slot baseline LP) forms a diagonal block, and only the border rows
+// are factored densely. The factor is bitwise equal to a dense Cholesky of
+// the same matrix, so the block layout never changes an iterate.
+//
+// A cold attempt that ends in a numerical error after its iterate passed
+// through the soft tolerance (100x `tolerance` on residuals and gap) returns
+// the best such iterate as optimal instead: a retry would replay the same
+// trajectory.
 //
 // Repeated solves over same-shaped problems (the per-slot baseline LPs) go
-// through an IpmWorkspace: all standard-form buffers, iterate vectors, the
-// normal matrix and the Cholesky factor live in the workspace and are reused
+// through an IpmWorkspace: all standard-form buffers, iterate vectors and the
+// normal matrix with its factor live in the workspace and are reused
 // across calls, so a steady-state resolve performs no heap allocation
 // (tests/solve/ipm_alloc_test.cc pins this down with a counting allocator).
 // A warm start built from the previous slot's primal/dual point can be
 // supplied via IpmWarmStart; when the warm point is rejected the solve falls
 // back to the cold starting point and is bitwise identical to a cold solve.
-// A warm-started run that fails to converge is retried cold automatically
-// (warm_fallback=true on the result): the hint is an optimization and must
-// never change which problems the solver can solve.
+// A warm-started run that does not converge to the full tolerance (an
+// iterate accepted inside the soft tolerance counts as not converged) is
+// retried cold automatically (warm_fallback=true on the result): the hint is
+// an optimization and must never change which problems the solver can solve
+// or how accurately.
 #pragma once
 
 #include <memory>

@@ -1,0 +1,132 @@
+// End-to-end guards for the five LP baselines (static-once, perf-opt,
+// oper-opt, stat-opt, online-greedy) on Rome-taxi instances:
+// * a fingerprint of every allocation bit, pinned so that an edit to the
+//   slot-LP builders or the interior-point solver that moves any iterate
+//   shows up here;
+// * two J=128, T=48 instances where the solver's soft tolerance used to
+//   leak into results: on (hour 5, seed 17) online-greedy's slot-10 LP
+//   stalls inside the soft tolerance and then fails at the numerical floor
+//   (the solver must return the stalled iterate instead of aborting the
+//   run); on (hour 1, seed 48) a warm-started oper-opt solve stopped at the
+//   soft tolerance 1.2e-5 off the capacity rows (the solver must retry it
+//   cold).
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <string>
+
+#include "sim/runner.h"
+#include "sim/scenario.h"
+#include "sim/simulator.h"
+
+namespace eca::sim {
+namespace {
+
+model::Instance taxi_instance(std::size_t users, std::size_t slots,
+                              std::uint64_t seed, int hour) {
+  ScenarioOptions options;
+  options.num_users = users;
+  options.num_slots = slots;
+  options.workload.distribution = workload::Distribution::kPower;
+  options.seed = seed;
+  return make_rome_taxi_instance(options, hour);
+}
+
+std::vector<NamedFactory> lp_baselines() {
+  std::vector<NamedFactory> out;
+  for (NamedFactory& f : paper_algorithms(/*include_static_once=*/true)) {
+    if (f.name != "online-approx") out.push_back(std::move(f));
+  }
+  return out;
+}
+
+// FNV-1a over the little-endian bytes of every allocation entry, slot by
+// slot in storage order.
+std::uint64_t fingerprint(const model::AllocationSequence& allocations) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const model::Allocation& a : allocations) {
+    for (const double v : a.x) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int k = 0; k < 8; ++k) {
+        hash ^= (bits >> (8 * k)) & 0xffU;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+// Recorded with the dense-Cholesky interior-point solver; the bordered
+// factor must reproduce every bit. The bits are those of the repository's
+// optimized build: the `omp simd` reductions in linalg/vector_ops.h
+// vectorize, and so reassociate their sums, only under optimization, so an
+// -O0 build computes different (equally valid) trajectories.
+TEST(LpBaselines, AllocationFingerprintsArePinned) {
+#ifndef __OPTIMIZE__
+  GTEST_SKIP() << "fingerprints are pinned for the optimized build";
+#endif
+  const std::map<std::string, std::uint64_t> want[6] = {
+      {{"static-once", 0x0961c3761e9f6dcdULL},
+       {"perf-opt", 0xa02e3dd0d2b3d8d5ULL},
+       {"oper-opt", 0x2c48a697759b8b1eULL},
+       {"stat-opt", 0x8df6d5738a9d5c2cULL},
+       {"online-greedy", 0x4fddcb7198b6586aULL}},
+      {{"static-once", 0xd061c36adbc49785ULL},
+       {"perf-opt", 0xa57fd29386d59d78ULL},
+       {"oper-opt", 0x683ac416158b7d2eULL},
+       {"stat-opt", 0x9950a7ead52b61e7ULL},
+       {"online-greedy", 0x56313bf3e18d010cULL}},
+      {{"static-once", 0x6c1767f5d3742305ULL},
+       {"perf-opt", 0x791d2f2eb0592910ULL},
+       {"oper-opt", 0x7f8bb739061bcac3ULL},
+       {"stat-opt", 0xa88e8c380a11c07aULL},
+       {"online-greedy", 0xf861485bc93856ecULL}},
+      {{"static-once", 0xed8009284a6658cdULL},
+       {"perf-opt", 0x6efc74eb8360c50bULL},
+       {"oper-opt", 0x0bec4eab02d7a508ULL},
+       {"stat-opt", 0x63fd558539dc5354ULL},
+       {"online-greedy", 0x2fde6b192f9cba33ULL}},
+      {{"static-once", 0xe793d435a81d38d5ULL},
+       {"perf-opt", 0xec201e710fa21690ULL},
+       {"oper-opt", 0xf88fed91c795d2c0ULL},
+       {"stat-opt", 0xd85cdc6482f0814eULL},
+       {"online-greedy", 0x559c736aa92a3cbdULL}},
+      {{"static-once", 0x5c284a5cd80caf85ULL},
+       {"perf-opt", 0x9b533cf7db9c9dc5ULL},
+       {"oper-opt", 0xdd6ba84a853b5626ULL},
+       {"stat-opt", 0x28400be070d578dbULL},
+       {"online-greedy", 0x2f91de00cdb20dedULL}},
+  };
+  for (int hour = 0; hour < 6; ++hour) {
+    const model::Instance instance = taxi_instance(32, 12, 1, hour);
+    for (const NamedFactory& f : lp_baselines()) {
+      const auto algorithm = f.make();
+      const SimulationResult r = Simulator::run(instance, *algorithm);
+      EXPECT_EQ(fingerprint(r.allocations), want[hour].at(f.name))
+          << f.name << " at hour " << hour;
+    }
+  }
+}
+
+void expect_lp_baselines_feasible(std::uint64_t seed, int hour) {
+  const model::Instance instance = taxi_instance(128, 48, seed, hour);
+  for (const NamedFactory& f : lp_baselines()) {
+    const auto algorithm = f.make();
+    const SimulationResult r = Simulator::run(instance, *algorithm);
+    EXPECT_EQ(r.allocations.size(), 48U) << f.name;
+    EXPECT_LE(r.max_violation, 1e-5) << f.name;
+  }
+}
+
+TEST(LpBaselines, TaxiHour5Seed17CompletesFeasibly) {
+  expect_lp_baselines_feasible(17, 5);
+}
+
+TEST(LpBaselines, TaxiHour1Seed48StaysFeasible) {
+  expect_lp_baselines_feasible(48, 1);
+}
+
+}  // namespace
+}  // namespace eca::sim
