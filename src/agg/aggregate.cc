@@ -225,42 +225,48 @@ solve::LpProblem build_collapsed_offline_lp(const model::Instance& instance,
     }
   }
 
-  lp.row_block_starts.reserve(kT);
-  for (std::size_t t = 0; t < kT; ++t) {
+  // Rows cloud-major, demand last: for each cloud i and slot t, the
+  // migration rows (i, ·, t), the reconfiguration row and the capacity row;
+  // then every demand row. Cloud i's rows touch only its own y/u/v columns
+  // and clouds couple only through the demand rows, so the interior-point
+  // normal matrix has a narrow per-cloud staircase envelope plus TC full
+  // rows (linalg/envelope_cholesky.h).
+  lp.row_block_starts.reserve(kI + 1);
+  for (std::size_t i = 0; i < kI; ++i) {
     lp.row_block_starts.push_back(lp.num_rows);
+    for (std::size_t t = 0; t < kT; ++t) {
+      // Migration: v_{i,c,t} - y_{i,c,t} + y_{i,c,t-1} >= 0. Exact in class
+      // space because members of a horizon class share the whole
+      // trajectory, so the per-user positive parts sum to the class
+      // positive part.
+      for (std::size_t c = 0; c < kC; ++c) {
+        const auto row = lp.add_row_geq(0.0);
+        lp.set_coefficient(row, v0 + t * kI * kC + i * kC + c, 1.0);
+        lp.set_coefficient(row, xv(t, i, c), -1.0);
+        if (t > 0) lp.set_coefficient(row, xv(t - 1, i, c), 1.0);
+      }
+      // Reconfiguration: u_{i,t} - Σ_c y_{i,c,t} + Σ_c y_{i,c,t-1} >= 0.
+      const auto reconf = lp.add_row_geq(0.0);
+      lp.set_coefficient(reconf, u0 + t * kI + i, 1.0);
+      for (std::size_t c = 0; c < kC; ++c) {
+        lp.set_coefficient(reconf, xv(t, i, c), -1.0);
+        if (t > 0) lp.set_coefficient(reconf, xv(t - 1, i, c), 1.0);
+      }
+      // Capacity.
+      const auto cap = lp.add_row_leq(instance.clouds[i].capacity);
+      for (std::size_t c = 0; c < kC; ++c) {
+        lp.set_coefficient(cap, xv(t, i, c), 1.0);
+      }
+    }
+  }
+  lp.row_block_starts.push_back(lp.num_rows);
+  for (std::size_t t = 0; t < kT; ++t) {
     // Demand: Σ_i y_{i,c,t} >= w_c λ_c.
     for (std::size_t c = 0; c < kC; ++c) {
       const auto row = lp.add_row_geq(part.weight(c) *
                                       instance.demand[part.representative[c]]);
       for (std::size_t i = 0; i < kI; ++i) {
         lp.set_coefficient(row, xv(t, i, c), 1.0);
-      }
-    }
-    // Capacity.
-    for (std::size_t i = 0; i < kI; ++i) {
-      const auto row = lp.add_row_leq(instance.clouds[i].capacity);
-      for (std::size_t c = 0; c < kC; ++c) {
-        lp.set_coefficient(row, xv(t, i, c), 1.0);
-      }
-    }
-    // Reconfiguration: u_{i,t} - Σ_c y_{i,c,t} + Σ_c y_{i,c,t-1} >= 0.
-    for (std::size_t i = 0; i < kI; ++i) {
-      const auto row = lp.add_row_geq(0.0);
-      lp.set_coefficient(row, u0 + t * kI + i, 1.0);
-      for (std::size_t c = 0; c < kC; ++c) {
-        lp.set_coefficient(row, xv(t, i, c), -1.0);
-        if (t > 0) lp.set_coefficient(row, xv(t - 1, i, c), 1.0);
-      }
-    }
-    // Migration: v_{i,c,t} - y_{i,c,t} + y_{i,c,t-1} >= 0. Exact in class
-    // space because members of a horizon class share the whole trajectory,
-    // so the per-user positive parts sum to the class positive part.
-    for (std::size_t i = 0; i < kI; ++i) {
-      for (std::size_t c = 0; c < kC; ++c) {
-        const auto row = lp.add_row_geq(0.0);
-        lp.set_coefficient(row, v0 + t * kI * kC + i * kC + c, 1.0);
-        lp.set_coefficient(row, xv(t, i, c), -1.0);
-        if (t > 0) lp.set_coefficient(row, xv(t - 1, i, c), 1.0);
       }
     }
   }

@@ -85,12 +85,14 @@ model::Allocation expand_static(const model::Instance& instance,
 
 // --- Offline horizon LP -----------------------------------------------------
 
-// Collapsed build_offline_lp over horizon classes: the x/u/v variable
+// Collapsed offline horizon LP over horizon classes: the x/u/v variable
 // layout with J replaced by C (x_{i,c,t} at t·I·C + i·C + c, then u, then
-// v), demand rows w_c λ_c, per-unit costs from the representative. A
-// dedicated builder (rather than a collapsed Instance) because
-// service_coefficient must keep the per-member λ under the y = w·x
-// substitution.
+// v), demand rows w_c λ_c, per-unit costs from the representative, rows in
+// algo/offline.h's cloud-major order (row_block_starts: one block per
+// cloud, then the demand block). With singleton_classes it is
+// algo::build_offline_lp. A dedicated builder (rather than a collapsed
+// Instance) because service_coefficient must keep the per-member λ under
+// the y = w·x substitution.
 solve::LpProblem build_collapsed_offline_lp(const model::Instance& instance,
                                             const ClassPartition& part);
 

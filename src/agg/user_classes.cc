@@ -62,6 +62,20 @@ ClassPartition build_slot_classes(const model::Instance& instance,
       });
 }
 
+ClassPartition singleton_classes(std::size_t num_users) {
+  ClassPartition part;
+  part.num_users = num_users;
+  part.num_classes = num_users;
+  part.class_of.resize(num_users);
+  part.representative.resize(num_users);
+  for (std::size_t j = 0; j < num_users; ++j) {
+    part.class_of[j] = static_cast<std::uint32_t>(j);
+    part.representative[j] = j;
+  }
+  part.count.assign(num_users, 1);
+  return part;
+}
+
 ClassPartition build_horizon_classes(const model::Instance& instance) {
   const std::size_t kT = instance.num_slots;
   const model::Vec& demand = instance.demand;

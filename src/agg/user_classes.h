@@ -121,6 +121,10 @@ ClassPartition group_users(std::size_t num_users, TagFn&& tag,
   return part;
 }
 
+// Every user its own class: the collapsed builders then reproduce the
+// per-user program bitwise (w = 1).
+ClassPartition singleton_classes(std::size_t num_users);
+
 // Static slot classes: key (λ_j bits, l_{j,t}). Bounded by I·Λ distinct
 // (station, demand) pairs for the whole run, independent of J.
 ClassPartition build_static_classes(const model::Instance& instance,

@@ -7,8 +7,18 @@
 // out-direction telescopes to Σ_t b^out (v - x_t + x_{t-1}) =
 // b^out (Σ_t v - x_T), so no second aux family is needed.
 //
-// Solved with the dense interior-point method when small enough, and with
-// the first-order PDHG solver (PDLP-lite) at benchmark scale.
+// Rows are cloud-major with the demand rows last: for each cloud i and slot
+// t, migration (i, ·, t), reconfiguration (i, t) and capacity (i, t); then
+// the demand rows of every slot. Clouds couple only through the demand rows,
+// so the interior-point solver's envelope factor of A Θ Aᵀ costs about
+// (TJ)² · TI(J+2) / 2 multiply-adds (3.2M per iteration at I=15, J=8,
+// T=8) instead of a dense (T(IJ+J+2I))³ / 6 (337M).
+//
+// The auto solver choice solves the LP exactly with that IPM (gap ≤ 1e-8)
+// while one factor costs at most a measured crossover of multiply-adds, and
+// with the first-order PDHG solver (PDLP-lite) above it. PDHG's answer is
+// approximate: on the 24 Fig-2 taxi instances at 5e-4 it landed 0.12%
+// above the exact optimum in aggregate and up to 0.56% on one instance.
 #pragma once
 
 #include "model/costs.h"
@@ -18,14 +28,13 @@
 namespace eca::algo {
 
 struct OfflineOptions {
-  // Force a solver; kAuto picks IPM below `ipm_row_limit` total rows.
+  // Force a solver; kAuto picks the IPM below the factor-work crossover
+  // (see the header comment).
   enum class Solver { kAuto, kInteriorPoint, kPdhg };
   Solver solver = Solver::kAuto;
-  std::size_t ipm_row_limit = 700;
-  // First-order tolerance for the PDHG path. 5e-4 keeps the objective
-  // (the competitive-ratio denominator) within ~0.1% of optimal — far below
-  // the differences the figures report — at a fraction of the tail cost of
-  // chasing 1e-5; see tests/algo/offline_test.cc for the accuracy check.
+  // First-order tolerance for the PDHG path: a relative gap, not a bound on
+  // the objective error, since the dual is not required to converge (see
+  // the header comment for the error it left on the Fig-2 instances).
   double pdhg_tolerance = 5e-4;
   int pdhg_max_iterations = 400000;
   // Worker threads for the PDHG path (0 = resolve from ECA_LP_THREADS,

@@ -331,8 +331,8 @@ PartitionBounds SparseMatrix::balanced_row_partition(
   PartitionBounds bounds = balance_by_prefix(row_start_, rows_, p);
   if (!align.empty()) {
     // Snap interior boundaries to the nearest structural block start so no
-    // part straddles a partial block (per-slot row ranges in the offline
-    // LP: each worker then reads a contiguous, at-most-two-slot x slice).
+    // part straddles a partial block (the offline LP's per-cloud row
+    // blocks: a worker's cloud rows then read only its clouds' columns).
     for (std::size_t i = 1; i + 1 < bounds.size(); ++i) {
       const auto it =
           std::lower_bound(align.begin(), align.end(), bounds[i]);

@@ -7,7 +7,7 @@
 
 #include "common/check.h"
 #include "common/fault.h"
-#include "linalg/bordered_cholesky.h"
+#include "linalg/envelope_cholesky.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -60,9 +60,6 @@ struct IpmWorkspace::Impl {
   // are cleared (capacity retained) and the first `n` reused per build.
   linalg::SparseColumns columns;
   std::size_t columns_in_use = 0;
-  // No column touches two of the rows [0, d), so the leading d x d block of
-  // A Theta A' is diagonal (d = J for both per-slot baseline LPs).
-  std::size_t d = 0;
   double objective_constant = 0.0;
 
   // Mapping back to the original problem.
@@ -85,7 +82,8 @@ struct IpmWorkspace::Impl {
   Vec dx_aff, dz_aff, dw_aff, dv_aff;
   Vec rxz, rwv;
   Vec tg, atg, atdy;
-  linalg::BorderedCholesky normal;
+  // A Theta A' and its factor; the envelope is analyzed once per build.
+  linalg::EnvelopeCholesky normal;
 
   // --- best iterate inside the soft tolerance (cold-attempt fallback) -----
   Vec best_x, best_y;
@@ -201,7 +199,7 @@ void build_standard_form(const LpProblem& lp, Impl& sf) {
     }
   }
   // Columns past sf.n are empty leftovers of larger builds.
-  sf.d = linalg::BorderedCholesky::diagonal_prefix(sf.columns, sf.m);
+  sf.normal.analyze(sf.columns, sf.n, sf.m);
 }
 
 // y = A x (column-wise A).
@@ -337,6 +335,15 @@ double build_warm_candidate(Impl& sf, const LpProblem& lp,
 }
 
 }  // namespace
+
+double normal_factor_work(const LpProblem& lp, double cap) {
+  linalg::SparseColumns columns(lp.num_vars);
+  for (const auto& t : lp.elements) columns[t.col].push_back({t.row, t.value});
+  std::vector<std::size_t> first;
+  linalg::EnvelopeCholesky::envelope(columns, columns.size(), lp.num_rows,
+                                     first);
+  return linalg::EnvelopeCholesky::factor_work(first, cap);
+}
 
 LpSolution InteriorPointLp::solve(const LpProblem& lp) const {
   IpmWorkspace ws;
@@ -550,7 +557,7 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   dv_aff.assign(n, 0.0);
   rxz.assign(n, 0.0);
   rwv.assign(n, 0.0);
-  linalg::BorderedCholesky& normal = sf.normal;
+  linalg::EnvelopeCholesky& normal = sf.normal;
 
   // Best iterate whose residuals and gap all sit inside the soft tolerance
   // (see the fallback after the loop). Sized up front so that recording it
@@ -648,7 +655,7 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
     double reg = options_.regularization * (1.0 + mu);
     bool factorization_failed = false;
     for (;;) {
-      normal.assemble(sf.columns, n, m, sf.d, theta, reg);
+      normal.assemble(sf.columns, n, theta, reg);
       if (normal.factor()) break;
       reg = std::max(reg * 100.0, 1e-12);
       if (reg > 1e2) {

@@ -1,20 +1,23 @@
 // Mehrotra predictor-corrector interior-point method for LPs.
 //
-// This is the "exact" LP solver of the suite, intended for problems whose row
-// count (after adding one slack per inequality row) is at most a few
-// thousand: per-slot baseline LPs and small full-horizon LPs. It converts the
-// LpProblem to the standard form
+// This is the exact LP solver of the suite: the per-slot baseline LPs and
+// the offline horizon LP below algo/offline.h's measured crossover. It
+// converts the LpProblem to the standard form
 //
 //   min c' x   s.t.  A x = b,  0 <= x,  x_i <= u_i for i with finite bound,
 //
 // eliminating fixed variables, shifting lower bounds to zero and adding one
 // slack per inequality row, then runs the classic predictor-corrector scheme
 // with normal-equations solves (Cholesky with diagonal regularization). The
-// normal matrix A Theta A' is factored by linalg::BorderedCholesky: the
-// longest prefix of rows that no column touches twice (the J demand rows of
-// a per-slot baseline LP) forms a diagonal block, and only the border rows
-// are factored densely. The factor is bitwise equal to a dense Cholesky of
-// the same matrix, so the block layout never changes an iterate.
+// normal matrix A Theta A' is factored by linalg::EnvelopeCholesky over the
+// envelope analyzed once per standard-form build: each row is stored from
+// its first coupled row, so the cost follows the LP's row order rather than
+// m^3 / 6. A per-slot baseline LP's J demand rows form a diagonal prefix
+// and only its capacity rows are dense; the cloud-major horizon LP is a
+// per-cloud staircase plus its demand rows. The factor is bitwise equal to
+// a dense Cholesky of the same matrix, so the layout never changes an
+// iterate. normal_factor_work() prices one factor from the sparsity
+// pattern alone.
 //
 // A cold attempt that ends in a numerical error after its iterate passed
 // through the soft tolerance (100x `tolerance` on residuals and gap) returns
@@ -77,6 +80,13 @@ class IpmWorkspace {
   friend class InteriorPointLp;
   std::unique_ptr<Impl> impl_;
 };
+
+// Multiply-adds of one factorization of `lp`'s normal matrix in its
+// envelope (linalg::EnvelopeCholesky), from the sparsity pattern alone.
+// Counts every LP row and column, so it bounds the work on the standard
+// form, which may drop constant rows and fixed variables. Summing stops
+// once the count exceeds `cap`.
+[[nodiscard]] double normal_factor_work(const LpProblem& lp, double cap);
 
 class InteriorPointLp {
  public:

@@ -31,8 +31,8 @@ struct LpProblem {
   Vec row_lower;                           // size num_rows (may be -inf)
   Vec row_upper;                           // size num_rows (may be +inf)
   // Optional structural hint: ascending row indices starting each
-  // structural block (the offline horizon LP records one entry per time
-  // slot). Purely advisory — solvers that partition rows across workers
+  // structural block (the offline horizon LP records one entry per cloud
+  // and one for its demand rows). Purely advisory — solvers that partition rows across workers
   // align partition boundaries to these starts so no worker straddles a
   // partial block; an empty vector means "no known structure".
   std::vector<std::size_t> row_block_starts;

@@ -13,7 +13,7 @@
 // loop, the power iteration and the periodic KKT matvecs are partitioned
 // over a ThreadPool along nonzero-balanced row/column ranges (aligned to
 // the LP's `row_block_starts` when the structure is known — the offline
-// LP's per-slot staircase). Every output element is reduced over its own
+// LP's per-cloud row blocks). Every output element is reduced over its own
 // entries in fixed storage order and all cross-element reductions stay on
 // the driving thread, so results are **bit-identical for every thread
 // count** (tests/solve/pdhg_parallel_test.cc, `tsan-smoke` label).

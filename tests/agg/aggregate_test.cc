@@ -233,7 +233,7 @@ TEST(AggregatedBaselines, StaticOnceMatchesSlotZeroObjective) {
 }
 
 TEST(AggregatedOffline, HorizonCollapseMatchesPerUserLp) {
-  // Small enough that both paths take the dense IPM; duplicate user 0's
+  // Small enough that both paths take the exact IPM; duplicate user 0's
   // (demand, trajectory) onto user 1 so the horizon partition collapses.
   Instance instance = collapse_instance(17, /*num_users=*/8, /*num_slots=*/3);
   instance.demand[1] = instance.demand[0];

@@ -60,7 +60,8 @@ TEST(Offline, IpmAndPdhgAgree) {
   const OfflineResult via_pdhg = solve_offline(instance, pdhg_options);
   ASSERT_EQ(via_ipm.status, solve::SolveStatus::kOptimal);
   ASSERT_EQ(via_pdhg.status, solve::SolveStatus::kOptimal);
-  // The default PDHG tolerance targets ~0.1% objective accuracy.
+  // PDHG's 5e-4 gap tolerance does not bound its objective error (0.56% on
+  // one Fig-2 instance); on this small instance it lands within 0.2%.
   EXPECT_NEAR(via_pdhg.objective_value, via_ipm.objective_value,
               2e-3 * (1.0 + std::abs(via_ipm.objective_value)));
 }
@@ -90,17 +91,66 @@ TEST(Offline, ParallelPdhgMatchesSerialObjective) {
                   (1.0 + std::abs(serial.objective_value)));
 }
 
-TEST(OfflineLp, RecordsPerSlotRowBlocks) {
+// Rows are cloud-major with the demand rows last: row_block_starts marks
+// the I cloud blocks and then the demand block, each cloud block's rows
+// touch only that cloud's x/u/v columns, and the demand rows come last.
+TEST(OfflineLp, RecordsCloudMajorRowBlocks) {
   const Instance instance = small_instance(71, 4, 3);
   const solve::LpProblem lp = build_offline_lp(instance);
-  const std::size_t rows_per_slot =
-      instance.num_users + 2 * instance.num_clouds +
-      instance.num_clouds * instance.num_users;
-  ASSERT_EQ(lp.row_block_starts.size(), instance.num_slots);
-  for (std::size_t t = 0; t < instance.num_slots; ++t) {
-    EXPECT_EQ(lp.row_block_starts[t], t * rows_per_slot) << "slot " << t;
+  const std::size_t kI = instance.num_clouds;
+  const std::size_t kJ = instance.num_users;
+  const std::size_t kT = instance.num_slots;
+  const std::size_t rows_per_cloud = kT * (kJ + 2);
+  ASSERT_EQ(lp.row_block_starts.size(), kI + 1);
+  for (std::size_t i = 0; i <= kI; ++i) {
+    EXPECT_EQ(lp.row_block_starts[i], i * rows_per_cloud) << "block " << i;
   }
+  EXPECT_EQ(lp.num_rows - lp.row_block_starts[kI], kT * kJ);
   EXPECT_TRUE(lp.validate().empty());
+
+  // The cloud of a column: x_{i,j,t} at t·I·J + i·J + j, then u_{i,t} at
+  // u0 + t·I + i, then v_{i,j,t} at v0 + t·I·J + i·J + j.
+  const std::size_t u0 = kT * kI * kJ;
+  const std::size_t v0 = u0 + kT * kI;
+  const auto cloud_of = [&](std::size_t col) {
+    if (col < u0) return (col % (kI * kJ)) / kJ;
+    if (col < v0) return (col - u0) % kI;
+    return ((col - v0) % (kI * kJ)) / kJ;
+  };
+  std::vector<std::size_t> demand_entries(kT * kJ, 0);
+  for (const auto& e : lp.elements) {
+    if (e.row < lp.row_block_starts[kI]) {
+      EXPECT_EQ(cloud_of(e.col), e.row / rows_per_cloud)
+          << "row " << e.row << " col " << e.col;
+    } else {
+      // Demand row (t, j) sums x_{i,j,t} over every cloud.
+      const std::size_t d = e.row - lp.row_block_starts[kI];
+      EXPECT_LT(e.col, u0);
+      EXPECT_EQ(e.col / (kI * kJ), d / kJ);
+      EXPECT_EQ(e.col % kJ, d % kJ);
+      EXPECT_EQ(lp.row_lower[e.row], instance.demand[d % kJ]);
+      ++demand_entries[d];
+    }
+  }
+  for (const std::size_t n : demand_entries) EXPECT_EQ(n, kI);
+}
+
+// Fig-2 table instance rep 21 (hour 3, scenario seed 3001, J=8, T=8, power
+// demand), where a PDHG denominator at 5e-4 landed 0.56% above the optimum
+// with 1.2e-3 violation: the default path now solves it exactly.
+TEST(Offline, Figure2Rep21SolvesToTheExactOptimum) {
+  sim::ScenarioOptions options;
+  options.num_users = 8;
+  options.num_slots = 8;
+  options.workload.distribution = workload::Distribution::kPower;
+  options.seed = 3001;
+  const Instance instance = sim::make_rome_taxi_instance(options, 3);
+  const OfflineResult result = solve_offline(instance);
+  ASSERT_EQ(result.status, solve::SolveStatus::kOptimal);
+  EXPECT_NEAR(result.objective_value, 90.529064910, 1e-8 * 90.529064910);
+  const auto scored =
+      Simulator::score(instance, "offline-opt", result.allocations);
+  EXPECT_LE(scored.max_violation, 1e-9);
 }
 
 class OfflineLowerBound : public ::testing::TestWithParam<int> {};
@@ -117,8 +167,8 @@ TEST_P(OfflineLowerBound, NoOnlineAlgorithmBeatsOffline) {
     auto algorithm = factory.make();
     const double cost =
         Simulator::run(instance, *algorithm).weighted_total;
-    // Allow the PDHG tolerance margin on the offline side.
-    EXPECT_GE(cost, opt * (1.0 - 5e-3)) << factory.name;
+    // The offline optimum is exact to the IPM tolerance.
+    EXPECT_GE(cost, opt * (1.0 - 1e-8)) << factory.name;
   }
 }
 
@@ -128,8 +178,8 @@ TEST(Offline, AllocationsAreFeasible) {
   const Instance instance = small_instance(31, 8, 6);
   const OfflineResult offline = solve_offline(instance);
   ASSERT_EQ(offline.status, solve::SolveStatus::kOptimal);
-  // Feasible up to the documented first-order solver tolerance.
-  EXPECT_LT(model::max_violation(instance, offline.allocations), 5e-3);
+  // The auto choice solves this LP exactly: feasible to the IPM tolerance.
+  EXPECT_LT(model::max_violation(instance, offline.allocations), 1e-8);
 }
 
 TEST(Offline, ObjectiveMatchesCostModel) {

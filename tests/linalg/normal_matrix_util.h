@@ -1,7 +1,7 @@
-// Shared by the BorderedCholesky tests: the reference dense assembly of an
+// Shared by the EnvelopeCholesky tests: the reference dense assembly of an
 // LP normal matrix A Theta A' + reg I (the interior-point solver's loop
-// before the bordered layout) and a bitwise comparison of linalg::Cholesky
-// on it against BorderedCholesky on the same columns.
+// before the envelope layout) and a bitwise comparison of linalg::Cholesky
+// on it against EnvelopeCholesky on the same columns.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,8 +10,8 @@
 #include <cstdint>
 
 #include "common/rng.h"
-#include "linalg/bordered_cholesky.h"
 #include "linalg/dense_matrix.h"
+#include "linalg/envelope_cholesky.h"
 
 namespace eca::linalg::testing {
 
@@ -42,19 +42,25 @@ inline void expect_bitwise_equal(const Vec& a, const Vec& b) {
   }
 }
 
-// Assembles A diag(theta) A' + reg I both ways (the bordered one with a
-// diagonal block of d rows), expects the same factor outcome, and on
-// success compares solves of a few random right-hand sides bit for bit.
-// Returns the factor outcome.
-inline bool expect_bordered_matches_dense(const SparseColumns& columns,
+inline std::vector<std::size_t> envelope_of(const SparseColumns& columns,
+                                            std::size_t m) {
+  std::vector<std::size_t> first;
+  EnvelopeCholesky::envelope(columns, columns.size(), m, first);
+  return first;
+}
+
+// Assembles A diag(theta) A' + reg I both ways, expects the same factor
+// outcome, and on success compares solves of a few random right-hand sides
+// bit for bit. Returns the factor outcome.
+inline bool expect_envelope_matches_dense(const SparseColumns& columns,
                                           const Vec& theta, double reg,
-                                          std::size_t m, std::size_t d,
-                                          std::uint64_t seed) {
+                                          std::size_t m, std::uint64_t seed) {
   Cholesky chol;
   const bool ok = chol.factor(dense_normal_matrix(columns, theta, reg, m));
-  BorderedCholesky bordered;
-  bordered.assemble(columns, columns.size(), m, d, theta, reg);
-  EXPECT_EQ(bordered.factor(), ok);
+  EnvelopeCholesky envelope;
+  envelope.analyze(columns, columns.size(), m);
+  envelope.assemble(columns, columns.size(), theta, reg);
+  EXPECT_EQ(envelope.factor(), ok);
   if (!ok) return false;
   Rng rng(seed);
   for (int rep = 0; rep < 3; ++rep) {
@@ -63,7 +69,7 @@ inline bool expect_bordered_matches_dense(const SparseColumns& columns,
     Vec want = b;
     chol.solve_in_place(want);
     Vec got = b;
-    bordered.solve_in_place(got);
+    envelope.solve_in_place(got);
     expect_bitwise_equal(got, want);
   }
   return true;
