@@ -13,13 +13,11 @@
 //    J = 64 doubling up to ECA_SWEEP_MAX_USERS, default 8192;
 //    ECA_SWEEP_SLOTS random-walk slots per point, default 4): dense slot ms
 //    with 1 intra-slot thread vs N (ECA_SLOT_THREADS if set, else 8) under
-//    the adaptive-granularity floor, speedup, an active-set leg (slot ms,
-//    speedup over dense, mean/max per-user support, certification rounds,
-//    dense fallbacks), warm vs cold Newton iterations, and a bit-identical
-//    cross-check of the 1-thread and N-thread trajectories. Points the
-//    floor collapses to serial reuse the 1-thread measurement
-//    (pool_engaged=false, speedup 1.0) — the N-thread leg would time the
-//    byte-identical serial path.
+//    the adaptive-granularity floor, speedup, warm vs cold Newton
+//    iterations, and a bit-identical cross-check of the 1-thread and
+//    N-thread trajectories. Points the floor collapses to serial reuse the
+//    1-thread measurement (pool_engaged=false, speedup 1.0) — the N-thread
+//    leg would time the byte-identical serial path.
 //  * Warm start — a fixed random-walk trajectory solved warm and cold:
 //    mean Newton iterations per slot and the relative reduction.
 //
@@ -27,7 +25,6 @@
 // RegularizedSolver scaling) still runs when ECA_GBENCH=1.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -232,12 +229,6 @@ struct TrajectoryPerf {
   double seconds = 0.0;
   long long newton_iterations = 0;
   std::size_t slots = 0;
-  // Active-set leg only: Σ_slots Σ_j |S_j|, the largest per-user support,
-  // the largest admit-and-resolve round count, and dense-fallback slots.
-  long long active_nnz_total = 0;
-  int support_max = 0;
-  int certify_rounds = 0;
-  std::size_t active_fallbacks = 0;
   linalg::Vec final_x;
 };
 
@@ -247,12 +238,10 @@ struct TrajectoryPerf {
 // byte-identical problems.
 TrajectoryPerf run_trajectory(const RegularizedProblem& base,
                               std::size_t slots, int slot_threads,
-                              bool warm_start, std::uint64_t walk_seed,
-                              bool active_set = false) {
+                              bool warm_start, std::uint64_t walk_seed) {
   RegularizedOptions opt;
   opt.slot_threads = slot_threads;
   opt.warm_start = warm_start;
-  opt.active_set = active_set;
   RegularizedSolver solver(opt);
   NewtonWorkspace ws;
   RegularizedProblem p = base;
@@ -263,14 +252,6 @@ TrajectoryPerf run_trajectory(const RegularizedProblem& base,
   for (std::size_t t = 0; t < slots; ++t) {
     const RegularizedSolution sol = solver.solve(p, ws);
     perf.newton_iterations += sol.newton_iterations;
-    if (active_set) {
-      perf.active_nnz_total += sol.stats.active_nnz;
-      perf.support_max = std::max(perf.support_max,
-                                  sol.stats.active_support_max);
-      perf.certify_rounds = std::max(perf.certify_rounds,
-                                     sol.stats.active_rounds);
-      if (sol.stats.active_fallback) ++perf.active_fallbacks;
-    }
     if (t + 1 == slots) perf.final_x = sol.x;
     p.prev = sol.x;
     for (auto& v : p.linear_cost) v *= walk.uniform(0.9, 1.1);
@@ -287,13 +268,6 @@ struct SweepPoint {
   // Whether the adaptive granularity floor let the N-thread leg actually
   // engage the pool; when false the serial measurement is reused verbatim.
   bool pool_engaged = false;
-  // Active-set leg (1 intra-slot thread, same trajectory).
-  double slot_ms_active = 0.0;
-  double active_speedup = 0.0;  // dense 1-thread / active 1-thread
-  double support_mean = 0.0;    // mean |S_j| over all users and slots
-  int support_max = 0;
-  int certify_rounds = 0;  // worst per-slot admit-and-resolve round count
-  std::size_t active_fallbacks = 0;
   long long newton_iters_warm = 0;
   long long newton_iters_cold = 0;
   bool bit_identical = false;
@@ -351,31 +325,14 @@ SweepPerf time_slot_sweep(const bench::BenchScale& scale) {
       point.speedup = 1.0;
       point.bit_identical = true;
     }
-    const TrajectoryPerf active =
-        run_trajectory(base, sweep.slots_per_point, 1, true, walk_seed,
-                       /*active_set=*/true);
-    point.slot_ms_active =
-        active.seconds * 1e3 / static_cast<double>(active.slots);
-    point.active_speedup =
-        active.seconds > 0.0 ? one.seconds / active.seconds : 0.0;
-    point.support_mean =
-        static_cast<double>(active.active_nnz_total) /
-        static_cast<double>(active.slots * users);
-    point.support_max = active.support_max;
-    point.certify_rounds = active.certify_rounds;
-    point.active_fallbacks = active.active_fallbacks;
     point.newton_iters_warm = one.newton_iterations;
     point.newton_iters_cold = cold.newton_iterations;
     sweep.points.push_back(point);
     std::printf(
         "sweep J=%5zu: %.2f ms/slot (1 thr), %.2f ms/slot (%zu thr, "
-        "pool=%s), %.2fx; active %.2f ms/slot (%.2fx, support %.2f/%d, "
-        "rounds %d, fallbacks %zu), iters warm/cold %lld/%lld, "
-        "bit_identical=%s\n",
+        "pool=%s), %.2fx, iters warm/cold %lld/%lld, bit_identical=%s\n",
         users, point.slot_ms_1_thread, point.slot_ms_n_threads,
         sweep.threads, point.pool_engaged ? "on" : "off", point.speedup,
-        point.slot_ms_active, point.active_speedup, point.support_mean,
-        point.support_max, point.certify_rounds, point.active_fallbacks,
         point.newton_iters_warm, point.newton_iters_cold,
         point.bit_identical ? "true" : "false");
   }
@@ -470,16 +427,11 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
     std::fprintf(out,
                  "    {\"users\": %zu, \"slot_ms_1_thread\": %.3f, "
                  "\"slot_ms_n_threads\": %.3f, \"speedup\": %.3f, "
-                 "\"pool_engaged\": %s, \"slot_ms_active\": %.3f, "
-                 "\"active_speedup\": %.3f, \"support_mean\": %.3f, "
-                 "\"support_max\": %d, \"certify_rounds\": %d, "
-                 "\"active_fallbacks\": %zu, "
+                 "\"pool_engaged\": %s, "
                  "\"newton_iters_warm\": %lld, \"newton_iters_cold\": %lld, "
                  "\"bit_identical\": %s}%s\n",
                  p.users, p.slot_ms_1_thread, p.slot_ms_n_threads, p.speedup,
-                 p.pool_engaged ? "true" : "false", p.slot_ms_active,
-                 p.active_speedup, p.support_mean, p.support_max,
-                 p.certify_rounds, p.active_fallbacks, p.newton_iters_warm,
+                 p.pool_engaged ? "true" : "false", p.newton_iters_warm,
                  p.newton_iters_cold, p.bit_identical ? "true" : "false",
                  i + 1 < sweep.points.size() ? "," : "");
   }
@@ -494,8 +446,6 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
         out,
         "  \"telemetry\": {\"solves\": %llu, \"newton_iterations\": %llu, "
         "\"warm_starts\": %llu, \"warm_fallbacks\": %llu, "
-        "\"active_solves\": %llu, \"active_rounds\": %llu, "
-        "\"active_fallbacks\": %llu, "
         "\"assembly_seconds\": %.6f, \"factor_seconds\": %.6f, "
         "\"solve_seconds\": %.6f},\n",
         static_cast<unsigned long long>(snap.counter("solver.solves")),
@@ -504,10 +454,6 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
         static_cast<unsigned long long>(snap.counter("solver.warm_starts")),
         static_cast<unsigned long long>(
             snap.counter("solver.warm_fallbacks")),
-        static_cast<unsigned long long>(snap.counter("solver.active_solves")),
-        static_cast<unsigned long long>(snap.counter("solver.active_rounds")),
-        static_cast<unsigned long long>(
-            snap.counter("solver.active_fallbacks")),
         snap.double_counter("solver.assembly_seconds"),
         snap.double_counter("solver.factor_seconds"),
         snap.double_counter("solver.solve_seconds"));

@@ -11,8 +11,8 @@
 // be fed through every algorithm in the library without writing C++.
 //
 // Observability: set ECA_TELEMETRY=<path> to write the run's
-// eca.telemetry.v3 summary (per-slot cost split + solver convergence),
-// ECA_EVENTS=<path> for the eca.events.v1 JSONL lifecycle stream,
+// eca.telemetry.v4 summary (per-slot cost split + solver convergence),
+// ECA_EVENTS=<path> for the eca.events.v2 JSONL lifecycle stream,
 // ECA_METRICS_OUT=<path> for a Prometheus text dump of the metrics
 // registry, ECA_TRACE=<path> for a Chrome-trace span file, and
 // ECA_METRICS=off to turn instrumentation off entirely.

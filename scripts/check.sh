@@ -94,9 +94,8 @@ python3 scripts/report_run.py \
   --out "$obs_dir/report.md"
 
 echo "== bench: quick-mode sweep =="
-# Sweep through J=1024 so the perf guard's active-vs-dense gate has a
-# point to check (the sweep itself is cheap; the committed BENCH file is
-# regenerated separately at full scale).
+# The sweep itself is cheap; the committed BENCH file is regenerated
+# separately at full scale.
 ECA_SWEEP_MAX_USERS=1024 ECA_SWEEP_SLOTS=2 ECA_USERS=15 ECA_SLOTS=8 \
   ECA_REPS=1 ECA_BENCH_JSON=build/BENCH_solvers.quick.json \
   ./build/bench/bench_solvers
@@ -132,7 +131,7 @@ ECA_SCALE_MIN_USERS=200 ECA_SCALE_MAX_USERS=2000 ECA_SCALE_SLOTS=4 \
   ECA_BENCH_SCALE_JSON=build/BENCH_scale.quick.json \
   ./build/bench/bench_scale
 
-echo "== perf guard: active-set + adaptive-granularity + LP-thread + baseline + aggregation gates =="
+echo "== perf guard: adaptive-granularity + LP-thread + baseline + aggregation gates =="
 python3 scripts/perf_guard.py build/BENCH_solvers.quick.json \
   build/BENCH_offline.quick.json build/BENCH_baselines.quick.json \
   build/BENCH_scale.quick.json

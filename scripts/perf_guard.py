@@ -8,9 +8,6 @@ regression the repo has promised not to reintroduce.
 
 eca.bench_solvers.v3 (slot sweep):
 
-  * the active-set path slower than the dense 1-thread path at any point
-    with J >= 1024 (small points may legitimately lose to admit-and-resolve
-    overhead; at scale the reduced Newton solve must win);
   * any point where the pool actually engaged (pool_engaged=true under the
     adaptive granularity floor) with a multi-thread speedup below 0.95 —
     the floor exists precisely so parallelism is never a slowdown, and
@@ -91,7 +88,7 @@ Exits 0 with a summary line per file when every check passes.
 import json
 import sys
 
-ACTIVE_GATE_USERS = 1024
+AT_SCALE_USERS = 1024
 MIN_POOL_SPEEDUP = 0.95
 MAX_EVENTS_OVERHEAD = 1.02
 MIN_GATEABLE_SECONDS = 0.01
@@ -153,10 +150,8 @@ def check_solvers(path, bench):
     points = bench.get("slot_sweep", {}).get("points", [])
     if not points:
         fail(f"{path}: slot_sweep has no points")
-    gated = 0
     for point in points:
-        users = point["users"]
-        where = f"{path}: J={users}"
+        where = f"{path}: J={point['users']}"
         if not point["bit_identical"]:
             fail(f"{where}: bit_identical=false — thread count changed "
                  "the trajectory")
@@ -164,17 +159,7 @@ def check_solvers(path, bench):
             fail(f"{where}: multi-thread speedup {point['speedup']:.3f} < "
                  f"{MIN_POOL_SPEEDUP} with the pool engaged; the adaptive "
                  "granularity floor should have kept this point serial")
-        if users >= ACTIVE_GATE_USERS:
-            gated += 1
-            if point["slot_ms_active"] > point["slot_ms_1_thread"]:
-                fail(f"{where}: active-set {point['slot_ms_active']:.3f} "
-                     f"ms/slot slower than dense "
-                     f"{point['slot_ms_1_thread']:.3f} ms/slot")
-    if gated == 0:
-        print(f"perf_guard: note: no point with J >= {ACTIVE_GATE_USERS}; "
-              "active-vs-dense gate not exercised")
-    print(f"perf_guard: OK: {path}: {len(points)} sweep points "
-          f"({gated} under the active-vs-dense gate)")
+    print(f"perf_guard: OK: {path}: {len(points)} sweep points")
 
 
 def check_offline(path, bench):
@@ -243,7 +228,7 @@ def check_baselines(path, bench):
                      f"{MAX_WARM_ITER_RATIO} — warm hints cost IPM "
                      "iterations here; lower warm_max_users so the chain "
                      "disengages at this scale")
-        if point["users"] >= ACTIVE_GATE_USERS:
+        if point["users"] >= AT_SCALE_USERS:
             scale_gated += 1
             if point["warm_speedup"] < MIN_SKELETON_SPEEDUP:
                 fail(f"{where}: default-path speedup "
@@ -256,7 +241,7 @@ def check_baselines(path, bench):
               "gate not exercised")
     if scale_gated == 0:
         print(f"perf_guard: note: {path}: no point with J >= "
-              f"{ACTIVE_GATE_USERS}; at-scale parity gate not exercised")
+              f"{AT_SCALE_USERS}; at-scale parity gate not exercised")
     if engaged == 0:
         print(f"perf_guard: note: {path}: no point engaged the pool "
               "(hardware-concurrency cap); fan-out speedup gate not "

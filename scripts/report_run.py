@@ -5,8 +5,8 @@
                           [--events run.events.jsonl] \
                           [--out report.md] [--top 5]
 
-Joins an eca.telemetry.v3 file (one simulator run) with an optional
-eca.events.v1 stream (the surrounding experiment lifecycle) into a
+Joins an eca.telemetry.v4 file (one simulator run) with an optional
+eca.events.v2 stream (the surrounding experiment lifecycle) into a
 human-readable report:
 
   * run summary — dimensions, cost split, empirical competitive ratio when
@@ -17,8 +17,8 @@ human-readable report:
   * worst-K regret slots — the slots that lose the ratio, decomposed into
     the paper's Cost_op/Cost_sq/Cost_rc/Cost_mg terms (mobility bursts
     show up as migration regret, price spikes as operation regret);
-  * solver health — Newton iteration stats and every warm-start or
-    active-set fallback slot (regressions of the PR-3/5 optimizations);
+  * solver health — Newton iteration stats and every warm-start fallback
+    slot (a regression of the cross-slot warm start);
   * experiment events — per-repetition results and drop accounting from
     the event stream, when provided.
 
@@ -42,9 +42,9 @@ def load_telemetry(path):
             run = json.load(handle)
     except (OSError, json.JSONDecodeError) as err:
         fail(f"{path}: {err}")
-    if run.get("schema") != "eca.telemetry.v3":
+    if run.get("schema") != "eca.telemetry.v4":
         fail(f"{path}: schema is {run.get('schema')!r}, expected "
-             "'eca.telemetry.v3'")
+             "'eca.telemetry.v4'")
     return run
 
 
@@ -61,9 +61,9 @@ def load_events(path):
         events = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as err:
         fail(f"{path}: {err}")
-    if header.get("schema") != "eca.events.v1":
+    if header.get("schema") != "eca.events.v2":
         fail(f"{path}: header schema is {header.get('schema')!r}, expected "
-             "'eca.events.v1'")
+             "'eca.events.v2'")
     return header, events
 
 
@@ -184,22 +184,17 @@ def solver_section(out, run):
     out.append(f"- {run['total_newton_iterations']} Newton iterations over "
                f"{len(solves)} solves (per-slot min {min(iters)}, "
                f"max {max(iters)})")
-    out.append(f"- warm-started {run['warm_started_slots']}, "
-               f"active-set {run['active_set_slots']} of "
+    out.append(f"- warm-started {run['warm_started_slots']} of "
                f"{len(solves)} slots")
-    fallbacks = [s for s in solves
-                 if s["solve"]["warm_fallback"]
-                 or s["solve"]["active_fallback"]]
+    fallbacks = [s for s in solves if s["solve"]["warm_fallback"]]
     if fallbacks:
         out.append(f"- **{len(fallbacks)} fallback slot(s)** — the "
-                   "optimized paths rejected their shortcut here:")
+                   "warm start was rejected here:")
         for slot in fallbacks:
-            kinds = [k for k in ("warm_fallback", "active_fallback")
-                     if slot["solve"][k]]
-            out.append(f"  - slot {slot['slot']}: {', '.join(kinds)} "
+            out.append(f"  - slot {slot['slot']}: warm_fallback "
                        f"({slot['solve']['newton_iterations']} iterations)")
     else:
-        out.append("- no warm-start or active-set fallbacks")
+        out.append("- no warm-start fallbacks")
     out.append("")
 
 
@@ -227,9 +222,9 @@ def events_section(out, header, events):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--telemetry", required=True,
-                        help="eca.telemetry.v3 JSON file")
+                        help="eca.telemetry.v4 JSON file")
     parser.add_argument("--events", default=None,
-                        help="optional eca.events.v1 JSONL stream")
+                        help="optional eca.events.v2 JSONL stream")
     parser.add_argument("--out", default=None,
                         help="output markdown path (default: stdout)")
     parser.add_argument("--top", type=int, default=5,

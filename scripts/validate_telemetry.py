@@ -6,7 +6,7 @@
                                   [--events run.events.jsonl]
 
 Validates:
-  * the telemetry file against schema eca.telemetry.v3 — required fields,
+  * the telemetry file against schema eca.telemetry.v4 — required fields,
     types, the accounting invariant that the per-slot weighted cost splits
     sum to total_cost within 1e-9 relative (float reassociation is the only
     permitted difference), and — when a reference is attached — that each
@@ -15,7 +15,7 @@ Validates:
   * the optional Chrome-trace file: a strict JSON array, one event per
     line, each a complete-event record ("ph":"X") with numeric ts/dur —
     i.e. loadable by chrome://tracing and Perfetto;
-  * the optional eca.events.v1 JSONL stream: a header line with matching
+  * the optional eca.events.v2 JSONL stream: a header line with matching
     schema/count, contiguous sequence numbers, known event kinds with the
     right payload fields, and monotone slot ordering within each run scope.
 
@@ -25,8 +25,8 @@ import argparse
 import json
 import sys
 
-SCHEMA = "eca.telemetry.v3"
-EVENTS_SCHEMA = "eca.events.v1"
+SCHEMA = "eca.telemetry.v4"
+EVENTS_SCHEMA = "eca.events.v2"
 REL_TOL = 1e-9
 
 RUN_FIELDS = {
@@ -45,8 +45,6 @@ RUN_FIELDS = {
     "total_newton_iterations": int,
     "warm_started_slots": int,
     "warm_fallback_slots": int,
-    "active_set_slots": int,
-    "active_fallback_slots": int,
     "slots": list,
 }
 
@@ -75,12 +73,6 @@ SOLVE_FIELDS = {
     "kkt_dual_residual": (int, float),
     "warm_started": bool,
     "warm_fallback": bool,
-    "active_set": bool,
-    "active_fallback": bool,
-    "active_rounds": int,
-    "active_nnz": int,
-    "active_support_max": int,
-    "certify_residual": (int, float),
     "solve_seconds": (int, float),
     "assembly_seconds": (int, float),
     "factor_seconds": (int, float),
@@ -209,11 +201,9 @@ EVENT_KINDS = {
              "cost_reconfiguration": (int, float),
              "cost_migration": (int, float)},
     "solve": {"slot": int, "newton_iterations": int, "mu_steps": int,
-              "warm_started": bool, "warm_fallback": bool,
-              "active_set": bool, "active_fallback": bool},
+              "warm_started": bool, "warm_fallback": bool},
     "run_end": {"algorithm": str, "slots": int, "newton_iterations": int,
-                "warm_fallback_slots": int, "active_fallback_slots": int,
-                "total_cost": (int, float)},
+                "warm_fallback_slots": int, "total_cost": (int, float)},
     "result": {"algorithm": str, "rep": int, "cost": (int, float),
                "ratio": (int, float)},
     "rep_end": {"rep": int},
@@ -271,11 +261,11 @@ def validate_events(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--telemetry", required=True,
-                        help="eca.telemetry.v3 JSON file")
+                        help="eca.telemetry.v4 JSON file")
     parser.add_argument("--trace", default=None,
                         help="optional Chrome-trace JSON file")
     parser.add_argument("--events", default=None,
-                        help="optional eca.events.v1 JSONL stream")
+                        help="optional eca.events.v2 JSONL stream")
     args = parser.parse_args()
     validate_telemetry(args.telemetry)
     if args.trace:

@@ -1,7 +1,5 @@
 #include "algo/online_approx.h"
 
-#include <cmath>
-
 #include "agg/aggregate.h"
 #include "common/check.h"
 #include "model/costs.h"
@@ -124,15 +122,6 @@ Allocation OnlineApprox::decide(const Instance& instance, std::size_t t,
               "collapsed P2 subproblem failed at slot ", t, " (", kC,
               " classes): ", solve::to_string(csol.status));
     sol = agg::expand_solution(csol, part, kI);
-    // Canonicalize the played decision onto the quantum grid (class members
-    // share y/w bitwise, so they snap to the same grid point and the
-    // partition of the *next* slot sees class-constant columns). See the
-    // OnlineApproxOptions::decision_quantum comment for why this is what
-    // makes classes re-merge instead of fragmenting.
-    if (options_.decision_quantum > 0.0) {
-      const double q = options_.decision_quantum;
-      for (double& v : sol.x) v = std::round(v / q) * q;
-    }
   } else {
     last_num_classes_ = instance.num_users;
     const solve::RegularizedProblem p =

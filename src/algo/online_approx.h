@@ -30,20 +30,6 @@ struct OnlineApproxOptions {
   // bit-identical — while the per-slot Newton work drops from O(I·J) to
   // O(I·C) plus an O(I·J) partition/expansion pass.
   bool aggregate_users = false;
-  // Canonicalization grid for the played decision (0 = off; only read when
-  // aggregate_users is set). When > 0, the expanded allocation is snapped
-  // to multiples of this quantum — a coarser form of the simulator's 1e-9
-  // dust rounding and, like it, part of the algorithm's output. It makes
-  // the previous-allocation profile that keys the next slot's partition
-  // canonical: profiles differing only below the grid re-merge instead of
-  // fragmenting on solver low bits. Measured honestly (J=3000 random walk,
-  // T=15): the effect is modest (~12% fewer classes at q=1e-6) because P2's
-  // migration regularizer retains history at O(1) magnitude — class counts
-  // are governed by the number of distinct (λ, trajectory-prefix) types,
-  // which is J-independent but grows with T (see DESIGN.md §12). The grid
-  // perturbs each demand row by up to I·q/2, so keep q ≤ 1e-6 if the
-  // run must stay under the repo's 1e-5 feasibility tolerance.
-  double decision_quantum = 0.0;
   solve::RegularizedOptions solver;
 };
 

@@ -191,18 +191,6 @@ OracleReport run_oracle(const Scenario& scenario,
                     reference.weighted_total, opts.rel_tol);
   }
 
-  // --- L2: certified active-set --------------------------------------------
-  {
-    algo::OnlineApproxOptions o = base;
-    o.solver.warm_start = true;
-    o.solver.active_set = true;
-    const sim::SimulationResult active = run_leg(instance, o);
-    check_leg(report, instance, active, "L2:active-set",
-              scenario.enforce_capacity, opts);
-    check_agreement(report, "L2:active-set", active.weighted_total,
-                    reference.weighted_total, opts.rel_tol);
-  }
-
   // --- L3: user-class aggregation ------------------------------------------
   {
     const std::string part_problem = agg::validate_partition(

@@ -5,11 +5,13 @@
 //
 //   L0  dense / cold / serial OnlineApprox      (the reference leg)
 //   L1  warm-started                            (≈ L0 within rel_tol)
-//   L2  certified active-set                    (≈ L0 within rel_tol)
 //   L3  user-class aggregated                   (≈ L0 within rel_tol)
 //   L4  slot-parallel (N threads)               (bitwise == its serial twin)
 //   L5  offline IPM vs PDHG on the horizon LP   (≈ each other; each a lower
 //                                                bound on every online leg)
+//
+// The number L2 stays unused (it named a deleted solve path) so leg names
+// in recorded replays and summaries keep their meaning.
 //
 // plus the per-slot invariants on the reference trajectory: P2 KKT
 // residuals and primal feasibility via algo::check_certificate, the

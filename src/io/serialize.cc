@@ -269,12 +269,6 @@ void write_solve_telemetry(std::ostream& os, const obs::SolveTelemetry& s) {
      << ",\"kkt_dual_residual\":" << s.kkt_dual_residual
      << ",\"warm_started\":" << (s.warm_started ? "true" : "false")
      << ",\"warm_fallback\":" << (s.warm_fallback ? "true" : "false")
-     << ",\"active_set\":" << (s.active_set ? "true" : "false")
-     << ",\"active_fallback\":" << (s.active_fallback ? "true" : "false")
-     << ",\"active_rounds\":" << s.active_rounds
-     << ",\"active_nnz\":" << s.active_nnz
-     << ",\"active_support_max\":" << s.active_support_max
-     << ",\"certify_residual\":" << s.certify_residual
      << ",\"solve_seconds\":" << s.solve_seconds
      << ",\"assembly_seconds\":" << s.assembly_seconds
      << ",\"factor_seconds\":" << s.factor_seconds << '}';
@@ -302,9 +296,6 @@ void write_telemetry(std::ostream& os, const obs::RunTelemetry& run) {
      << ",\n"
      << "  \"warm_started_slots\": " << run.warm_started_slots() << ",\n"
      << "  \"warm_fallback_slots\": " << run.warm_fallback_slots() << ",\n"
-     << "  \"active_set_slots\": " << run.active_set_slots() << ",\n"
-     << "  \"active_fallback_slots\": " << run.active_fallback_slots()
-     << ",\n"
      << "  \"slots\": [";
   for (std::size_t t = 0; t < run.slots.size(); ++t) {
     const obs::SlotTelemetry& slot = run.slots[t];

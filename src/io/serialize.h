@@ -48,7 +48,7 @@ bool save_instance(const std::string& path, const model::Instance& instance);
 std::optional<model::Instance> load_instance(const std::string& path,
                                              std::string* error);
 
-// Run telemetry is serialized as JSON (schema "eca.telemetry.v3") rather
+// Run telemetry is serialized as JSON (schema "eca.telemetry.v4") rather
 // than the line-oriented text above so downstream tooling (the schema
 // checker in scripts/, notebooks) can consume it without a custom parser.
 void write_telemetry(std::ostream& os, const obs::RunTelemetry& run);

@@ -139,15 +139,12 @@ void write_event(std::ostream& os, std::size_t seq, const EventRecord& ev) {
       num("mu_steps", ev.c);
       flag("warm_started", (ev.d & kSolveWarmStarted) != 0);
       flag("warm_fallback", (ev.d & kSolveWarmFallback) != 0);
-      flag("active_set", (ev.d & kSolveActiveSet) != 0);
-      flag("active_fallback", (ev.d & kSolveActiveFallback) != 0);
       break;
     case EventKind::kRunEnd:
       label("algorithm");
       num("slots", ev.a);
       num("newton_iterations", ev.b);
       num("warm_fallback_slots", ev.c);
-      num("active_fallback_slots", ev.d);
       real("total_cost", ev.x);
       break;
     case EventKind::kResult:

@@ -1,4 +1,4 @@
-// Run-level streaming event log (`eca.events.v1`).
+// Run-level streaming event log (`eca.events.v2`).
 //
 // An EventLog owns a bounded, lock-free buffer of fixed-size EventRecords.
 // record() is two relaxed atomics and a struct copy — allocation-free, safe
@@ -40,7 +40,7 @@
 
 namespace eca::obs {
 
-inline constexpr const char* kEventsSchema = "eca.events.v1";
+inline constexpr const char* kEventsSchema = "eca.events.v2";
 
 enum class EventKind : std::uint8_t {
   kExperimentBegin,  // label="", a=repetitions, b=roster size
@@ -49,8 +49,7 @@ enum class EventKind : std::uint8_t {
   kWorkers,          // label=scope, a=work, b=min_work, c=eligible (0/1)
   kSlot,             // a=slot, x/y/z/w = weighted op/sq/rc/mg cost split
   kSolve,            // a=slot, b=newton iters, c=mu steps, d=flag bits
-  kRunEnd,    // label=algorithm, a=slots, b=iters, c=warm_fb, d=active_fb,
-              // x=total weighted cost
+  kRunEnd,    // label=algorithm, a=slots, b=iters, c=warm_fb, x=total cost
   kResult,    // label=algorithm, a=rep, x=cost, y=competitive ratio
   kRepEnd,           // a=rep
   kExperimentEnd,    // a=simulations accumulated
@@ -60,8 +59,6 @@ const char* to_string(EventKind kind);
 // Bit flags of the kSolve `d` payload.
 inline constexpr std::int64_t kSolveWarmStarted = 1;
 inline constexpr std::int64_t kSolveWarmFallback = 2;
-inline constexpr std::int64_t kSolveActiveSet = 4;
-inline constexpr std::int64_t kSolveActiveFallback = 8;
 
 // Fixed-size POD payload: a short copied label plus kind-specific numeric
 // fields (see EventKind). Copying the label keeps record() allocation-free
@@ -108,7 +105,7 @@ class EventLog {
   [[nodiscard]] std::size_t recorded() const;
   [[nodiscard]] std::size_t dropped() const;
 
-  // Serializes the buffered events as `eca.events.v1` JSONL. flush() opens
+  // Serializes the buffered events as `eca.events.v2` JSONL. flush() opens
   // options.path ("" => no-op, returns false). Flush at quiescent points;
   // events recorded concurrently may or may not be included.
   bool flush();
@@ -215,9 +212,7 @@ inline void emit_solve(EventLog* log, std::size_t slot,
   ev.b = solve.newton_iterations;
   ev.c = solve.mu_steps;
   ev.d = (solve.warm_started ? kSolveWarmStarted : 0) |
-         (solve.warm_fallback ? kSolveWarmFallback : 0) |
-         (solve.active_set ? kSolveActiveSet : 0) |
-         (solve.active_fallback ? kSolveActiveFallback : 0);
+         (solve.warm_fallback ? kSolveWarmFallback : 0);
   log->record(ev);
 }
 
@@ -231,7 +226,6 @@ inline void emit_run_end(EventLog* log, const RunTelemetry& run) {
   ev.a = static_cast<std::int64_t>(run.slots.size());
   ev.b = run.total_newton_iterations();
   ev.c = static_cast<std::int64_t>(run.warm_fallback_slots());
-  ev.d = static_cast<std::int64_t>(run.active_fallback_slots());
   ev.x = run.total_cost;
   log->record(ev);
 }

@@ -34,22 +34,6 @@ std::size_t RunTelemetry::warm_fallback_slots() const {
   return n;
 }
 
-std::size_t RunTelemetry::active_set_slots() const {
-  std::size_t n = 0;
-  for (const SlotTelemetry& slot : slots) {
-    if (slot.has_solve && slot.solve.active_set) ++n;
-  }
-  return n;
-}
-
-std::size_t RunTelemetry::active_fallback_slots() const {
-  std::size_t n = 0;
-  for (const SlotTelemetry& slot : slots) {
-    if (slot.has_solve && slot.solve.active_fallback) ++n;
-  }
-  return n;
-}
-
 void attach_reference(RunTelemetry& run, const RunTelemetry& reference) {
   if (reference.slots.empty()) return;
   run.has_reference = true;

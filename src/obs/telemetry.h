@@ -1,6 +1,6 @@
 // Run-level telemetry: the per-slot convergence and cost records that the
-// simulator assembles into an `eca.telemetry.v3` summary (serialized by
-// src/io/serialize.h).
+// simulator assembles into an `eca.telemetry.v4` summary (serialized by
+// src/io/serialize.h). v4 is v3 without the per-solve active-set fields.
 //
 // Three layers:
 //  * SolveTelemetry — one P2 solve, filled by RegularizedSolver
@@ -28,7 +28,7 @@
 
 namespace eca::obs {
 
-inline constexpr const char* kTelemetrySchema = "eca.telemetry.v3";
+inline constexpr const char* kTelemetrySchema = "eca.telemetry.v4";
 
 struct SolveTelemetry {
   int newton_iterations = 0;
@@ -43,19 +43,6 @@ struct SolveTelemetry {
   // Warm start was requested and carried duals existed, but the repaired
   // point was rejected and the solve fell back to the cold start.
   bool warm_fallback = false;
-  // --- Active-set sparsification (schema v2) ---
-  // active_set: the solve was requested on the active-set path;
-  // active_fallback: it ended in the guaranteed dense fallback.
-  bool active_set = false;
-  bool active_fallback = false;
-  // Admit-and-resolve rounds used (0 on the dense path), the final number
-  // of active variables Σ_j |S_j|, the largest per-user support, and the
-  // worst pinned reduced-cost deficit of the final certification sweep
-  // (cost-scale relative; 0 when every pinned variable passed outright).
-  int active_rounds = 0;
-  long long active_nnz = 0;
-  int active_support_max = 0;
-  double certify_residual = 0.0;
   // Wall-clock stage split (seconds); zero when metrics are disabled.
   double solve_seconds = 0.0;
   double assembly_seconds = 0.0;  // chunk-assembly passes (across workers)
@@ -126,8 +113,6 @@ struct RunTelemetry {
   [[nodiscard]] long long total_newton_iterations() const;
   [[nodiscard]] std::size_t warm_started_slots() const;
   [[nodiscard]] std::size_t warm_fallback_slots() const;
-  [[nodiscard]] std::size_t active_set_slots() const;
-  [[nodiscard]] std::size_t active_fallback_slots() const;
 };
 
 // Fills `run`'s competitive-ratio attribution against `reference` (the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -126,16 +125,13 @@ AggregatedRunResult run_aggregated_online_approx(
               "collapsed P2 subproblem failed at slot ", t, " (", kC,
               " classes)");
 
-    // Per-member expansion x = y / w, canonicalized exactly as the
-    // simulator path plays it: the optional decision-quantum snap (inside
-    // OnlineApprox::decide) followed by the simulator's dust rounding.
-    const double quantum = options.decision_quantum;
+    // Per-member expansion x = y / w with the simulator's dust rounding,
+    // exactly as the simulator path plays it.
     linalg::Vec member_x(kI * kC);
     for (std::size_t c = 0; c < kC; ++c) {
       const double inv_w = 1.0 / part.weight(c);
       for (std::size_t i = 0; i < kI; ++i) {
         double v = sol.x[i * kC + c] * inv_w;
-        if (quantum > 0.0) v = std::round(v / quantum) * quantum;
         if (v < kDust) v = 0.0;
         member_x[i * kC + c] = v;
       }

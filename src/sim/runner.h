@@ -46,7 +46,7 @@ struct ExperimentOptions {
   // repetition-major order from index-addressed buffers, so every thread
   // count produces bit-identical statistics.
   int threads = 0;
-  // Directory for per-simulation eca.telemetry.v3 JSON dumps
+  // Directory for per-simulation eca.telemetry.v4 JSON dumps
   // (telemetry_rep<rep>_<algorithm>.json, with the offline reference
   // attached so per-slot ratio/regret attribution is filled). Empty =
   // resolve from ECA_TELEMETRY_DIR (unset => disabled; set-but-empty or

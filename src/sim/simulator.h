@@ -26,7 +26,7 @@ struct SimulationResult {
   std::vector<double> per_slot;
   double wall_seconds = 0.0;
   double max_violation = 0.0;  // feasibility of the produced sequence
-  // The run's eca.telemetry.v3 record: per-slot weighted cost split (from
+  // The run's eca.telemetry.v4 record: per-slot weighted cost split (from
   // the same scoring pass as `cost`, so the splits sum to weighted_total)
   // plus per-slot solver convergence stats when the algorithm exposes them,
   // and the run's trace/event drop deltas. Competitive-ratio attribution

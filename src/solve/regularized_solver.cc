@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -173,8 +172,7 @@ void NewtonWorkspace::resize(std::size_t num_clouds, std::size_t num_users,
   users_ = num_users;
   chunk_ = chunk_users;
   num_chunks_ = num_users == 0 ? 0 : (num_users + chunk_ - 1) / chunk_;
-  warm_valid = false;     // carried duals match the old shape only
-  support_valid = false;  // carried candidate sets match the old shape only
+  warm_valid = false;  // carried duals match the old shape only
   const std::size_t n = num_clouds * num_users;
   const std::size_t k = num_clouds + num_users + 1;
   for (Vec* v : {&x, &delta, &best_x, &best_delta, &r_dual, &rhs, &dx, &diag,
@@ -323,14 +321,6 @@ struct SolverMetrics {
   obs::DoubleCounter& assembly_seconds;
   obs::DoubleCounter& factor_seconds;
   obs::DoubleCounter& solve_seconds;
-  // Active-set path: certified solves, admit-and-resolve rounds across
-  // them, dense fallbacks, active-variable counts and the worst pinned
-  // reduced-cost deficit of the latest certification (cost-scale relative).
-  obs::Counter& active_solves;
-  obs::Counter& active_rounds;
-  obs::Counter& active_fallbacks;
-  obs::Histogram& active_nnz;
-  obs::Gauge& certify_residual;
 
   static SolverMetrics& get() {
     static SolverMetrics m{
@@ -344,12 +334,7 @@ struct SolverMetrics {
         obs::MetricsRegistry::global().double_counter(
             "solver.assembly_seconds"),
         obs::MetricsRegistry::global().double_counter("solver.factor_seconds"),
-        obs::MetricsRegistry::global().double_counter("solver.solve_seconds"),
-        obs::MetricsRegistry::global().counter("solver.active_solves"),
-        obs::MetricsRegistry::global().counter("solver.active_rounds"),
-        obs::MetricsRegistry::global().counter("solver.active_fallbacks"),
-        obs::MetricsRegistry::global().histogram("solver.active_nnz"),
-        obs::MetricsRegistry::global().gauge("solver.certify_residual")};
+        obs::MetricsRegistry::global().double_counter("solver.solve_seconds")};
     return m;
   }
 };
@@ -360,12 +345,6 @@ RegularizedSolution RegularizedSolver::solve(
     const RegularizedProblem& p) const {
   NewtonWorkspace ws;
   return solve(p, ws);
-}
-
-RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
-                                             NewtonWorkspace& ws) const {
-  if (options_.active_set) return solve_active(p, ws);
-  return solve_dense(p, ws);
 }
 
 // Primal-dual interior-point method. Perturbed KKT system:
@@ -407,8 +386,8 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
 // tests/solve/newton_alloc_test.cc). With slot_threads > 1 each parallel
 // region submits one task per worker (type-erased, so it may allocate);
 // everything the workers touch is pre-sized.
-RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
-                                                   NewtonWorkspace& ws) const {
+RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
+                                             NewtonWorkspace& ws) const {
   ECA_TRACE_SPAN("p2_solve");
   // Sampled once per solve: recording must not toggle mid-iteration.
   const bool metrics_on = obs::metrics_enabled();
@@ -1239,1094 +1218,6 @@ RegularizedSolution RegularizedSolver::solve_dense(const RegularizedProblem& p,
     ws.warm_valid = true;
   } else {
     ws.warm_valid = false;
-  }
-  return sol;
-}
-
-// Certified active-set solve (DESIGN.md §9). The optimal x*_t concentrates
-// each user's mass on a handful of clouds — the service-quality cost plus
-// the migration regularizer push everything else to the ε2 floor — so the
-// solver guesses each user's support S_j (previous slot's support carried
-// on the workspace, previous allocations above active_prev_rel·ε2, and the
-// k cheapest-l_ij clouds), pins every out-of-set variable to x = 0, and
-// runs the same interior-point iteration over only the nnz = Σ_j |S_j|
-// packed variables. The Woodbury/Schur structure is unchanged (the
-// reduction basis [u_i | a_j | e] merely restricts to active entries; the
-// Schur system stays (I+1)²), so per-iteration cost drops from O(I·J) to
-// O(nnz + Σ_j |S_j|²).
-//
-// The guess is certified, not trusted: after convergence a full-KKT sweep
-// evaluates every pinned variable's stationarity residual (its reduced
-// cost) rc_ij = l_ij + recon_i + (b_i/τ_j)·ln(ε2/(xp_ij+ε2)) − θ_j −
-// Σ_{k≠i}ρ_k + κ_i, which is exactly the multiplier δ_ij ≥ 0 the dense KKT
-// system assigns to the active bound x_ij = 0. Violators (rc < −tol·scale)
-// are admitted and the solve repeats, bounded by active_max_rounds with a
-// guaranteed dense fallback — so the returned point always satisfies the
-// full-problem KKT conditions to the same tolerance as the dense path.
-//
-// Determinism: identical chunk machinery as the dense path (fixed user
-// chunks, chunk-owned packed ranges [sup_off[j0], sup_off[j1]), serial
-// chunk-order reduction), so results are bit-identical for every
-// slot_threads value.
-RegularizedSolution RegularizedSolver::solve_active(
-    const RegularizedProblem& p, NewtonWorkspace& ws) const {
-  ECA_TRACE_SPAN("p2_active");
-  const bool metrics_on = obs::metrics_enabled();
-  const std::uint64_t solve_t0 = metrics_on ? obs::steady_clock_ns() : 0;
-  std::uint64_t assembly_ns = 0;
-  std::uint64_t factor_ns = 0;
-
-  RegularizedSolution sol;
-  sol.stats.active_set = true;
-  const std::string problem_error = p.validate();
-  ECA_CHECK(problem_error.empty(), problem_error);
-
-  const std::size_t kI = p.num_clouds;
-  const std::size_t kJ = p.num_users;
-  const std::size_t n = kI * kJ;
-  const double lambda_total = p.total_demand();
-  const bool has_comp = kI >= 2;
-  const bool has_cap = p.enforce_capacity;
-
-  if (kI == 1 && lambda_total - p.capacity[0] > 1e-9) {
-    sol.status = SolveStatus::kPrimalInfeasible;
-    return sol;
-  }
-  if (has_cap && linalg::sum(p.capacity) <= lambda_total * (1.0 + 1e-12)) {
-    sol.status = SolveStatus::kPrimalInfeasible;
-    return sol;
-  }
-
-  const std::size_t chunk_users =
-      options_.chunk_users > 0 ? static_cast<std::size_t>(options_.chunk_users)
-                               : 128;
-  ws.resize(kI, kJ, chunk_users);
-  const std::size_t n_chunks = ws.num_chunks();
-  const std::size_t k = kI + kJ + 1;
-  const double cost_scale = 1.0 + linalg::norm_inf(p.linear_cost);
-
-  for (std::size_t j = 0; j < kJ; ++j) {
-    ws.tau_cache[j] = p.tau(j);
-    ws.eps2_cache[j] = p.eps2_of(j);
-  }
-  for (std::size_t i = 0; i < kI; ++i) ws.eta_cache[i] = p.eta(i);
-  p.prev_aggregate_into(ws.prev_agg);
-
-  // --- Seed the candidate sets ---------------------------------------------
-  ws.active_mask.assign(n, 0);
-  const std::size_t k_near = std::min(
-      kI, static_cast<std::size_t>(std::max(1, options_.active_k_nearest)));
-  // k cheapest clouds per user: k argmin passes reusing the mask itself as
-  // the "already selected" marker (no scratch, allocation-free).
-  for (std::size_t j = 0; j < kJ; ++j) {
-    for (std::size_t r = 0; r < k_near; ++r) {
-      std::size_t best_i = n;
-      double best_cost = kInf;
-      for (std::size_t i = 0; i < kI; ++i) {
-        const std::size_t ij = i * kJ + j;
-        if (ws.active_mask[ij]) continue;
-        if (p.linear_cost[ij] < best_cost) {
-          best_cost = p.linear_cost[ij];
-          best_i = i;
-        }
-      }
-      if (best_i == n) break;
-      ws.active_mask[best_i * kJ + j] = 1;
-    }
-  }
-  const double prev_rel = std::max(0.0, options_.active_prev_rel);
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    if (p.prev[idx] > prev_rel * ws.eps2_cache[idx % kJ]) {
-      ws.active_mask[idx] = 1;
-    }
-  }
-  if (options_.warm_start && ws.support_valid && ws.carry_mask.size() == n) {
-    for (std::size_t idx = 0; idx < n; ++idx) {
-      ws.active_mask[idx] |= ws.carry_mask[idx];
-    }
-  }
-
-  const std::size_t min_users =
-      options_.slot_min_users > 0
-          ? static_cast<std::size_t>(options_.slot_min_users)
-          : ThreadPool::slot_min_chunk();
-  const int max_rounds = std::max(1, options_.active_max_rounds);
-
-  // Cross-round outcome state.
-  int round = 0;
-  std::size_t nnz = 0;
-  std::size_t support_max = 0;
-  int total_iters = 0;
-  int total_mu_steps = 0;
-  bool any_warm = false;
-  bool warm_fb = false;
-  double exit_comp = 0.0;
-  double exit_dual = 0.0;
-  double worst_deficit = 0.0;
-  bool certified = false;
-  bool reduced_failed = false;
-
-  const auto dense_fallback = [&] {
-    ws.support_valid = false;
-    RegularizedSolution out = solve_dense(p, ws);
-    out.stats.active_set = true;
-    out.stats.active_fallback = true;
-    out.stats.active_rounds = round;
-    if (metrics_on) SolverMetrics::get().active_fallbacks.add();
-    return out;
-  };
-
-  while (round < max_rounds && !certified && !reduced_failed) {
-    ++round;
-    // --- Pack the candidate sets CSR-by-user (clouds ascending) ------------
-    ws.sup_off.assign(kJ + 1, 0);
-    ws.sup_cloud.clear();
-    for (std::size_t j = 0; j < kJ; ++j) {
-      ws.sup_off[j] = ws.sup_cloud.size();
-      for (std::size_t i = 0; i < kI; ++i) {
-        if (ws.active_mask[i * kJ + j]) {
-          ws.sup_cloud.push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-    }
-    nnz = ws.sup_cloud.size();
-    ws.sup_off[kJ] = nnz;
-    support_max = 0;
-    for (std::size_t j = 0; j < kJ; ++j) {
-      support_max = std::max(support_max, ws.sup_off[j + 1] - ws.sup_off[j]);
-    }
-    for (Vec* v : {&ws.xs, &ws.delta_s, &ws.best_xs, &ws.best_delta_s,
-                   &ws.dx_s, &ws.ddelta_s, &ws.diag_s, &ws.inv_diag_s,
-                   &ws.rdual_s, &ws.rhs_s, &ws.resid_s, &ws.lin_s, &ws.prev_s,
-                   &ws.mt_s}) {
-      v->assign(nnz, 0.0);
-    }
-    for (std::size_t j = 0; j < kJ; ++j) {
-      for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1]; ++pos) {
-        const std::size_t i = ws.sup_cloud[pos];
-        const std::size_t ij = i * kJ + j;
-        ws.lin_s[pos] = p.linear_cost[ij];
-        ws.prev_s[pos] = p.prev[ij];
-        ws.mt_s[pos] = p.migration_price[i] > 0.0
-                           ? p.migration_price[i] / ws.tau_cache[j]
-                           : 0.0;
-      }
-    }
-
-    // Adaptive granularity over active-entry volume: one user of dense work
-    // is kI entries, so the floor translates to min_users·kI entries.
-    const std::size_t threads = ThreadPool::resolve_slot_threads(
-        options_.slot_threads, nnz, min_users * kI,
-        !options_.slot_oversubscribe);
-    ws.ensure_pool(threads);
-    const bool use_pool = threads > 1 && n_chunks > 1 && ws.pool != nullptr;
-    const auto for_chunks = [&](auto&& fn) {
-      if (use_pool) {
-        ws.pool->run_indexed(n_chunks, fn);
-      } else {
-        for (std::size_t c = 0; c < n_chunks; ++c) fn(c);
-      }
-    };
-    const auto chunk_begin = [&](std::size_t c) { return c * chunk_users; };
-    const auto chunk_end = [&](std::size_t c) {
-      return std::min(kJ, (c + 1) * chunk_users);
-    };
-
-    const auto recompute_slacks = [&] {
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        double* ia = ws.chunk_ia.data() + c * kI;
-        std::fill(ia, ia + kI, 0.0);
-        for (std::size_t j = j0; j < j1; ++j) {
-          double sd = 0.0;
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            const double v = ws.xs[pos];
-            ia[ws.sup_cloud[pos]] += v;
-            sd += v;
-          }
-          ws.slack_demand[j] = sd - p.demand[j];
-        }
-      });
-      linalg::fill(ws.slack_agg, 0.0);
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* ia = ws.chunk_ia.data() + c * kI;
-        for (std::size_t i = 0; i < kI; ++i) ws.slack_agg[i] += ia[i];
-      }
-      if (has_comp) {
-        const double total = linalg::sum(ws.slack_agg);
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.slack_comp[i] =
-              total - ws.slack_agg[i] - lambda_total + p.capacity[i];
-        }
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.slack_cap[i] = p.capacity[i] - ws.slack_agg[i];
-        }
-      }
-    };
-
-    // Reduced feasible start. The dense start spreads every user over all
-    // clouds proportional to capacity, which keeps X_i = inflate·Λ·C_i/ΣC
-    // below C_i by construction — but reduced supports break that argument:
-    // with narrow, uneven candidate sets a popular cloud can oversubscribe.
-    // Instead run a greedy residual-budget fill: each cloud starts with 95%
-    // of the load its binding constraint allows (capacity when enforced,
-    // else the complement bound X_i <= (inflate-1)·Λ + C_i), and each user
-    // splits inflate·λ_j over its support proportional to what remains, so
-    // later users steer around clouds earlier users filled. Sequential and
-    // single-pass — deterministic regardless of the thread count. Truly
-    // reduced-infeasible supports still fail the interior test below and
-    // land in the dense fallback.
-    const auto cold_start = [&](Vec& out) {
-      const double total_cap = linalg::sum(p.capacity);
-      double inflate = 1.25;
-      if (has_cap) {
-        const double headroom = total_cap / std::max(lambda_total, 1e-12);
-        inflate = 0.5 * (1.0 + std::min(1.25, headroom));
-      }
-      const double bump = has_cap ? 0.0 : std::max(total_cap, 1.0) * 1e-3;
-      const double comp_room =
-          has_cap ? 0.0 : (inflate - 1.0) * lambda_total;
-      Vec& budget = ws.slack_agg;  // scratch; recompute_slacks overwrites it
-      for (std::size_t i = 0; i < kI; ++i) {
-        budget[i] = 0.95 * (p.capacity[i] + bump + comp_room);
-      }
-      // Exhausted clouds keep a small positive weight so allocation always
-      // degrades to an even split instead of dividing by zero.
-      const double w_floor = 1e-6 * (1.0 + total_cap);
-      for (std::size_t j = 0; j < kJ; ++j) {
-        const std::size_t p0 = ws.sup_off[j];
-        const std::size_t p1 = ws.sup_off[j + 1];
-        double wsum = 0.0;
-        for (std::size_t pos = p0; pos < p1; ++pos) {
-          wsum += std::max(budget[ws.sup_cloud[pos]], w_floor);
-        }
-        for (std::size_t pos = p0; pos < p1; ++pos) {
-          const double w = std::max(budget[ws.sup_cloud[pos]], w_floor);
-          const double v = inflate * p.demand[j] * w / wsum;
-          out[pos] = v;
-          budget[ws.sup_cloud[pos]] -= v;
-        }
-      }
-    };
-
-    const auto interior = [&] {
-      for (double v : ws.xs) {
-        if (!(v > 0.0)) return false;
-      }
-      for (double v : ws.slack_demand) {
-        if (!(v > 0.0)) return false;
-      }
-      if (has_comp) {
-        for (double v : ws.slack_comp) {
-          if (!(v > 0.0)) return false;
-        }
-      }
-      if (has_cap) {
-        for (double v : ws.slack_cap) {
-          if (!(v > 0.0)) return false;
-        }
-      }
-      return true;
-    };
-    const auto warm_usable = [&] {
-      for (double v : ws.xs) {
-        if (!(v > 0.0)) return false;
-      }
-      for (std::size_t j = 0; j < kJ; ++j) {
-        if (!(ws.slack_demand[j] > 1e-10 * (1.0 + p.demand[j]))) return false;
-      }
-      if (has_comp) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          if (!(ws.slack_comp[i] > 1e-10 * (1.0 + lambda_total))) return false;
-        }
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          if (!(ws.slack_cap[i] > 1e-10 * (1.0 + p.capacity[i]))) {
-            return false;
-          }
-        }
-      }
-      return true;
-    };
-
-    // --- Primal/dual start: warm (previous slot) or cold -------------------
-    double mu = options_.initial_mu * cost_scale;
-    bool warm = false;
-    const bool warm_requested = options_.warm_start && ws.warm_valid;
-    if (warm_requested) {
-      cold_start(ws.dx_s);
-      const double blend = std::clamp(options_.warm_blend, 1e-3, 1.0);
-      for (std::size_t pos = 0; pos < nnz; ++pos) {
-        ws.xs[pos] = (1.0 - blend) * ws.prev_s[pos] + blend * ws.dx_s[pos];
-      }
-      recompute_slacks();
-      if (warm_usable() && !fault_fire(FaultSite::kWarmReject)) {
-        const double floor_v = 1e-12 * cost_scale;
-        for (std::size_t j = 0; j < kJ; ++j) {
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            ws.delta_s[pos] = std::max(
-                ws.warm_delta[ws.sup_cloud[pos] * kJ + j], floor_v);
-          }
-          ws.theta[j] = std::max(ws.warm_theta[j], floor_v);
-        }
-        linalg::fill(ws.rho, 0.0);
-        linalg::fill(ws.kappa, 0.0);
-        if (has_comp) {
-          for (std::size_t i = 0; i < kI; ++i) {
-            ws.rho[i] = std::max(ws.warm_rho[i], floor_v);
-          }
-        }
-        if (has_cap) {
-          for (std::size_t i = 0; i < kI; ++i) {
-            ws.kappa[i] = std::max(ws.warm_kappa[i], floor_v);
-          }
-        }
-        warm = true;
-      }
-    }
-    if (!warm) {
-      cold_start(ws.xs);
-      recompute_slacks();
-      if (!interior()) {
-        reduced_failed = true;
-        break;
-      }
-      linalg::fill(ws.rho, 0.0);
-      linalg::fill(ws.kappa, 0.0);
-      for (std::size_t pos = 0; pos < nnz; ++pos) {
-        ws.delta_s[pos] = mu / ws.xs[pos];
-      }
-      for (std::size_t j = 0; j < kJ; ++j) {
-        ws.theta[j] = mu / ws.slack_demand[j];
-      }
-      if (has_comp) {
-        for (std::size_t i = 0; i < kI; ++i) ws.rho[i] = mu / ws.slack_comp[i];
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.kappa[i] = mu / ws.slack_cap[i];
-        }
-      }
-    }
-    if (round == 1) {
-      any_warm = warm;
-      warm_fb = warm_requested && !warm;
-    }
-
-    const std::size_t total_constraints =
-        nnz + kJ + (has_comp ? kI : 0) + (has_cap ? kI : 0);
-
-    double best_score = kInf;
-    double best_comp_avg = 0.0;
-    double best_dual_resid = 0.0;
-    ws.best_xs = ws.xs;
-    ws.best_delta_s = ws.delta_s;
-    ws.best_theta = ws.theta;
-    ws.best_rho = ws.rho;
-    ws.best_kappa = ws.kappa;
-
-    double beta_sum = 0.0;
-
-    // Reduced (D + W M W')⁻¹ apply — the dense Woodbury/Schur reduction
-    // with every entry sum restricted to the packed active set.
-    const auto apply_inverse = [&](const Vec& r_in, Vec& out,
-                                   bool accumulate) {
-      double* u = ws.wtr.data() + kI;
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        double* ia = ws.chunk_ia.data() + c * kI;
-        double* ib = ws.chunk_ib.data() + c * kI;
-        double* sc = ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        std::fill(ia, ia + kI, 0.0);
-        std::fill(ib, ib + kI, 0.0);
-        double b_e = 0.0;
-        double cwu = 0.0;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t p0 = ws.sup_off[j];
-          const std::size_t p1 = ws.sup_off[j + 1];
-          double uj = 0.0;
-          for (std::size_t pos = p0; pos < p1; ++pos) {
-            const double v = ws.inv_diag_s[pos] * r_in[pos];
-            ia[ws.sup_cloud[pos]] += v;
-            uj += v;
-          }
-          u[j] = uj;
-          const double wu = ws.wj[j] * uj;
-          b_e += uj;
-          cwu += ws.col_sum[j] * wu;
-          for (std::size_t pos = p0; pos < p1; ++pos) {
-            ib[ws.sup_cloud[pos]] += ws.inv_diag_s[pos] * wu;
-          }
-        }
-        sc[0] = b_e;
-        sc[1] = cwu;
-      });
-      for (std::size_t i = 0; i < kI; ++i) ws.small_rhs[i] = 0.0;
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* ia = ws.chunk_ia.data() + c * kI;
-        for (std::size_t i = 0; i < kI; ++i) ws.small_rhs[i] += ia[i];
-      }
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* ib = ws.chunk_ib.data() + c * kI;
-        for (std::size_t i = 0; i < kI; ++i) ws.small_rhs[i] -= ib[i];
-      }
-      double b_e = 0.0;
-      double cwu = 0.0;
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* sc =
-            ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        b_e += sc[0];
-        cwu += sc[1];
-      }
-      ws.small_rhs[kI] = b_e - cwu;
-      ws.lu.solve_in_place(ws.small_rhs);
-      const double w_e = ws.small_rhs[kI];
-      double bw = 0.0;
-      for (std::size_t i = 0; i < kI; ++i) {
-        ws.mw[i] = ws.mvec[i] * ws.small_rhs[i] - ws.beta[i] * w_e;
-        bw += ws.beta[i] * ws.small_rhs[i];
-      }
-      const double mw_e = beta_sum * w_e - bw;
-      ws.mw[k - 1] = mw_e;
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t p0 = ws.sup_off[j];
-          const std::size_t p1 = ws.sup_off[j + 1];
-          double acc = 0.0;
-          for (std::size_t pos = p0; pos < p1; ++pos) {
-            acc += ws.inv_diag_s[pos] * ws.mw[ws.sup_cloud[pos]];
-          }
-          const double w_j =
-              (u[j] - acc - ws.col_sum[j] * mw_e) / ws.dj[j];
-          const double mwj = ws.tj[j] * w_j;
-          if (accumulate) {
-            for (std::size_t pos = p0; pos < p1; ++pos) {
-              out[pos] += ws.inv_diag_s[pos] *
-                          (r_in[pos] - ws.mw[ws.sup_cloud[pos]] - mwj - mw_e);
-            }
-          } else {
-            for (std::size_t pos = p0; pos < p1; ++pos) {
-              out[pos] = ws.inv_diag_s[pos] *
-                         (r_in[pos] - ws.mw[ws.sup_cloud[pos]] - mwj - mw_e);
-            }
-          }
-        }
-      });
-    };
-
-    const auto apply_matrix_residual = [&](const Vec& d_in, const Vec& rhs_in,
-                                           Vec& out) {
-      double* u = ws.wtr.data() + kI;
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        double* ia = ws.chunk_ia.data() + c * kI;
-        double* sc = ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        std::fill(ia, ia + kI, 0.0);
-        double ue = 0.0;
-        for (std::size_t j = j0; j < j1; ++j) {
-          double uj = 0.0;
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            const double v = d_in[pos];
-            ia[ws.sup_cloud[pos]] += v;
-            uj += v;
-          }
-          u[j] = uj;
-          ue += uj;
-        }
-        sc[0] = ue;
-      });
-      for (std::size_t i = 0; i < kI; ++i) ws.small_rhs[i] = 0.0;
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* ia = ws.chunk_ia.data() + c * kI;
-        for (std::size_t i = 0; i < kI; ++i) ws.small_rhs[i] += ia[i];
-      }
-      double wtd_e = 0.0;
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        wtd_e += ws.chunk_sc[c * NewtonWorkspace::kChunkScalars];
-      }
-      double bw = 0.0;
-      for (std::size_t i = 0; i < kI; ++i) {
-        ws.mw[i] = ws.mvec[i] * ws.small_rhs[i] - ws.beta[i] * wtd_e;
-        bw += ws.beta[i] * ws.small_rhs[i];
-      }
-      const double mw_e = beta_sum * wtd_e - bw;
-      ws.mw[k - 1] = mw_e;
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        for (std::size_t j = j0; j < j1; ++j) {
-          const double mwj = ws.tj[j] * u[j];
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            out[pos] = rhs_in[pos] -
-                       (ws.diag_s[pos] * d_in[pos] +
-                        ws.mw[ws.sup_cloud[pos]] + mwj + mw_e);
-          }
-        }
-      });
-    };
-
-    const int max_iterations = fault_fire(FaultSite::kIterCap) ? 1 : 200;
-    int iter = 0;
-    bool converged = false;
-    int mu_steps = 0;
-    for (; iter < max_iterations; ++iter) {
-      ECA_TRACE_SPAN("newton_iter");
-      // --- Residuals ------------------------------------------------------
-      const double rho_total = has_comp ? linalg::sum(ws.rho) : 0.0;
-      for (std::size_t i = 0; i < kI; ++i) {
-        const double eta_i = ws.eta_cache[i];
-        ws.recon_term[i] =
-            (p.recon_price[i] > 0.0 && eta_i > 0.0)
-                ? p.recon_price[i] / eta_i *
-                      std::log((ws.slack_agg[i] + p.eps1) /
-                               (ws.prev_agg[i] + p.eps1))
-                : 0.0;
-        ws.rho_except[i] = has_comp ? rho_total - ws.rho[i] : 0.0;
-      }
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        double* sc = ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        double rmax = 0.0;
-        double comp_part = 0.0;
-        double sth = 0.0;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const double e2 = ws.eps2_cache[j];
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            const std::size_t i = ws.sup_cloud[pos];
-            double g = ws.lin_s[pos] + ws.recon_term[i];
-            if (ws.mt_s[pos] > 0.0) {
-              g += ws.mt_s[pos] * std::log((ws.xs[pos] + e2) /
-                                           (ws.prev_s[pos] + e2));
-            }
-            const double rd = g - ws.delta_s[pos] - ws.theta[j] -
-                              ws.rho_except[i] +
-                              (has_cap ? ws.kappa[i] : 0.0);
-            ws.rdual_s[pos] = rd;
-            rmax = std::max(rmax, std::abs(rd));
-            comp_part += ws.xs[pos] * ws.delta_s[pos];
-          }
-          sth += ws.slack_demand[j] * ws.theta[j];
-        }
-        sc[0] = rmax;
-        sc[1] = comp_part;
-        sc[2] = sth;
-      });
-      double dual_resid_norm = 0.0;
-      double comp_sum = 0.0;
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        dual_resid_norm = std::max(
-            dual_resid_norm, ws.chunk_sc[c * NewtonWorkspace::kChunkScalars]);
-      }
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        comp_sum += ws.chunk_sc[c * NewtonWorkspace::kChunkScalars + 1];
-      }
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        comp_sum += ws.chunk_sc[c * NewtonWorkspace::kChunkScalars + 2];
-      }
-      if (has_comp) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          comp_sum += ws.slack_comp[i] * ws.rho[i];
-        }
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          comp_sum += ws.slack_cap[i] * ws.kappa[i];
-        }
-      }
-      const double comp_avg =
-          comp_sum / static_cast<double>(total_constraints);
-      exit_comp = comp_avg / cost_scale;
-      exit_dual = dual_resid_norm / cost_scale;
-
-      if (options_.verbose || log::enabled(log::Level::kDebug)) {
-        log::emit(log::Level::kDebug,
-                  "active iter %3d (round %d): mu=%.3e comp=%.3e rdual=%.3e",
-                  iter, round, mu, comp_avg, dual_resid_norm / cost_scale);
-      }
-      const double score =
-          std::max(comp_avg / cost_scale, dual_resid_norm / cost_scale);
-      // Same non-finite bailout as the dense loop (see there).
-      if (!std::isfinite(score)) break;
-      if (score < best_score) {
-        best_score = score;
-        best_comp_avg = exit_comp;
-        best_dual_resid = exit_dual;
-        ws.best_xs = ws.xs;
-        ws.best_delta_s = ws.delta_s;
-        ws.best_theta = ws.theta;
-        ws.best_rho = ws.rho;
-        ws.best_kappa = ws.kappa;
-      }
-      if (comp_avg <= options_.final_mu * cost_scale &&
-          dual_resid_norm <= 1e-7 * cost_scale) {
-        converged = true;
-        break;
-      }
-      if (score > 1e4 * best_score && best_score < 1e-5) break;
-
-      const double mu_next = std::max(options_.mu_shrink * comp_avg,
-                                      0.1 * options_.final_mu * cost_scale);
-      if (mu_next < mu) ++mu_steps;
-      mu = mu_next;
-
-      // --- Reduced Newton matrix + Schur accumulators ---------------------
-      const std::uint64_t assembly_t0 =
-          metrics_on ? obs::steady_clock_ns() : 0;
-      beta_sum = 0.0;
-      for (std::size_t i = 0; i < kI; ++i) {
-        const double eta_i = ws.eta_cache[i];
-        double h = 0.0;
-        if (p.recon_price[i] > 0.0 && eta_i > 0.0) {
-          h = p.recon_price[i] / eta_i / (ws.slack_agg[i] + p.eps1);
-        }
-        if (has_cap) h += ws.kappa[i] / ws.slack_cap[i];
-        const double b = has_comp ? ws.rho[i] / ws.slack_comp[i] : 0.0;
-        ws.beta[i] = b;
-        ws.mvec[i] = h + b;
-        beta_sum += b;
-      }
-      for_chunks([&](std::size_t c) {
-        const std::uint64_t chunk_t0 = metrics_on ? obs::steady_clock_ns() : 0;
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        double* ia = ws.chunk_ia.data() + c * kI;
-        double* ib = ws.chunk_ib.data() + c * kI;
-        double* pp = ws.chunk_pp.data() + c * kI * kI;
-        double* sc = ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        std::fill(ia, ia + kI, 0.0);
-        std::fill(ib, ib + kI, 0.0);
-        std::fill(pp, pp + kI * kI, 0.0);
-        double total_part = 0.0;
-        double r2_part = 0.0;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t p0 = ws.sup_off[j];
-          const std::size_t p1 = ws.sup_off[j + 1];
-          const double e2 = ws.eps2_cache[j];
-          double col = 0.0;
-          for (std::size_t pos = p0; pos < p1; ++pos) {
-            double d = ws.delta_s[pos] / ws.xs[pos];
-            if (ws.mt_s[pos] > 0.0) d += ws.mt_s[pos] / (ws.xs[pos] + e2);
-            ws.diag_s[pos] = d;
-            const double b = 1.0 / d;
-            ws.inv_diag_s[pos] = b;
-            ia[ws.sup_cloud[pos]] += b;
-            col += b;
-          }
-          ws.col_sum[j] = col;
-          const double t = ws.theta[j] / ws.slack_demand[j];
-          ws.tj[j] = t;
-          const double d = 1.0 + col * t;
-          ws.dj[j] = d;
-          const double w = t / d;
-          ws.wj[j] = w;
-          total_part += col;
-          const double wcj = w * col;
-          r2_part += col * wcj;
-          // Q_i partials and the per-user |S_j|² outer product into the
-          // lower triangle of P (clouds ascending within a user, so
-          // row >= col always holds — the layout symmetrize_from_lower
-          // expects, same as the dense syrk kernel).
-          for (std::size_t pa = p0; pa < p1; ++pa) {
-            const double ba = ws.inv_diag_s[pa];
-            ib[ws.sup_cloud[pa]] += ba * wcj;
-            const double va = w * ba;
-            double* pr = pp + ws.sup_cloud[pa] * kI;
-            for (std::size_t pb = p0; pb <= pa; ++pb) {
-              pr[ws.sup_cloud[pb]] += va * ws.inv_diag_s[pb];
-            }
-          }
-        }
-        sc[0] = total_part;
-        sc[1] = r2_part;
-        if (metrics_on) {
-          SolverMetrics::get().chunk_assembly_ns.record(
-              obs::steady_clock_ns() - chunk_t0);
-        }
-      });
-      linalg::fill(ws.row_sum, 0.0);
-      linalg::fill(ws.q_vec, 0.0);
-      double total_sum = 0.0;
-      double r_cap = 0.0;
-      ws.p_mat.set_zero();
-      double* pm = ws.p_mat.mutable_data();
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* ia = ws.chunk_ia.data() + c * kI;
-        const double* ib = ws.chunk_ib.data() + c * kI;
-        const double* pp = ws.chunk_pp.data() + c * kI * kI;
-        const double* sc =
-            ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        for (std::size_t i = 0; i < kI; ++i) ws.row_sum[i] += ia[i];
-        for (std::size_t i = 0; i < kI; ++i) ws.q_vec[i] += ib[i];
-        for (std::size_t idx = 0; idx < kI * kI; ++idx) pm[idx] += pp[idx];
-        total_sum += sc[0];
-        r_cap += sc[1];
-      }
-      linalg::symmetrize_from_lower(pm, kI, kI);
-      if (metrics_on) assembly_ns += obs::steady_clock_ns() - assembly_t0;
-
-      // --- (I+1)² Schur system (identical to the dense path) --------------
-      double rb = 0.0;
-      double qb = 0.0;
-      for (std::size_t i = 0; i < kI; ++i) {
-        rb += ws.row_sum[i] * ws.beta[i];
-        qb += ws.q_vec[i] * ws.beta[i];
-      }
-      for (std::size_t i = 0; i < kI; ++i) {
-        double pb = 0.0;
-        for (std::size_t i2 = 0; i2 < kI; ++i2) {
-          pb += ws.p_mat(i, i2) * ws.beta[i2];
-        }
-        for (std::size_t i2 = 0; i2 < kI; ++i2) {
-          double v = -ws.row_sum[i] * ws.beta[i2] -
-                     ws.mvec[i2] * ws.p_mat(i, i2) +
-                     ws.beta[i2] * ws.q_vec[i];
-          if (i == i2) v += 1.0 + ws.row_sum[i] * ws.mvec[i];
-          ws.s_mat(i, i2) = v;
-        }
-        ws.s_mat(i, kI) = ws.row_sum[i] * (beta_sum - ws.beta[i]) + pb -
-                          ws.q_vec[i] * beta_sum;
-      }
-      for (std::size_t i2 = 0; i2 < kI; ++i2) {
-        ws.s_mat(kI, i2) = ws.row_sum[i2] * ws.mvec[i2] -
-                           total_sum * ws.beta[i2] -
-                           ws.mvec[i2] * ws.q_vec[i2] + ws.beta[i2] * r_cap;
-      }
-      ws.s_mat(kI, kI) =
-          1.0 - rb + total_sum * beta_sum + qb - r_cap * beta_sum;
-      {
-        const std::uint64_t factor_t0 =
-            metrics_on ? obs::steady_clock_ns() : 0;
-        const bool factored =
-            ws.lu.factor(ws.s_mat) && !fault_fire(FaultSite::kSchurSingular);
-        if (metrics_on) factor_ns += obs::steady_clock_ns() - factor_t0;
-        if (!factored) break;  // fall back to the best iterate
-      }
-
-      // --- RHS ------------------------------------------------------------
-      double comp_corr_total = 0.0;
-      linalg::fill(ws.comp_corr, 0.0);
-      if (has_comp) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.comp_corr[i] = mu / ws.slack_comp[i] - ws.rho[i];
-          comp_corr_total += ws.comp_corr[i];
-        }
-      }
-      for (std::size_t i = 0; i < kI; ++i) {
-        const double cap_corr =
-            has_cap ? mu / ws.slack_cap[i] - ws.kappa[i] : 0.0;
-        const double comp_term =
-            has_comp ? comp_corr_total - ws.comp_corr[i] : 0.0;
-        ws.rhs_i_term[i] = comp_term - cap_corr;
-      }
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        for (std::size_t j = j0; j < j1; ++j) {
-          const double dterm = mu / ws.slack_demand[j] - ws.theta[j];
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            ws.rhs_s[pos] = -ws.rdual_s[pos] +
-                            (mu / ws.xs[pos] - ws.delta_s[pos]) + dterm +
-                            ws.rhs_i_term[ws.sup_cloud[pos]];
-          }
-        }
-      });
-
-      apply_inverse(ws.rhs_s, ws.dx_s, /*accumulate=*/false);
-      for (int refine = 0; refine < 2; ++refine) {
-        apply_matrix_residual(ws.dx_s, ws.rhs_s, ws.resid_s);
-        apply_inverse(ws.resid_s, ws.dx_s, /*accumulate=*/true);
-      }
-      if (fault_fire(FaultSite::kNewtonNan)) [[unlikely]] {
-        ws.dx_s[0] = std::numeric_limits<double>::quiet_NaN();
-      }
-
-      // --- Dual steps + fraction-to-boundary ------------------------------
-      const double ftb = 0.995;
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        double* ia = ws.chunk_ia.data() + c * kI;
-        double* sc = ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        std::fill(ia, ia + kI, 0.0);
-        double ap = 1.0;
-        double ad = 1.0;
-        for (std::size_t j = j0; j < j1; ++j) {
-          double dxd = 0.0;
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            const double d = ws.dx_s[pos];
-            ia[ws.sup_cloud[pos]] += d;
-            dxd += d;
-            const double dd =
-                (mu - ws.xs[pos] * ws.delta_s[pos] - ws.delta_s[pos] * d) /
-                ws.xs[pos];
-            ws.ddelta_s[pos] = dd;
-            if (d < 0.0) ap = std::min(ap, -ws.xs[pos] / d);
-            if (dd < 0.0) ad = std::min(ad, -ws.delta_s[pos] / dd);
-          }
-          ws.dx_demand[j] = dxd;
-          const double dt = (mu - ws.slack_demand[j] * ws.theta[j] -
-                             ws.theta[j] * dxd) /
-                            ws.slack_demand[j];
-          ws.dtheta[j] = dt;
-          if (dxd < 0.0) ap = std::min(ap, -ws.slack_demand[j] / dxd);
-          if (dt < 0.0) ad = std::min(ad, -ws.theta[j] / dt);
-        }
-        sc[0] = ap;
-        sc[1] = ad;
-      });
-      linalg::fill(ws.dx_agg, 0.0);
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* ia = ws.chunk_ia.data() + c * kI;
-        for (std::size_t i = 0; i < kI; ++i) ws.dx_agg[i] += ia[i];
-      }
-      const double dx_total = linalg::sum(ws.dx_agg);
-      double alpha_p = 1.0;
-      double alpha_d = 1.0;
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* sc =
-            ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        alpha_p = std::min(alpha_p, sc[0]);
-        alpha_d = std::min(alpha_d, sc[1]);
-      }
-      if (has_comp) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          const double ds = dx_total - ws.dx_agg[i];
-          ws.drho[i] = (mu - ws.slack_comp[i] * ws.rho[i] - ws.rho[i] * ds) /
-                       ws.slack_comp[i];
-          if (ds < 0.0) alpha_p = std::min(alpha_p, -ws.slack_comp[i] / ds);
-          if (ws.drho[i] < 0.0) {
-            alpha_d = std::min(alpha_d, -ws.rho[i] / ws.drho[i]);
-          }
-        }
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          const double dq = -ws.dx_agg[i];
-          ws.dkappa[i] = (mu - ws.slack_cap[i] * ws.kappa[i] -
-                          ws.kappa[i] * dq) /
-                         ws.slack_cap[i];
-          if (ws.dx_agg[i] > 0.0) {
-            alpha_p = std::min(alpha_p, ws.slack_cap[i] / ws.dx_agg[i]);
-          }
-          if (ws.dkappa[i] < 0.0) {
-            alpha_d = std::min(alpha_d, -ws.kappa[i] / ws.dkappa[i]);
-          }
-        }
-      }
-      alpha_p = std::min(1.0, ftb * alpha_p);
-      alpha_d = std::min(1.0, ftb * alpha_d);
-
-      // --- Step + slack refresh -------------------------------------------
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        double* ia = ws.chunk_ia.data() + c * kI;
-        std::fill(ia, ia + kI, 0.0);
-        for (std::size_t j = j0; j < j1; ++j) {
-          double sd = 0.0;
-          for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1];
-               ++pos) {
-            ws.xs[pos] += alpha_p * ws.dx_s[pos];
-            ws.delta_s[pos] += alpha_d * ws.ddelta_s[pos];
-            const double v = ws.xs[pos];
-            ia[ws.sup_cloud[pos]] += v;
-            sd += v;
-          }
-          ws.theta[j] += alpha_d * ws.dtheta[j];
-          ws.slack_demand[j] = sd - p.demand[j];
-        }
-      });
-      if (has_comp) linalg::axpy(alpha_d, ws.drho, ws.rho);
-      if (has_cap) linalg::axpy(alpha_d, ws.dkappa, ws.kappa);
-      linalg::fill(ws.slack_agg, 0.0);
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* ia = ws.chunk_ia.data() + c * kI;
-        for (std::size_t i = 0; i < kI; ++i) ws.slack_agg[i] += ia[i];
-      }
-      if (has_comp) {
-        const double total = linalg::sum(ws.slack_agg);
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.slack_comp[i] =
-              total - ws.slack_agg[i] - lambda_total + p.capacity[i];
-        }
-      }
-      if (has_cap) {
-        for (std::size_t i = 0; i < kI; ++i) {
-          ws.slack_cap[i] = p.capacity[i] - ws.slack_agg[i];
-        }
-      }
-    }
-
-    total_iters += iter;
-    total_mu_steps += mu_steps;
-    if (!converged && best_score > 1e-6) {
-      reduced_failed = true;
-      break;
-    }
-    if (!converged) {
-      // Certify (and expand) the best iterate instead of the last one.
-      ws.xs = ws.best_xs;
-      ws.delta_s = ws.best_delta_s;
-      ws.theta = ws.best_theta;
-      ws.rho = ws.best_rho;
-      ws.kappa = ws.best_kappa;
-      recompute_slacks();
-      exit_comp = best_comp_avg;
-      exit_dual = best_dual_resid;
-    }
-
-    // --- Full-KKT certification over the pinned variables ------------------
-    // δ_ij for a pinned variable is exactly its reduced cost at x_ij = 0;
-    // dual feasibility demands rc_ij >= 0. Violators are admitted, their
-    // chunk-owned mask entries flipped (deterministic for any thread count:
-    // the admitted set is threshold-defined, counts reduce in chunk order).
-    {
-      ECA_TRACE_SPAN("p2_certify");
-      const double tol_abs =
-          std::max(0.0, options_.active_kkt_tol) * cost_scale;
-      const double rho_total = has_comp ? linalg::sum(ws.rho) : 0.0;
-      for (std::size_t i = 0; i < kI; ++i) {
-        const double eta_i = ws.eta_cache[i];
-        ws.recon_term[i] =
-            (p.recon_price[i] > 0.0 && eta_i > 0.0)
-                ? p.recon_price[i] / eta_i *
-                      std::log((ws.slack_agg[i] + p.eps1) /
-                               (ws.prev_agg[i] + p.eps1))
-                : 0.0;
-        ws.rho_except[i] = has_comp ? rho_total - ws.rho[i] : 0.0;
-      }
-      for_chunks([&](std::size_t c) {
-        const std::size_t j0 = chunk_begin(c);
-        const std::size_t j1 = chunk_end(c);
-        double* sc = ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        double viol = 0.0;
-        double min_rc = 0.0;
-        for (std::size_t i = 0; i < kI; ++i) {
-          const std::size_t base = i * kJ;
-          const double mig = p.migration_price[i];
-          const double rterm = ws.recon_term[i];
-          const double rex = ws.rho_except[i];
-          const double kap = has_cap ? ws.kappa[i] : 0.0;
-          for (std::size_t j = j0; j < j1; ++j) {
-            const std::size_t ij = base + j;
-            if (ws.active_mask[ij]) continue;
-            double rc = p.linear_cost[ij] + rterm - ws.theta[j] - rex + kap;
-            if (mig > 0.0) {
-              const double e2 = ws.eps2_cache[j];
-              rc += mig / ws.tau_cache[j] *
-                    std::log(e2 / (p.prev[ij] + e2));
-            }
-            ws.r_dual[ij] = rc;
-            if (rc < -tol_abs) {
-              ws.active_mask[ij] = 1;
-              viol += 1.0;
-            }
-            min_rc = std::min(min_rc, rc);
-          }
-        }
-        sc[0] = viol;
-        sc[1] = min_rc;
-      });
-      double violations = 0.0;
-      double min_rc = 0.0;
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        const double* sc =
-            ws.chunk_sc.data() + c * NewtonWorkspace::kChunkScalars;
-        violations += sc[0];
-        min_rc = std::min(min_rc, sc[1]);
-      }
-      worst_deficit = std::max(0.0, -min_rc) / cost_scale;
-      if (violations == 0.0) certified = true;
-    }
-  }
-
-  if (!certified) return dense_fallback();
-
-  // --- Expand the certified reduced solution to full I×J -------------------
-  sol.x.assign(n, 0.0);
-  sol.delta.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    // Pinned variables: multiplier = reduced cost (clamped at the
-    // certification tolerance boundary to stay dual-feasible).
-    if (!ws.active_mask[idx]) sol.delta[idx] = std::max(ws.r_dual[idx], 0.0);
-  }
-  for (std::size_t j = 0; j < kJ; ++j) {
-    for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1]; ++pos) {
-      const std::size_t ij = ws.sup_cloud[pos] * kJ + j;
-      sol.x[ij] = ws.xs[pos];
-      sol.delta[ij] = ws.delta_s[pos];
-    }
-  }
-  sol.theta = ws.theta;
-  sol.rho = has_comp ? ws.rho : Vec(kI, 0.0);
-  sol.kappa = has_cap ? ws.kappa : Vec(kI, 0.0);
-  sol.objective_value = p.objective(sol.x, ws.prev_agg);
-  sol.status = SolveStatus::kOptimal;
-  sol.newton_iterations = total_iters;
-  sol.warm_started = any_warm;
-  sol.stats.newton_iterations = total_iters;
-  sol.stats.mu_steps = total_mu_steps;
-  sol.stats.kkt_comp_avg = exit_comp;
-  sol.stats.kkt_dual_residual = exit_dual;
-  sol.stats.warm_started = any_warm;
-  sol.stats.warm_fallback = warm_fb;
-  sol.stats.active_rounds = round;
-  sol.stats.active_nnz = static_cast<long long>(nnz);
-  sol.stats.active_support_max = static_cast<int>(support_max);
-  sol.stats.certify_residual = worst_deficit;
-
-  // Warm-start + support carry for the next slot: duals as in the dense
-  // path, plus the certified support pruned to entries above the floor.
-  ws.warm_delta = sol.delta;
-  ws.warm_theta = sol.theta;
-  ws.warm_rho = sol.rho;
-  ws.warm_kappa = sol.kappa;
-  ws.warm_valid = true;
-  ws.carry_mask.assign(n, 0);
-  for (std::size_t j = 0; j < kJ; ++j) {
-    const double floor_j = prev_rel * ws.eps2_cache[j];
-    for (std::size_t pos = ws.sup_off[j]; pos < ws.sup_off[j + 1]; ++pos) {
-      if (ws.xs[pos] > floor_j) {
-        ws.carry_mask[ws.sup_cloud[pos] * kJ + j] = 1;
-      }
-    }
-  }
-  ws.support_valid = true;
-
-  if (metrics_on) {
-    sol.stats.assembly_seconds = static_cast<double>(assembly_ns) * 1e-9;
-    sol.stats.factor_seconds = static_cast<double>(factor_ns) * 1e-9;
-    sol.stats.solve_seconds =
-        static_cast<double>(obs::steady_clock_ns() - solve_t0) * 1e-9;
-    SolverMetrics& sm = SolverMetrics::get();
-    sm.solves.add();
-    sm.newton_iterations.add(static_cast<std::uint64_t>(total_iters));
-    if (any_warm) sm.warm_starts.add();
-    if (warm_fb) sm.warm_fallbacks.add();
-    sm.iterations_per_solve.record(static_cast<std::uint64_t>(total_iters));
-    sm.assembly_seconds.add(sol.stats.assembly_seconds);
-    sm.factor_seconds.add(sol.stats.factor_seconds);
-    sm.solve_seconds.add(sol.stats.solve_seconds);
-    sm.active_solves.add();
-    sm.active_rounds.add(static_cast<std::uint64_t>(round));
-    sm.active_nnz.record(static_cast<std::uint64_t>(nnz));
-    sm.certify_residual.set(worst_deficit);
   }
   return sol;
 }

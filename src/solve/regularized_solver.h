@@ -33,9 +33,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/thread_pool.h"
 #include "linalg/dense_matrix.h"
@@ -115,8 +113,6 @@ struct RegularizedOptions {
   double final_mu = 1e-9;
   double initial_mu = 1.0;
   double mu_shrink = 0.2;
-  int max_newton_per_stage = 60;
-  double newton_tolerance = 1e-24;  // stagnation guard on the decrement λ²/2
   bool verbose = false;
   // Cross-slot warm starting: start the path-following loop from a
   // feasibility-repaired blend of x*_{t-1} (the problem's `prev`) and the
@@ -154,28 +150,6 @@ struct RegularizedOptions {
   // tests use it to force genuine multi-worker interleaving on any
   // machine (results are bit-identical either way; only timing differs).
   bool slot_oversubscribe = false;
-  // --- Active-set sparsification (DESIGN.md §9) ----------------------------
-  // When true, solve a reduced P2 over per-user candidate cloud sets (the
-  // previous slot's support plus the k cheapest clouds), pin every other
-  // variable to its x = 0 floor, and certify the full KKT system after
-  // convergence: pinned variables whose stationarity residual (reduced
-  // cost) is negative beyond tolerance are admitted to the set and the
-  // solve repeats, bounded by active_max_rounds with a guaranteed dense
-  // fallback. false (default) is the dense path, bit-identical to builds
-  // without the active-set feature.
-  bool active_set = false;
-  // Seeding/pruning threshold relative to eps2: previous-slot allocations
-  // above active_prev_rel * eps2 enter the candidate set, and carried
-  // supports are pruned to entries above the same level.
-  double active_prev_rel = 1e-3;
-  // Number of cheapest-l_ij clouds always kept per user (clamped to [1, I]).
-  int active_k_nearest = 4;
-  // Certification tolerance on pinned reduced costs, relative to the cost
-  // scale: pinned (i,j) passes when rc_ij >= -active_kkt_tol * scale — the
-  // same level as the dense solver's dual-residual exit test.
-  double active_kkt_tol = 1e-7;
-  // Maximum admit-and-resolve rounds before falling back to the dense path.
-  int active_max_rounds = 4;
 };
 
 // Reusable scratch for RegularizedSolver::solve — every vector, matrix and
@@ -191,14 +165,10 @@ struct NewtonWorkspace {
   void resize(std::size_t num_clouds, std::size_t num_users,
               std::size_t chunk_users = 128);
 
-  // Forget the previous solve's duals (and any carried active-set support)
-  // so the next solve cold-starts; call when starting an unrelated
-  // trajectory with the same shape (e.g. OnlineApprox::reset between
-  // repetitions).
-  void invalidate_warm_start() {
-    warm_valid = false;
-    support_valid = false;
-  }
+  // Forget the previous solve's duals so the next solve cold-starts; call
+  // when starting an unrelated trajectory with the same shape (e.g.
+  // OnlineApprox::reset between repetitions).
+  void invalidate_warm_start() { warm_valid = false; }
 
   // Makes sure `pool` has exactly `threads` workers (no-op for <= 1).
   void ensure_pool(std::size_t threads);
@@ -239,24 +209,6 @@ struct NewtonWorkspace {
   // Cross-slot warm-start state: duals of the last successful solve.
   Vec warm_delta, warm_theta, warm_rho, warm_kappa;
   bool warm_valid = false;
-  // --- Active-set state (sized lazily by the active path; stays empty for
-  // dense-only workspaces). The candidate sets are stored CSR-by-user:
-  // user j's active clouds are sup_cloud[sup_off[j] .. sup_off[j+1])
-  // (ascending), and every packed vector below is indexed by that position.
-  // After the first active solve the buffers are capacity-reusing, so the
-  // reduced Newton loop is allocation-free on the serial path.
-  std::vector<std::size_t> sup_off;      // J+1 offsets
-  std::vector<std::uint32_t> sup_cloud;  // cloud index per packed entry
-  std::vector<unsigned char> active_mask;  // I*J: 1 = in the candidate set
-  // Support of the last certified active solve (pruned), seeding the next
-  // slot's candidate sets; valid only while support_valid.
-  std::vector<unsigned char> carry_mask;
-  bool support_valid = false;
-  // Packed iterates/system pieces of the reduced solve (sized nnz).
-  Vec xs, delta_s, best_xs, best_delta_s, dx_s, ddelta_s, diag_s, inv_diag_s,
-      rdual_s, rhs_s, resid_s;
-  // Packed loop-invariant gathers: l_ij, prev_ij and b_i/τ_j per entry.
-  Vec lin_s, prev_s, mt_s;
   // Persistent worker pool for the chunked passes (null when serial).
   std::unique_ptr<ThreadPool> pool;
 
@@ -300,15 +252,6 @@ class RegularizedSolver {
                             NewtonWorkspace& ws) const;
 
  private:
-  // The full-variable interior-point solve (the PR 3 code path; numerics
-  // untouched by the active-set feature).
-  RegularizedSolution solve_dense(const RegularizedProblem& p,
-                                  NewtonWorkspace& ws) const;
-  // The certified active-set solve: reduced interior point over the
-  // candidate sets + full-KKT certification sweep, with dense fallback.
-  RegularizedSolution solve_active(const RegularizedProblem& p,
-                                   NewtonWorkspace& ws) const;
-
   RegularizedOptions options_;
 };
 

@@ -108,28 +108,5 @@ TEST(StreamingAggregated, RunsPositionFreeAtLargerScale) {
   EXPECT_GT(result.max_classes, 0u);
 }
 
-TEST(StreamingAggregated, DecisionQuantumKeepsPathsInLockstep) {
-  // The canonicalization grid is applied identically by the in-simulator
-  // aggregated path and the streaming driver, so the two still perform
-  // bitwise-identical solves.
-  const Instance instance =
-      collapse_instance(31, /*num_users=*/40, /*num_slots=*/6,
-                        /*retain_positions=*/true);
-  algo::OnlineApproxOptions options;
-  options.aggregate_users = true;
-  options.decision_quantum = 1e-6;
-  algo::OnlineApprox algorithm(options);
-  const SimulationResult sim = Simulator::run(instance, algorithm);
-  const AggregatedRunResult str =
-      run_aggregated_online_approx(instance, options);
-  ASSERT_EQ(str.per_slot.size(), sim.per_slot.size());
-  for (std::size_t t = 0; t < str.per_slot.size(); ++t) {
-    expect_rel_near(sim.per_slot[t], str.per_slot[t], 1e-9, "per-slot cost");
-  }
-  expect_rel_near(sim.weighted_total, str.weighted_total, 1e-9, "total");
-  // The grid perturbs feasibility by at most I·q/2 per demand row.
-  EXPECT_LT(str.max_violation, 1e-4);
-}
-
 }  // namespace
 }  // namespace eca::sim

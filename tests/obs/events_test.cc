@@ -1,5 +1,5 @@
 // EventLog unit tests: the bounded lock-free buffer (claim order,
-// drop-and-count overflow), the eca.events.v1 JSONL serialization, label
+// drop-and-count overflow), the eca.events.v2 JSONL serialization, label
 // copying/truncation/escaping, and the null-log no-op contract of the emit
 // helpers. The Python side of the format lives in
 // scripts/validate_telemetry.py --events, which check.sh runs on a real
@@ -28,7 +28,6 @@ TEST(Events, FlushToWritesHeaderAndClaimOrder) {
   solve.newton_iterations = 12;
   solve.mu_steps = 5;
   solve.warm_started = true;
-  solve.active_fallback = true;
   emit_solve(&log, 0, solve);
   emit_slot(&log, 0, 1.0, 0.5, 0.25, 0.125);
   EXPECT_EQ(log.recorded(), 3u);
@@ -37,7 +36,7 @@ TEST(Events, FlushToWritesHeaderAndClaimOrder) {
   std::ostringstream os;
   log.flush_to(os);
   const std::string text = os.str();
-  EXPECT_NE(text.find("{\"schema\":\"eca.events.v1\",\"events\":3,"
+  EXPECT_NE(text.find("{\"schema\":\"eca.events.v2\",\"events\":3,"
                       "\"dropped\":0}\n"),
             std::string::npos);
   // One line per event, stamped with its claim-order sequence number.
@@ -47,8 +46,7 @@ TEST(Events, FlushToWritesHeaderAndClaimOrder) {
             std::string::npos);
   EXPECT_NE(text.find("{\"seq\":1,\"kind\":\"solve\",\"slot\":0,"
                       "\"newton_iterations\":12,\"mu_steps\":5,"
-                      "\"warm_started\":true,\"warm_fallback\":false,"
-                      "\"active_set\":false,\"active_fallback\":true}\n"),
+                      "\"warm_started\":true,\"warm_fallback\":false}\n"),
             std::string::npos);
   EXPECT_NE(text.find("{\"seq\":2,\"kind\":\"slot\",\"slot\":0,"
                       "\"cost_operation\":1,\"cost_service_quality\":0.5,"

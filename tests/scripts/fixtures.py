@@ -1,5 +1,5 @@
 """Shared fixtures for the script golden tests: minimal-but-valid
-observability artifacts (eca.telemetry.v3, eca.events.v1) and gate inputs
+observability artifacts (eca.telemetry.v4, eca.events.v2) and gate inputs
 (eca.prop_summary.v1, eca.bench_solvers.v3) built in memory, plus a helper
 that runs a repo script as a subprocess the way check.sh does."""
 import json
@@ -27,12 +27,6 @@ def make_solve_stats(iterations=7):
         "kkt_dual_residual": 1e-10,
         "warm_started": False,
         "warm_fallback": False,
-        "active_set": False,
-        "active_fallback": False,
-        "active_rounds": 0,
-        "active_nnz": 0,
-        "active_support_max": 0,
-        "certify_residual": 0.0,
         "solve_seconds": 0.001,
         "assembly_seconds": 0.0005,
         "factor_seconds": 0.0002,
@@ -40,7 +34,7 @@ def make_solve_stats(iterations=7):
 
 
 def make_telemetry(num_slots=2, with_reference=False, with_solve=True):
-    """A valid eca.telemetry.v3 run record whose per-slot splits sum to
+    """A valid eca.telemetry.v4 run record whose per-slot splits sum to
     total_cost exactly (integers scaled by powers of two, so the accounting
     invariant holds bit-exactly)."""
     slots = []
@@ -76,7 +70,7 @@ def make_telemetry(num_slots=2, with_reference=False, with_solve=True):
     if with_reference:
         slots[-1]["ratio_cum"] = ratio
     return {
-        "schema": "eca.telemetry.v3",
+        "schema": "eca.telemetry.v4",
         "algorithm": "online-approx",
         "num_clouds": 3,
         "num_users": 4,
@@ -91,14 +85,12 @@ def make_telemetry(num_slots=2, with_reference=False, with_solve=True):
         "total_newton_iterations": sum(5 + t for t in range(num_slots)),
         "warm_started_slots": 0,
         "warm_fallback_slots": 0,
-        "active_set_slots": 0,
-        "active_fallback_slots": 0,
         "slots": slots,
     }
 
 
 def make_events_lines():
-    """A minimal valid eca.events.v1 stream (header + 3 body lines)."""
+    """A minimal valid eca.events.v2 stream (header + 3 body lines)."""
     body = [
         {"seq": 0, "kind": "run_begin", "algorithm": "online-approx",
          "clouds": 3, "users": 4, "slots": 2},
@@ -107,9 +99,9 @@ def make_events_lines():
          "cost_migration": 0.25},
         {"seq": 2, "kind": "run_end", "algorithm": "online-approx",
          "slots": 2, "newton_iterations": 11, "warm_fallback_slots": 0,
-         "active_fallback_slots": 0, "total_cost": 5.0},
+         "total_cost": 5.0},
     ]
-    header = {"schema": "eca.events.v1", "events": len(body), "dropped": 0}
+    header = {"schema": "eca.events.v2", "events": len(body), "dropped": 0}
     return [json.dumps(header)] + [json.dumps(event) for event in body]
 
 
@@ -146,7 +138,6 @@ def make_bench_solvers(bit_identical=True, prop_smoke=None):
             "bit_identical": bit_identical,
             "pool_engaged": False,
             "speedup": 1.0,
-            "slot_ms_active": 0.5,
             "slot_ms_1_thread": 0.4,
         }]},
     }

@@ -55,7 +55,7 @@ class ReportRunTest(unittest.TestCase):
         path = fixtures.write_json(self.dir / "run.telemetry.json", run)
         proc = fixtures.run_script("report_run.py", "--telemetry", path)
         self.assertEqual(proc.returncode, 1)
-        self.assertIn("eca.telemetry.v3", proc.stderr)
+        self.assertIn("eca.telemetry.v4", proc.stderr)
 
     def test_corrupted_events_fails(self):
         path = fixtures.write_json(self.dir / "run.telemetry.json",

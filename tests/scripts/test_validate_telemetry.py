@@ -37,7 +37,7 @@ class ValidateTelemetryTest(unittest.TestCase):
 
     def test_corrupted_json_fails(self):
         path = self.dir / "run.telemetry.json"
-        path.write_text('{"schema": "eca.telemetry.v3", "slo',
+        path.write_text('{"schema": "eca.telemetry.v4", "slo',
                         encoding="utf-8")
         proc = fixtures.run_script("validate_telemetry.py",
                                    "--telemetry", str(path))
@@ -50,7 +50,7 @@ class ValidateTelemetryTest(unittest.TestCase):
         proc = fixtures.run_script("validate_telemetry.py",
                                    "--telemetry", self.write_telemetry(run))
         self.assertEqual(proc.returncode, 1)
-        self.assertIn("eca.telemetry.v3", proc.stderr)
+        self.assertIn("eca.telemetry.v4", proc.stderr)
 
     def test_broken_cost_accounting_fails(self):
         run = fixtures.make_telemetry()

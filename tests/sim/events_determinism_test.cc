@@ -1,5 +1,5 @@
 // Bit-identity of the observability artifacts across worker counts: the
-// serialized eca.events.v1 stream and the eca.telemetry.v3 JSON produced by
+// serialized eca.events.v2 stream and the eca.telemetry.v4 JSON produced by
 // a simulator run must be byte-for-byte identical for every
 // baseline_threads value — including counts beyond the core count
 // (oversubscribed, so the interleaving is stressed on any machine). The
@@ -40,8 +40,8 @@ model::Instance test_instance(std::uint64_t seed, std::size_t num_slots) {
 }
 
 struct CapturedRun {
-  std::string events;     // flushed eca.events.v1 JSONL
-  std::string telemetry;  // serialized eca.telemetry.v3 JSON
+  std::string events;     // flushed eca.events.v2 JSONL
+  std::string telemetry;  // serialized eca.telemetry.v4 JSON
 };
 
 // Runs the simulator against a fresh buffer-only global event log and

@@ -2,7 +2,8 @@
 // oper-opt, stat-opt, online-greedy) on Rome-taxi instances:
 // * a fingerprint of every allocation bit, pinned so that an edit to the
 //   slot-LP builders or the interior-point solver that moves any iterate
-//   shows up here;
+//   shows up here — and the same for online-approx, whose fingerprint pins
+//   the P2 Newton loop;
 // * two J=128, T=48 instances where the solver's soft tolerance used to
 //   leak into results: on (hour 5, seed 17) online-greedy's slot-10 LP
 //   stalls inside the soft tolerance and then fails at the numerical floor
@@ -58,8 +59,9 @@ std::uint64_t fingerprint(const model::AllocationSequence& allocations) {
   return hash;
 }
 
-// Recorded with the dense-Cholesky interior-point solver; the bordered
-// factor must reproduce every bit. The bits are those of the repository's
+// The LP baselines were recorded with the dense-Cholesky interior-point
+// solver, which the envelope factor must reproduce bit for bit;
+// online-approx's entries pin every iterate of the P2 Newton loop. The bits are those of the repository's
 // optimized build: the `omp simd` reductions in linalg/vector_ops.h
 // vectorize, and so reassociate their sums, only under optimization, so an
 // -O0 build computes different (equally valid) trajectories.
@@ -72,36 +74,43 @@ TEST(LpBaselines, AllocationFingerprintsArePinned) {
        {"perf-opt", 0xa02e3dd0d2b3d8d5ULL},
        {"oper-opt", 0x2c48a697759b8b1eULL},
        {"stat-opt", 0x8df6d5738a9d5c2cULL},
-       {"online-greedy", 0x4fddcb7198b6586aULL}},
+       {"online-greedy", 0x4fddcb7198b6586aULL},
+       {"online-approx", 0xdda005ce69b991fdULL}},
       {{"static-once", 0xd061c36adbc49785ULL},
        {"perf-opt", 0xa57fd29386d59d78ULL},
        {"oper-opt", 0x683ac416158b7d2eULL},
        {"stat-opt", 0x9950a7ead52b61e7ULL},
-       {"online-greedy", 0x56313bf3e18d010cULL}},
+       {"online-greedy", 0x56313bf3e18d010cULL},
+       {"online-approx", 0xaab4ca17d826e0dcULL}},
       {{"static-once", 0x6c1767f5d3742305ULL},
        {"perf-opt", 0x791d2f2eb0592910ULL},
        {"oper-opt", 0x7f8bb739061bcac3ULL},
        {"stat-opt", 0xa88e8c380a11c07aULL},
-       {"online-greedy", 0xf861485bc93856ecULL}},
+       {"online-greedy", 0xf861485bc93856ecULL},
+       {"online-approx", 0x6c3aaac3e5b6d500ULL}},
       {{"static-once", 0xed8009284a6658cdULL},
        {"perf-opt", 0x6efc74eb8360c50bULL},
        {"oper-opt", 0x0bec4eab02d7a508ULL},
        {"stat-opt", 0x63fd558539dc5354ULL},
-       {"online-greedy", 0x2fde6b192f9cba33ULL}},
+       {"online-greedy", 0x2fde6b192f9cba33ULL},
+       {"online-approx", 0xb739e208a34e6555ULL}},
       {{"static-once", 0xe793d435a81d38d5ULL},
        {"perf-opt", 0xec201e710fa21690ULL},
        {"oper-opt", 0xf88fed91c795d2c0ULL},
        {"stat-opt", 0xd85cdc6482f0814eULL},
-       {"online-greedy", 0x559c736aa92a3cbdULL}},
+       {"online-greedy", 0x559c736aa92a3cbdULL},
+       {"online-approx", 0x413e864d1b5a2754ULL}},
       {{"static-once", 0x5c284a5cd80caf85ULL},
        {"perf-opt", 0x9b533cf7db9c9dc5ULL},
        {"oper-opt", 0xdd6ba84a853b5626ULL},
        {"stat-opt", 0x28400be070d578dbULL},
-       {"online-greedy", 0x2f91de00cdb20dedULL}},
+       {"online-greedy", 0x2f91de00cdb20dedULL},
+       {"online-approx", 0xb83e8f0e69650a20ULL}},
   };
   for (int hour = 0; hour < 6; ++hour) {
     const model::Instance instance = taxi_instance(32, 12, 1, hour);
-    for (const NamedFactory& f : lp_baselines()) {
+    for (const NamedFactory& f :
+         paper_algorithms(/*include_static_once=*/true)) {
       const auto algorithm = f.make();
       const SimulationResult r = Simulator::run(instance, *algorithm);
       EXPECT_EQ(fingerprint(r.allocations), want[hour].at(f.name))

@@ -142,47 +142,5 @@ TEST(SlotParallel, WarmStartedTrajectoryBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SlotParallel, ActiveSetTrajectoryBitIdenticalAcrossThreadCounts) {
-  // The active-set path adds its own parallel passes (packed assembly over
-  // Σ|S_j| entries, the pinned-variable certification sweep) plus
-  // cross-slot support carry — all must be thread-count independent: the
-  // chunk partition is fixed by chunk_users, workers own disjoint chunks,
-  // admission is threshold-defined, and reductions run serially in chunk
-  // order.
-  constexpr std::size_t kSlots = 3;
-  const auto run = [&](int threads) {
-    Rng rng(303);
-    RegularizedOptions opt;
-    opt.slot_threads = threads;
-    opt.chunk_users = 64;
-    opt.slot_min_users = 1;        // keep the pool engaged at 400 users
-    opt.slot_oversubscribe = true;  // real workers even on few cores
-    opt.active_set = true;
-    NewtonWorkspace ws;
-    std::vector<RegularizedSolution> sols;
-    RegularizedProblem p = make_problem(rng, 6, 400);
-    for (std::size_t t = 0; t < kSlots; ++t) {
-      sols.push_back(RegularizedSolver(opt).solve(p, ws));
-      p.prev = sols.back().x;
-      for (auto& v : p.linear_cost) v *= rng.uniform(0.9, 1.1);
-    }
-    return sols;
-  };
-  const std::vector<RegularizedSolution> want = run(1);
-  ASSERT_EQ(want[kSlots - 1].status, SolveStatus::kOptimal);
-  ASSERT_FALSE(want[kSlots - 1].stats.active_fallback);
-  for (const int threads : thread_counts()) {
-    const std::vector<RegularizedSolution> got = run(threads);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t t = 0; t < want.size(); ++t) {
-      expect_identical(got[t], want[t], threads);
-      EXPECT_EQ(got[t].stats.active_rounds, want[t].stats.active_rounds)
-          << threads << " threads, slot " << t;
-      EXPECT_EQ(got[t].stats.active_nnz, want[t].stats.active_nnz)
-          << threads << " threads, slot " << t;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace eca::solve
