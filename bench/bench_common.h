@@ -258,9 +258,9 @@ inline void write_events_overhead_json(FILE* out, const EventsOverhead& o) {
 }
 
 // Default events-overhead workload shared by the bench binaries: one
-// online-approx simulation over a small instance — it exercises every event
-// family the pipeline emits (run/workers lifecycle from the simulator,
-// per-slot cost splits, decide-path solve events).
+// online-approx simulation over a small instance, recorded the way every
+// caller records a finished run (obs::emit_run: run lifecycle, per-slot
+// cost splits and solve records).
 inline EventsOverhead measure_default_events_overhead(
     const BenchScale& scale) {
   sim::ScenarioOptions options = scenario_from_scale(scale);
@@ -270,7 +270,9 @@ inline EventsOverhead measure_default_events_overhead(
   const EventsOverhead overhead =
       measure_events_overhead([&instance] {
         algo::OnlineApprox algorithm;
-        (void)sim::Simulator::run(instance, algorithm);
+        const sim::SimulationResult run =
+            sim::Simulator::run(instance, algorithm);
+        obs::emit_run(obs::global_events(), run.telemetry);
       });
   std::printf("events overhead: %.4fs off -> %.4fs on (%+.2f%%)\n",
               overhead.seconds_off, overhead.seconds_on,

@@ -10,13 +10,12 @@
 // real traces — e.g. the actual CRAWDAD Roma taxi dataset the paper used —
 // be fed through every algorithm in the library without writing C++.
 //
-// Observability: set ECA_TELEMETRY=<path> to write the run's
-// eca.telemetry.v4 summary (per-slot cost split + solver convergence),
-// ECA_EVENTS=<path> for the eca.events.v2 JSONL lifecycle stream,
-// ECA_METRICS_OUT=<path> for a Prometheus text dump of the metrics
-// registry, ECA_TRACE=<path> for a Chrome-trace span file, and
-// ECA_METRICS=off to turn instrumentation off entirely.
-// See README.md §Observability.
+// Observability: set ECA_EVENTS=<path> to record the finished run in the
+// eca.events.v3 JSONL stream (per-slot cost split + solver convergence;
+// render it with scripts/report_run.py), ECA_METRICS_OUT=<path> for a
+// Prometheus text dump of the metrics registry, ECA_TRACE=<path> for a
+// Chrome-trace span file, and ECA_METRICS=off to turn instrumentation off
+// entirely. See README.md §Observability.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,6 +74,7 @@ int run(const std::string& path, const std::string& algorithm_name) {
     }
     const auto scored =
         sim::Simulator::score(*instance, "offline-opt", offline.allocations);
+    obs::emit_run(obs::global_events(), scored.telemetry);
     std::printf("offline-opt cost: %.4f\n", scored.weighted_total);
     return 0;
   }
@@ -86,6 +86,8 @@ int run(const std::string& path, const std::string& algorithm_name) {
   }
   const sim::SimulationResult result =
       sim::Simulator::run(*instance, *algorithm);
+  obs::EventLog* const events = obs::global_events();
+  obs::emit_run(events, result.telemetry);
   std::printf("%s cost: %.4f\n", result.algorithm.c_str(),
               result.weighted_total);
   std::printf("  operation %.4f, service quality %.4f\n",
@@ -94,20 +96,6 @@ int run(const std::string& path, const std::string& algorithm_name) {
               result.cost.reconfiguration, result.cost.migration);
   std::printf("  max constraint violation %.2e, wall %.2fs\n",
               result.max_violation, result.wall_seconds);
-  if (const char* telemetry_path = std::getenv("ECA_TELEMETRY")) {
-    if (io::save_telemetry(telemetry_path, result.telemetry)) {
-      std::printf("  telemetry (%s): %lld newton iterations, "
-                  "%zu/%zu slots warm-started -> %s\n",
-                  obs::kTelemetrySchema,
-                  result.telemetry.total_newton_iterations(),
-                  result.telemetry.warm_started_slots(),
-                  result.telemetry.slots.size(), telemetry_path);
-    } else {
-      std::fprintf(stderr, "could not write telemetry to %s\n",
-                   telemetry_path);
-      return 1;
-    }
-  }
   const std::string metrics_out = io::metrics_out_path_from_env();
   if (!metrics_out.empty()) {
     if (io::save_metrics_snapshot(metrics_out,
@@ -119,7 +107,6 @@ int run(const std::string& path, const std::string& algorithm_name) {
       return 1;
     }
   }
-  obs::EventLog* const events = obs::global_events();
   obs::TraceSession* const trace = obs::global_trace();
   std::printf("  obs: threads_seen=%zu trace_dropped=%zu "
               "events_recorded=%zu events_dropped=%zu\n",

@@ -78,20 +78,25 @@ obs_dir=build/obs-check
 rm -rf "$obs_dir" && mkdir -p "$obs_dir"
 (cd "$obs_dir" && ../examples/run_instance --demo > run.log)
 ECA_METRICS=on ECA_TRACE="$obs_dir/run.trace.json" \
-  ECA_TELEMETRY="$obs_dir/run.telemetry.json" \
   ECA_EVENTS="$obs_dir/run.events.jsonl" \
   ECA_METRICS_OUT="$obs_dir/run.metrics.prom" \
   ./build/examples/run_instance "$obs_dir/demo.instance" online-approx
 python3 scripts/validate_telemetry.py \
-  --telemetry "$obs_dir/run.telemetry.json" \
   --trace "$obs_dir/run.trace.json" \
   --events "$obs_dir/run.events.jsonl"
 
-echo "== obs: markdown run report =="
+echo "== obs: experiment stream + markdown run report =="
+# One repetition of the full roster with offline-opt through the runner:
+# the stream carries the offline reference, so the report's ratio and
+# regret sections run end to end.
+ECA_EVENTS="$obs_dir/taxi_day.events.jsonl" \
+  ./build/examples/taxi_day 8 8 > "$obs_dir/taxi_day.log"
+python3 scripts/validate_telemetry.py \
+  --events "$obs_dir/taxi_day.events.jsonl"
 python3 scripts/report_run.py \
-  --telemetry "$obs_dir/run.telemetry.json" \
-  --events "$obs_dir/run.events.jsonl" \
+  --events "$obs_dir/taxi_day.events.jsonl" --algorithm online-approx \
   --out "$obs_dir/report.md"
+grep -q "## Worst" "$obs_dir/report.md"
 
 echo "== bench: quick-mode sweep =="
 # The sweep itself is cheap; the committed BENCH file is regenerated

@@ -1,51 +1,44 @@
 #!/usr/bin/env python3
-"""Markdown run report from the observability artifacts.
+"""Markdown run report, derived from an eca.events.v3 stream alone.
 
-    scripts/report_run.py --telemetry run.telemetry.json \
-                          [--events run.events.jsonl] \
-                          [--out report.md] [--top 5]
+    scripts/report_run.py --events run.events.jsonl [--algorithm NAME] \
+                          [--rep N] [--out report.md] [--top 5]
 
-Joins an eca.telemetry.v4 file (one simulator run) with an optional
-eca.events.v2 stream (the surrounding experiment lifecycle) into a
-human-readable report:
+Selects one recorded run — the first run of algorithm NAME (default: the
+first run that is not offline-opt), in repetition N when given — and
+renders:
 
-  * run summary — dimensions, cost split, empirical competitive ratio when
-    an offline reference is attached, trace/event drop counters;
+  * run summary — dimensions, cost split, the empirical competitive ratio
+    against the offline-opt run of the same repetition, and the stream's
+    drop counter;
   * ratio trajectory — cumulative online/offline ratio over time, rendered
-    as a fixed-width bar chart (the paper's central measurement, now
-    visible per slot instead of only as an endpoint);
+    as a fixed-width bar chart (the paper's central measurement, visible
+    per slot instead of only as an endpoint);
   * worst-K regret slots — the slots that lose the ratio, decomposed into
     the paper's Cost_op/Cost_sq/Cost_rc/Cost_mg terms (mobility bursts
     show up as migration regret, price spikes as operation regret);
-  * solver health — Newton iteration stats and every warm-start fallback
-    slot (a regression of the cross-slot warm start);
-  * experiment events — per-repetition results and drop accounting from
-    the event stream, when provided.
+  * solver health — Newton iteration stats, KKT residuals at exit and every
+    warm-start fallback slot (a regression of the cross-slot warm start);
+  * experiment results — the per-repetition result records, when present.
 
-Writes markdown to --out (default: stdout). Exits 1 on malformed input.
+The runner (sim::run_experiment) records the offline-opt run of every
+repetition before the algorithms' runs, so ratio and regret attribution
+need nothing beyond the stream. Writes markdown to --out (default: stdout).
+Exits 1 on malformed input or when no run matches.
 """
 import argparse
 import json
 import sys
 
+SCHEMA = "eca.events.v3"
+OFFLINE = "offline-opt"
+COMPONENTS = ("operation", "service_quality", "reconfiguration", "migration")
 BAR_WIDTH = 40
 
 
 def fail(message):
     print(f"report_run: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
-
-
-def load_telemetry(path):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            run = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        fail(f"{path}: {err}")
-    if run.get("schema") != "eca.telemetry.v4":
-        fail(f"{path}: schema is {run.get('schema')!r}, expected "
-             "'eca.telemetry.v4'")
-    return run
 
 
 def load_events(path):
@@ -61,20 +54,99 @@ def load_events(path):
         events = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as err:
         fail(f"{path}: {err}")
-    if header.get("schema") != "eca.events.v2":
-        fail(f"{path}: header schema is {header.get('schema')!r}, expected "
-             "'eca.events.v2'")
+    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
+        schema = header.get("schema") if isinstance(header, dict) else None
+        fail(f"{path}: header schema is {schema!r}, expected {SCHEMA!r}")
     return header, events
 
 
+def parse_runs(events):
+    """Groups the stream into runs: one dict per run_begin .. run_end with
+    its repetition (None outside one), slot records and solve records keyed
+    by slot. A run cut by a full buffer has end None."""
+    runs = []
+    rep = None
+    run = None
+    for event in events:
+        kind = event["kind"]
+        if kind == "rep_begin":
+            rep = event["rep"]
+        elif kind == "rep_end":
+            rep = None
+        elif kind == "run_begin":
+            run = {"rep": rep, "begin": event, "slots": [], "solves": {},
+                   "end": None}
+            runs.append(run)
+        elif kind == "slot" and run is not None:
+            run["slots"].append(event)
+        elif kind == "solve" and run is not None:
+            run["solves"][event["slot"]] = event
+        elif kind == "run_end" and run is not None:
+            run["end"] = event
+            run = None
+    return runs
+
+
+def algorithm(run):
+    return run["begin"]["algorithm"]
+
+
+def select_run(runs, name, rep):
+    """The first run of algorithm `name` (default: the first run that is
+    not offline-opt, else the first run) in repetition `rep` (any when
+    None), and the offline-opt run of the same repetition (None when the
+    selected run is itself offline-opt or the repetition has none)."""
+    pool = [r for r in runs if rep is None or r["rep"] == rep]
+    if name is not None:
+        matches = [r for r in pool if algorithm(r) == name]
+    else:
+        matches = [r for r in pool if algorithm(r) != OFFLINE] or pool
+    if not matches:
+        fail(f"no run of {name or 'any algorithm'}"
+             + (f" in rep {rep}" if rep is not None else ""))
+    run = matches[0]
+    if run["end"] is None:
+        fail(f"run {algorithm(run)!r} has no run_end (the stream was cut by "
+             "a full buffer; raise ECA_EVENTS_CAP)")
+    reference = None
+    if algorithm(run) != OFFLINE:
+        reference = next((r for r in runs if algorithm(r) == OFFLINE
+                          and r["rep"] == run["rep"] and r["end"]), None)
+    return run, reference
+
+
 def slot_cost(slot):
-    return (slot["cost_operation"] + slot["cost_service_quality"]
-            + slot["cost_reconfiguration"] + slot["cost_migration"])
+    return sum(slot["cost_" + c] for c in COMPONENTS)
 
 
-def regret_total(slot):
-    return (slot["regret_operation"] + slot["regret_service_quality"]
-            + slot["regret_reconfiguration"] + slot["regret_migration"])
+def attribute(slots, reference):
+    """Competitive-ratio attribution of `slots` against the `reference`
+    trajectory (the offline-opt run of the same repetition): per slot the
+    reference's cost, the cumulative online/offline ratio through the slot
+    and the per-component regret split (Σ regret == cost - offline_cost).
+    Slots past the reference's end attribute against a zero-cost slot
+    (regret == cost). Returns None for an empty reference."""
+    if not reference:
+        return None
+    rows = []
+    cum_cost = 0.0
+    cum_offline = 0.0
+    for t, slot in enumerate(slots):
+        ref = reference[t] if t < len(reference) else None
+        row = {"slot": slot["slot"],
+               "offline_cost": slot_cost(ref) if ref else 0.0}
+        for c in COMPONENTS:
+            row["regret_" + c] = (slot["cost_" + c]
+                                  - (ref["cost_" + c] if ref else 0.0))
+        cum_cost += slot_cost(slot)
+        cum_offline += row["offline_cost"]
+        row["ratio_cum"] = cum_cost / cum_offline if cum_offline > 0 else 0.0
+        rows.append(row)
+    return rows
+
+
+def regret_total(row):
+    return sum(row["regret_" + c] for c in COMPONENTS)
 
 
 def bar(value, lo, hi):
@@ -84,71 +156,65 @@ def bar(value, lo, hi):
     return "#" * max(0, min(BAR_WIDTH, filled))
 
 
-def summary_section(out, run):
-    out.append(f"# Run report: {run['algorithm']}")
+def summary_section(out, header, run, reference):
+    begin, end = run["begin"], run["end"]
+    rep = f" (rep {run['rep']})" if run["rep"] is not None else ""
+    out.append(f"# Run report: {algorithm(run)}{rep}")
     out.append("")
-    out.append(f"- instance: {run['num_clouds']} clouds, "
-               f"{run['num_users']} users, {run['num_slots']} slots")
-    out.append(f"- total cost: {run['total_cost']:.4f} "
-               f"(wall {run['wall_seconds']:.2f}s)")
-    if run["has_reference"]:
-        out.append(f"- offline-opt cost: {run['offline_total_cost']:.4f} "
-                   f"-> empirical competitive ratio **{run['ratio']:.4f}**")
-    else:
-        out.append("- no offline reference attached (ratio attribution "
-                   "unavailable; produce telemetry via the experiment "
-                   "runner / ECA_TELEMETRY_DIR to get it)")
-    total = run["total_cost"]
+    out.append(f"- instance: {begin['clouds']} clouds, {begin['users']} "
+               f"users, {begin['slots']} slots")
+    total = end["total_cost"]
+    out.append(f"- total cost: {total:.4f}")
+    if reference is not None:
+        offline = reference["end"]["total_cost"]
+        ratio = total / offline if offline > 0 else 0.0
+        out.append(f"- offline-opt cost: {offline:.4f} "
+                   f"-> empirical competitive ratio **{ratio:.4f}**")
+    elif algorithm(run) != OFFLINE:
+        out.append("- no offline-opt run in this repetition (ratio "
+                   "attribution unavailable; record the run through "
+                   "sim::run_experiment, e.g. examples/taxi_day, to get it)")
     if total > 0 and run["slots"]:
-        op = sum(s["cost_operation"] for s in run["slots"])
-        sq = sum(s["cost_service_quality"] for s in run["slots"])
-        rc = sum(s["cost_reconfiguration"] for s in run["slots"])
-        mg = sum(s["cost_migration"] for s in run["slots"])
-        out.append(f"- cost split: operation {100 * op / total:.1f}%, "
-                   f"service quality {100 * sq / total:.1f}%, "
-                   f"reconfiguration {100 * rc / total:.1f}%, "
-                   f"migration {100 * mg / total:.1f}%")
-    drops = []
-    if run["trace_dropped"]:
-        drops.append(f"trace dropped {run['trace_dropped']} "
-                     "(raise ECA_TRACE_CAP)")
-    if run["events_dropped"]:
-        drops.append(f"events dropped {run['events_dropped']} "
-                     "(raise ECA_EVENTS_CAP)")
-    out.append(f"- observability: {'; '.join(drops) if drops else 'no drops'}")
+        shares = ", ".join(
+            f"{c.replace('_', ' ')} "
+            f"{100 * sum(s['cost_' + c] for s in run['slots']) / total:.1f}%"
+            for c in COMPONENTS)
+        out.append(f"- cost split: {shares}")
+    dropped = header["dropped"]
+    out.append(f"- observability: events dropped {dropped} (raise "
+               "ECA_EVENTS_CAP)" if dropped
+               else "- observability: no events dropped")
     out.append("")
 
 
-def ratio_section(out, run, max_rows):
-    slots = run["slots"]
-    if not run["has_reference"] or not slots:
+def ratio_section(out, rows, max_rows):
+    if not rows:
         return
     out.append("## Ratio trajectory")
     out.append("")
     out.append("Cumulative online/offline cost through each slot "
                "(1.0 = offline parity).")
     out.append("")
-    ratios = [s["ratio_cum"] for s in slots]
+    ratios = [row["ratio_cum"] for row in rows]
     lo, hi = min(1.0, min(ratios)), max(ratios)
     # Downsample long runs to ~max_rows evenly spaced slots (always keep
     # the last slot: it is the run's final ratio).
-    stride = max(1, len(slots) // max_rows)
-    shown = sorted({*range(0, len(slots), stride), len(slots) - 1})
+    stride = max(1, len(rows) // max_rows)
+    shown = sorted({*range(0, len(rows), stride), len(rows) - 1})
     out.append("| slot | ratio_cum | |")
     out.append("|-----:|----------:|:-----|")
     for index in shown:
         ratio = ratios[index]
-        out.append(f"| {slots[index]['slot']} | {ratio:.4f} | "
+        out.append(f"| {rows[index]['slot']} | {ratio:.4f} | "
                    f"`{bar(ratio, lo, hi)}` |")
     out.append("")
 
 
-def regret_section(out, run, top):
-    slots = run["slots"]
-    if not run["has_reference"] or not slots:
+def regret_section(out, rows, top):
+    if not rows:
         return
-    worst = sorted(slots, key=regret_total, reverse=True)[:top]
-    worst = [s for s in worst if regret_total(s) > 0]
+    worst = sorted(rows, key=regret_total, reverse=True)[:top]
+    worst = [row for row in worst if regret_total(row) > 0]
     out.append(f"## Worst {len(worst)} regret slots")
     out.append("")
     if not worst:
@@ -162,86 +228,85 @@ def regret_section(out, run, top):
                "reconfiguration | migration |")
     out.append("|-----:|-------:|----------:|----------------:|"
                "----------------:|----------:|")
-    for slot in worst:
-        out.append(f"| {slot['slot']} | {regret_total(slot):.4f} | "
-                   f"{slot['regret_operation']:.4f} | "
-                   f"{slot['regret_service_quality']:.4f} | "
-                   f"{slot['regret_reconfiguration']:.4f} | "
-                   f"{slot['regret_migration']:.4f} |")
+    for row in worst:
+        out.append(f"| {row['slot']} | {regret_total(row):.4f} | "
+                   + " | ".join(f"{row['regret_' + c]:.4f}"
+                                for c in COMPONENTS) + " |")
     out.append("")
 
 
 def solver_section(out, run):
-    solves = [s for s in run["slots"] if "solve" in s]
+    solves = [run["solves"][t] for t in sorted(run["solves"])]
     out.append("## Solver health")
     out.append("")
     if not solves:
-        out.append("No solver telemetry (baseline algorithm or "
-                   "metrics disabled).")
+        out.append("No solver records (this algorithm exposes none).")
         out.append("")
         return
-    iters = [s["solve"]["newton_iterations"] for s in solves]
-    out.append(f"- {run['total_newton_iterations']} Newton iterations over "
+    iters = [s["newton_iterations"] for s in solves]
+    out.append(f"- {run['end']['newton_iterations']} Newton iterations over "
                f"{len(solves)} solves (per-slot min {min(iters)}, "
                f"max {max(iters)})")
-    out.append(f"- warm-started {run['warm_started_slots']} of "
+    out.append(f"- worst KKT at exit: complementarity "
+               f"{max(s['kkt_comp_avg'] for s in solves):.3e}, dual residual "
+               f"{max(s['kkt_dual_residual'] for s in solves):.3e}")
+    out.append(f"- warm-started {run['end']['warm_started_slots']} of "
                f"{len(solves)} slots")
-    fallbacks = [s for s in solves if s["solve"]["warm_fallback"]]
+    fallbacks = [s for s in solves if s["warm_fallback"]]
     if fallbacks:
         out.append(f"- **{len(fallbacks)} fallback slot(s)** — the "
                    "warm start was rejected here:")
-        for slot in fallbacks:
-            out.append(f"  - slot {slot['slot']}: warm_fallback "
-                       f"({slot['solve']['newton_iterations']} iterations)")
+        for solve in fallbacks:
+            out.append(f"  - slot {solve['slot']}: warm_fallback "
+                       f"({solve['newton_iterations']} iterations)")
     else:
         out.append("- no warm-start fallbacks")
     out.append("")
 
 
-def events_section(out, header, events):
-    out.append("## Experiment events")
-    out.append("")
-    out.append(f"- {len(events)} events recorded, "
-               f"{header['dropped']} dropped")
-    kinds = {}
-    for event in events:
-        kinds[event["kind"]] = kinds.get(event["kind"], 0) + 1
-    out.append("- by kind: "
-               + ", ".join(f"{k} x{n}" for k, n in sorted(kinds.items())))
+def results_section(out, events):
     results = [e for e in events if e["kind"] == "result"]
-    if results:
-        out.append("")
-        out.append("| rep | algorithm | cost | ratio |")
-        out.append("|----:|:----------|-----:|------:|")
-        for event in results:
-            out.append(f"| {event['rep']} | {event['algorithm']} | "
-                       f"{event['cost']:.4f} | {event['ratio']:.4f} |")
+    if not results:
+        return
+    out.append("## Experiment results")
     out.append("")
+    out.append("| rep | algorithm | cost | ratio |")
+    out.append("|----:|:----------|-----:|------:|")
+    for event in results:
+        out.append(f"| {event['rep']} | {event['algorithm']} | "
+                   f"{event['cost']:.4f} | {event['ratio']:.4f} |")
+    out.append("")
+
+
+def render(header, events, name=None, rep=None, top=5):
+    run, reference = select_run(parse_runs(events), name, rep)
+    rows = attribute(run["slots"], reference["slots"] if reference else None)
+    out = []
+    summary_section(out, header, run, reference)
+    ratio_section(out, rows, max_rows=20)
+    regret_section(out, rows, top)
+    solver_section(out, run)
+    results_section(out, events)
+    return "\n".join(out) + "\n"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--telemetry", required=True,
-                        help="eca.telemetry.v4 JSON file")
-    parser.add_argument("--events", default=None,
-                        help="optional eca.events.v2 JSONL stream")
+    parser.add_argument("--events", required=True,
+                        help="eca.events.v3 JSONL stream")
+    parser.add_argument("--algorithm", default=None,
+                        help="run to report (default: the first run that "
+                             "is not offline-opt)")
+    parser.add_argument("--rep", type=int, default=None,
+                        help="repetition to report from (default: any)")
     parser.add_argument("--out", default=None,
                         help="output markdown path (default: stdout)")
     parser.add_argument("--top", type=int, default=5,
                         help="worst regret slots to list (default 5)")
     args = parser.parse_args()
 
-    run = load_telemetry(args.telemetry)
-    out = []
-    summary_section(out, run)
-    ratio_section(out, run, max_rows=20)
-    regret_section(out, run, args.top)
-    solver_section(out, run)
-    if args.events:
-        header, events = load_events(args.events)
-        events_section(out, header, events)
-
-    text = "\n".join(out) + "\n"
+    header, events = load_events(args.events)
+    text = render(header, events, args.algorithm, args.rep, args.top)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -1,82 +1,30 @@
 #!/usr/bin/env python3
 """Schema checker for the observability artifacts.
 
-    scripts/validate_telemetry.py --telemetry run.telemetry.json \
-                                  [--trace run.trace.json] \
+    scripts/validate_telemetry.py [--trace run.trace.json] \
                                   [--events run.events.jsonl]
 
 Validates:
-  * the telemetry file against schema eca.telemetry.v4 — required fields,
-    types, the accounting invariant that the per-slot weighted cost splits
-    sum to total_cost within 1e-9 relative (float reassociation is the only
-    permitted difference), and — when a reference is attached — that each
-    slot's regret split sums to cost_total - offline_cost within the same
-    tolerance;
-  * the optional Chrome-trace file: a strict JSON array, one event per
-    line, each a complete-event record ("ph":"X") with numeric ts/dur —
-    i.e. loadable by chrome://tracing and Perfetto;
-  * the optional eca.events.v2 JSONL stream: a header line with matching
+  * the Chrome-trace file: a strict JSON array, one event per line, each a
+    complete-event record ("ph":"X") with numeric ts/dur — i.e. loadable by
+    chrome://tracing and Perfetto;
+  * the eca.events.v3 JSONL stream: a header line with matching
     schema/count, contiguous sequence numbers, known event kinds with the
-    right payload fields, and monotone slot ordering within each run scope.
+    right payload fields, and per run (run_begin .. run_end) slot and solve
+    records in ascending slot order plus the accounting invariant: the
+    per-slot weighted cost splits sum to the run_end total within 1e-9
+    relative (float reassociation is the only permitted difference), and
+    the run_end slot count and solver totals match the run's records.
 
-Exits 0 when valid, 1 with a message on the first violation.
+At least one artifact is required. Exits 0 when valid, 1 with a message on
+the first violation.
 """
 import argparse
 import json
 import sys
 
-SCHEMA = "eca.telemetry.v4"
-EVENTS_SCHEMA = "eca.events.v2"
+EVENTS_SCHEMA = "eca.events.v3"
 REL_TOL = 1e-9
-
-RUN_FIELDS = {
-    "schema": str,
-    "algorithm": str,
-    "num_clouds": int,
-    "num_users": int,
-    "num_slots": int,
-    "total_cost": (int, float),
-    "wall_seconds": (int, float),
-    "has_reference": bool,
-    "offline_total_cost": (int, float),
-    "ratio": (int, float),
-    "trace_dropped": int,
-    "events_dropped": int,
-    "total_newton_iterations": int,
-    "warm_started_slots": int,
-    "warm_fallback_slots": int,
-    "slots": list,
-}
-
-SLOT_FIELDS = {
-    "slot": int,
-    "cost_operation": (int, float),
-    "cost_service_quality": (int, float),
-    "cost_reconfiguration": (int, float),
-    "cost_migration": (int, float),
-}
-
-# Present on every slot exactly when the run has a reference attached.
-SLOT_REFERENCE_FIELDS = {
-    "offline_cost": (int, float),
-    "ratio_cum": (int, float),
-    "regret_operation": (int, float),
-    "regret_service_quality": (int, float),
-    "regret_reconfiguration": (int, float),
-    "regret_migration": (int, float),
-}
-
-SOLVE_FIELDS = {
-    "newton_iterations": int,
-    "mu_steps": int,
-    "kkt_comp_avg": (int, float),
-    "kkt_dual_residual": (int, float),
-    "warm_started": bool,
-    "warm_fallback": bool,
-    "solve_seconds": (int, float),
-    "assembly_seconds": (int, float),
-    "factor_seconds": (int, float),
-}
 
 
 def fail(message):
@@ -94,63 +42,6 @@ def check_fields(obj, fields, where):
             fail(f"{where}: field '{name}' must be an integer, got bool")
         if not isinstance(value, kind):
             fail(f"{where}: field '{name}' has type {type(value).__name__}")
-
-
-def validate_telemetry(path):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            run = json.load(handle)
-    except (OSError, json.JSONDecodeError) as err:
-        fail(f"{path}: {err}")
-    check_fields(run, RUN_FIELDS, path)
-    if run["schema"] != SCHEMA:
-        fail(f"{path}: schema is '{run['schema']}', expected '{SCHEMA}'")
-    if len(run["slots"]) != run["num_slots"]:
-        fail(f"{path}: {len(run['slots'])} slot records for "
-             f"num_slots={run['num_slots']}")
-    has_reference = run["has_reference"]
-    slot_sum = 0.0
-    for index, slot in enumerate(run["slots"]):
-        where = f"{path}: slots[{index}]"
-        check_fields(slot, SLOT_FIELDS, where)
-        if slot["slot"] != index:
-            fail(f"{where}: slot index {slot['slot']} != position {index}")
-        cost_total = (slot["cost_operation"] + slot["cost_service_quality"]
-                      + slot["cost_reconfiguration"]
-                      + slot["cost_migration"])
-        slot_sum += cost_total
-        if has_reference:
-            check_fields(slot, SLOT_REFERENCE_FIELDS, where)
-            regret_sum = (slot["regret_operation"]
-                          + slot["regret_service_quality"]
-                          + slot["regret_reconfiguration"]
-                          + slot["regret_migration"])
-            excess = cost_total - slot["offline_cost"]
-            tol = REL_TOL * max(1.0, abs(cost_total))
-            if abs(regret_sum - excess) > tol:
-                fail(f"{where}: regret split sums to {regret_sum!r}, "
-                     f"expected cost - offline_cost = {excess!r}")
-        elif "ratio_cum" in slot:
-            fail(f"{where}: attribution fields present without "
-                 "has_reference")
-        if "solve" in slot:
-            check_fields(slot["solve"], SOLVE_FIELDS, f"{where}.solve")
-    total = run["total_cost"]
-    tolerance = REL_TOL * max(1.0, abs(total))
-    if abs(slot_sum - total) > tolerance:
-        fail(f"{path}: slot cost sum {slot_sum!r} differs from total_cost "
-             f"{total!r} by {abs(slot_sum - total):.3e} (> {tolerance:.3e})")
-    if has_reference and run["slots"]:
-        final_ratio = run["slots"][-1]["ratio_cum"]
-        # Numerator and denominator each carry their own <=1e-9 relative
-        # reassociation drift; allow an order of magnitude of headroom.
-        if abs(final_ratio - run["ratio"]) > 1e-8 * max(1.0, run["ratio"]):
-            fail(f"{path}: final ratio_cum {final_ratio!r} differs from "
-                 f"run ratio {run['ratio']!r}")
-    solved = sum(1 for slot in run["slots"] if "solve" in slot)
-    print(f"validate_telemetry: OK: {path}: {run['algorithm']}, "
-          f"{run['num_slots']} slots ({solved} with solver stats), "
-          f"slot-sum drift {abs(slot_sum - total):.3e}")
 
 
 def validate_trace(path):
@@ -187,28 +78,59 @@ def validate_trace(path):
     print(f"validate_telemetry: OK: {path}: {len(events)} trace events")
 
 
+NUMBER = (int, float)
+
 # kind -> required payload fields (past seq/kind). Matches the writer in
 # src/obs/events.cc.
 EVENT_KINDS = {
     "experiment_begin": {"repetitions": int, "algorithms": int},
-    "rep_begin": {"rep": int, "offline_cost": (int, float)},
+    "rep_begin": {"rep": int, "offline_cost": NUMBER},
     "run_begin": {"algorithm": str, "clouds": int, "users": int,
                   "slots": int},
-    "workers": {"scope": str, "work": int, "min_work": int,
-                "eligible": bool},
-    "slot": {"slot": int, "cost_operation": (int, float),
-             "cost_service_quality": (int, float),
-             "cost_reconfiguration": (int, float),
-             "cost_migration": (int, float)},
+    "slot": {"slot": int, "cost_operation": NUMBER,
+             "cost_service_quality": NUMBER,
+             "cost_reconfiguration": NUMBER, "cost_migration": NUMBER},
     "solve": {"slot": int, "newton_iterations": int, "mu_steps": int,
-              "warm_started": bool, "warm_fallback": bool},
+              "warm_started": bool, "warm_fallback": bool,
+              "kkt_comp_avg": NUMBER, "kkt_dual_residual": NUMBER},
     "run_end": {"algorithm": str, "slots": int, "newton_iterations": int,
-                "warm_fallback_slots": int, "total_cost": (int, float)},
-    "result": {"algorithm": str, "rep": int, "cost": (int, float),
-               "ratio": (int, float)},
+                "warm_fallback_slots": int, "warm_started_slots": int,
+                "total_cost": NUMBER},
+    "result": {"algorithm": str, "rep": int, "cost": NUMBER,
+               "ratio": NUMBER},
     "rep_end": {"rep": int},
     "experiment_end": {"simulations": int},
 }
+
+
+def new_run(event):
+    return {"begin": event, "slots": 0, "cost_sum": 0.0, "last_slot": -1,
+            "last_solve": -1, "iterations": 0, "warm_fallback": 0,
+            "warm_started": 0}
+
+
+def close_run(run, event, where):
+    begin = run["begin"]
+    if event["algorithm"] != begin["algorithm"]:
+        fail(f"{where}: run_end algorithm {event['algorithm']!r} closes "
+             f"run_begin {begin['algorithm']!r}")
+    if not event["slots"] == run["slots"] == begin["slots"]:
+        fail(f"{where}: {run['slots']} slot records, run_begin declares "
+             f"{begin['slots']}, run_end {event['slots']}")
+    total = event["total_cost"]
+    tolerance = REL_TOL * max(1.0, abs(total))
+    if abs(run["cost_sum"] - total) > tolerance:
+        fail(f"{where}: {event['algorithm']}: slot cost sum "
+             f"{run['cost_sum']!r} differs from run_end total_cost "
+             f"{total!r} by {abs(run['cost_sum'] - total):.3e} "
+             f"(> {tolerance:.3e})")
+    for field, key in (("newton_iterations", "iterations"),
+                       ("warm_fallback_slots", "warm_fallback"),
+                       ("warm_started_slots", "warm_started")):
+        if event[field] != run[key]:
+            fail(f"{where}: run_end {field} {event[field]} != "
+                 f"{run[key]} summed over the run's solve records")
+    return abs(run["cost_sum"] - total)
 
 
 def validate_events(path):
@@ -232,9 +154,9 @@ def validate_events(path):
     if header["events"] != len(lines) - 1:
         fail(f"{path}: header claims {header['events']} events, file has "
              f"{len(lines) - 1} body lines")
-    # Slot/solve events must be monotone within each run scope — this is
-    # the driving-thread, ascending-slot-order contract.
-    last_slot = {"slot": -1, "solve": -1}
+    run = None
+    runs = 0
+    worst_drift = 0.0
     for index, line in enumerate(lines[1:]):
         where = f"{path}: line {index + 2}"
         try:
@@ -248,26 +170,53 @@ def validate_events(path):
             fail(f"{where}: unknown event kind {kind!r}")
         check_fields(event, EVENT_KINDS[kind], where)
         if kind == "run_begin":
-            last_slot = {"slot": -1, "solve": -1}
-        elif kind in ("slot", "solve"):
-            if event["slot"] <= last_slot[kind]:
-                fail(f"{where}: {kind} event slot {event['slot']} not "
-                     f"increasing (previous {last_slot[kind]})")
-            last_slot[kind] = event["slot"]
+            if run is not None:
+                fail(f"{where}: run_begin inside an open run")
+            run = new_run(event)
+        elif kind in ("slot", "solve", "run_end") and run is None:
+            fail(f"{where}: {kind} outside a run")
+        elif kind == "slot":
+            if event["slot"] <= run["last_slot"]:
+                fail(f"{where}: slot {event['slot']} not increasing "
+                     f"(previous {run['last_slot']})")
+            run["last_slot"] = event["slot"]
+            run["slots"] += 1
+            run["cost_sum"] += (event["cost_operation"]
+                                + event["cost_service_quality"]
+                                + event["cost_reconfiguration"]
+                                + event["cost_migration"])
+        elif kind == "solve":
+            if event["slot"] != run["last_slot"] or \
+                    event["slot"] <= run["last_solve"]:
+                fail(f"{where}: solve for slot {event['slot']} does not "
+                     f"follow its slot record")
+            run["last_solve"] = event["slot"]
+            run["iterations"] += event["newton_iterations"]
+            run["warm_fallback"] += event["warm_fallback"]
+            run["warm_started"] += event["warm_started"]
+        elif kind == "run_end":
+            worst_drift = max(worst_drift, close_run(run, event, where))
+            run = None
+            runs += 1
+        elif run is not None:
+            fail(f"{where}: {kind} inside an open run")
+    # A full buffer drops the stream's tail, which may cut the last run.
+    if run is not None and header["dropped"] == 0:
+        fail(f"{path}: run {run['begin']['algorithm']!r} has no run_end")
     print(f"validate_telemetry: OK: {path}: {len(lines) - 1} events, "
-          f"{header['dropped']} dropped")
+          f"{header['dropped']} dropped, {runs} runs (worst slot-sum drift "
+          f"{worst_drift:.3e})")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--telemetry", required=True,
-                        help="eca.telemetry.v4 JSON file")
     parser.add_argument("--trace", default=None,
-                        help="optional Chrome-trace JSON file")
+                        help="Chrome-trace JSON file")
     parser.add_argument("--events", default=None,
-                        help="optional eca.events.v2 JSONL stream")
+                        help="eca.events.v3 JSONL stream")
     args = parser.parse_args()
-    validate_telemetry(args.telemetry)
+    if not args.trace and not args.events:
+        parser.error("nothing to validate: pass --trace and/or --events")
     if args.trace:
         validate_trace(args.trace)
     if args.events:

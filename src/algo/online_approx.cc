@@ -3,7 +3,6 @@
 #include "agg/aggregate.h"
 #include "common/check.h"
 #include "model/costs.h"
-#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -136,11 +135,6 @@ Allocation OnlineApprox::decide(const Instance& instance, std::size_t t,
   alloc.x = sol.x;
   last_stats_ = sol.stats;
   has_last_stats_ = true;
-  // Decide-path solver-health event. OnlineApprox never takes the slot
-  // fan-out (slot_separable() is false — each decide depends on the previous
-  // allocation), so this always runs on the thread driving the slot
-  // sequence, in ascending t, keeping the event stream deterministic.
-  obs::emit_solve(obs::global_events(), t, sol.stats);
   if (obs::metrics_enabled()) {
     // The P0 cost split of the decision just played (weighted, so the
     // accumulated totals decompose the run objective).

@@ -166,10 +166,12 @@ std::optional<model::Instance> read_instance(std::istream& is,
       return std::nullopt;
     }
   }
-  instance.inter_cloud_delay.assign(instance.num_clouds,
-                                    model::Vec(instance.num_clouds, 0.0));
-  for (auto& row : instance.inter_cloud_delay) {
-    for (auto& v : row) {
+  // Every per-row array is allocated just before its row is read, so a
+  // header that promises more data than the stream holds fails at the
+  // first missing row instead of allocating the whole instance up front.
+  for (std::size_t i = 0; i < instance.num_clouds; ++i) {
+    for (auto& v : instance.inter_cloud_delay.emplace_back(
+             instance.num_clouds, 0.0)) {
       if (!read_value(is, v, error, "delay")) return std::nullopt;
     }
   }
@@ -183,20 +185,16 @@ std::optional<model::Instance> read_instance(std::istream& is,
                   "dynamic weight")) {
     return std::nullopt;
   }
-  instance.operation_price.assign(instance.num_slots,
-                                  model::Vec(instance.num_clouds, 0.0));
-  instance.attachment.assign(
-      instance.num_slots, std::vector<std::size_t>(instance.num_users, 0));
-  instance.access_delay.assign(instance.num_slots,
-                               model::Vec(instance.num_users, 0.0));
   for (std::size_t t = 0; t < instance.num_slots; ++t) {
-    for (auto& v : instance.operation_price[t]) {
+    for (auto& v : instance.operation_price.emplace_back(
+             instance.num_clouds, 0.0)) {
       if (!read_value(is, v, error, "operation price")) return std::nullopt;
     }
-    for (auto& v : instance.attachment[t]) {
+    for (auto& v : instance.attachment.emplace_back(instance.num_users, 0)) {
       if (!read_value(is, v, error, "attachment")) return std::nullopt;
     }
-    for (auto& v : instance.access_delay[t]) {
+    for (auto& v : instance.access_delay.emplace_back(instance.num_users,
+                                                      0.0)) {
       if (!read_value(is, v, error, "access delay")) return std::nullopt;
     }
   }
@@ -223,109 +221,6 @@ std::optional<model::Instance> load_instance(const std::string& path,
     return std::nullopt;
   }
   return read_instance(is, error);
-}
-
-namespace {
-
-// Minimal JSON string escaping — algorithm names are short identifiers, but
-// the writer must still never emit invalid JSON for an unusual one.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void write_solve_telemetry(std::ostream& os, const obs::SolveTelemetry& s) {
-  os << "{\"newton_iterations\":" << s.newton_iterations
-     << ",\"mu_steps\":" << s.mu_steps
-     << ",\"kkt_comp_avg\":" << s.kkt_comp_avg
-     << ",\"kkt_dual_residual\":" << s.kkt_dual_residual
-     << ",\"warm_started\":" << (s.warm_started ? "true" : "false")
-     << ",\"warm_fallback\":" << (s.warm_fallback ? "true" : "false")
-     << ",\"solve_seconds\":" << s.solve_seconds
-     << ",\"assembly_seconds\":" << s.assembly_seconds
-     << ",\"factor_seconds\":" << s.factor_seconds << '}';
-}
-
-}  // namespace
-
-void write_telemetry(std::ostream& os, const obs::RunTelemetry& run) {
-  set_precision(os);
-  os << "{\n"
-     << "  \"schema\": \"" << obs::kTelemetrySchema << "\",\n"
-     << "  \"algorithm\": \"" << json_escape(run.algorithm) << "\",\n"
-     << "  \"num_clouds\": " << run.num_clouds << ",\n"
-     << "  \"num_users\": " << run.num_users << ",\n"
-     << "  \"num_slots\": " << run.num_slots << ",\n"
-     << "  \"total_cost\": " << run.total_cost << ",\n"
-     << "  \"wall_seconds\": " << run.wall_seconds << ",\n"
-     << "  \"has_reference\": " << (run.has_reference ? "true" : "false")
-     << ",\n"
-     << "  \"offline_total_cost\": " << run.offline_total_cost << ",\n"
-     << "  \"ratio\": " << run.ratio() << ",\n"
-     << "  \"trace_dropped\": " << run.trace_dropped << ",\n"
-     << "  \"events_dropped\": " << run.events_dropped << ",\n"
-     << "  \"total_newton_iterations\": " << run.total_newton_iterations()
-     << ",\n"
-     << "  \"warm_started_slots\": " << run.warm_started_slots() << ",\n"
-     << "  \"warm_fallback_slots\": " << run.warm_fallback_slots() << ",\n"
-     << "  \"slots\": [";
-  for (std::size_t t = 0; t < run.slots.size(); ++t) {
-    const obs::SlotTelemetry& slot = run.slots[t];
-    os << (t == 0 ? "\n" : ",\n") << "    {\"slot\":" << slot.slot
-       << ",\"cost_operation\":" << slot.cost_operation
-       << ",\"cost_service_quality\":" << slot.cost_service_quality
-       << ",\"cost_reconfiguration\":" << slot.cost_reconfiguration
-       << ",\"cost_migration\":" << slot.cost_migration;
-    if (run.has_reference) {
-      os << ",\"offline_cost\":" << slot.offline_cost
-         << ",\"ratio_cum\":" << slot.ratio_cum
-         << ",\"regret_operation\":" << slot.regret_operation
-         << ",\"regret_service_quality\":" << slot.regret_service_quality
-         << ",\"regret_reconfiguration\":" << slot.regret_reconfiguration
-         << ",\"regret_migration\":" << slot.regret_migration;
-    }
-    if (slot.has_solve) {
-      os << ",\"solve\":";
-      write_solve_telemetry(os, slot.solve);
-    }
-    os << '}';
-  }
-  os << (run.slots.empty() ? "]\n" : "\n  ]\n") << "}\n";
-}
-
-bool save_telemetry(const std::string& path, const obs::RunTelemetry& run) {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_telemetry(os, run);
-  return static_cast<bool>(os);
 }
 
 namespace {

@@ -31,7 +31,6 @@
 #include "mobility/mobility.h"
 #include "model/instance.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 
 namespace eca::io {
 
@@ -47,12 +46,6 @@ std::optional<model::Instance> read_instance(std::istream& is,
 bool save_instance(const std::string& path, const model::Instance& instance);
 std::optional<model::Instance> load_instance(const std::string& path,
                                              std::string* error);
-
-// Run telemetry is serialized as JSON (schema "eca.telemetry.v4") rather
-// than the line-oriented text above so downstream tooling (the schema
-// checker in scripts/, notebooks) can consume it without a custom parser.
-void write_telemetry(std::ostream& os, const obs::RunTelemetry& run);
-bool save_telemetry(const std::string& path, const obs::RunTelemetry& run);
 
 // End-of-run metrics exposition: the full MetricsRegistry snapshot in
 // Prometheus text format (one `# TYPE` line per metric; names sanitized to

@@ -18,8 +18,6 @@ const char* to_string(EventKind kind) {
       return "rep_begin";
     case EventKind::kRunBegin:
       return "run_begin";
-    case EventKind::kWorkers:
-      return "workers";
     case EventKind::kSlot:
       return "slot";
     case EventKind::kSolve:
@@ -120,12 +118,6 @@ void write_event(std::ostream& os, std::size_t seq, const EventRecord& ev) {
       num("users", ev.b);
       num("slots", ev.c);
       break;
-    case EventKind::kWorkers:
-      label("scope");
-      num("work", ev.a);
-      num("min_work", ev.b);
-      flag("eligible", ev.c != 0);
-      break;
     case EventKind::kSlot:
       num("slot", ev.a);
       real("cost_operation", ev.x);
@@ -139,12 +131,15 @@ void write_event(std::ostream& os, std::size_t seq, const EventRecord& ev) {
       num("mu_steps", ev.c);
       flag("warm_started", (ev.d & kSolveWarmStarted) != 0);
       flag("warm_fallback", (ev.d & kSolveWarmFallback) != 0);
+      real("kkt_comp_avg", ev.x);
+      real("kkt_dual_residual", ev.y);
       break;
     case EventKind::kRunEnd:
       label("algorithm");
       num("slots", ev.a);
       num("newton_iterations", ev.b);
       num("warm_fallback_slots", ev.c);
+      num("warm_started_slots", ev.d);
       real("total_cost", ev.x);
       break;
     case EventKind::kResult:
@@ -164,6 +159,48 @@ void write_event(std::ostream& os, std::size_t seq, const EventRecord& ev) {
 }
 
 }  // namespace
+
+void emit_run(EventLog* log, const RunTelemetry& run) {
+  if (log == nullptr) return;
+  EventRecord begin;
+  begin.kind = EventKind::kRunBegin;
+  begin.set_label(run.algorithm);
+  begin.a = static_cast<std::int64_t>(run.num_clouds);
+  begin.b = static_cast<std::int64_t>(run.num_users);
+  begin.c = static_cast<std::int64_t>(run.num_slots);
+  log->record(begin);
+  EventRecord end;
+  end.kind = EventKind::kRunEnd;
+  end.set_label(run.algorithm);
+  end.a = static_cast<std::int64_t>(run.slots.size());
+  end.x = run.total_cost;
+  for (const SlotTelemetry& slot : run.slots) {
+    EventRecord ev;
+    ev.kind = EventKind::kSlot;
+    ev.a = static_cast<std::int64_t>(slot.slot);
+    ev.x = slot.cost_operation;
+    ev.y = slot.cost_service_quality;
+    ev.z = slot.cost_reconfiguration;
+    ev.w = slot.cost_migration;
+    log->record(ev);
+    if (!slot.has_solve) continue;
+    const SolveTelemetry& solve = slot.solve;
+    ev = EventRecord{};
+    ev.kind = EventKind::kSolve;
+    ev.a = static_cast<std::int64_t>(slot.slot);
+    ev.b = solve.newton_iterations;
+    ev.c = solve.mu_steps;
+    ev.d = (solve.warm_started ? kSolveWarmStarted : 0) |
+           (solve.warm_fallback ? kSolveWarmFallback : 0);
+    ev.x = solve.kkt_comp_avg;
+    ev.y = solve.kkt_dual_residual;
+    log->record(ev);
+    end.b += solve.newton_iterations;
+    end.c += solve.warm_fallback ? 1 : 0;
+    end.d += solve.warm_started ? 1 : 0;
+  }
+  log->record(end);
+}
 
 void EventLog::flush_to(std::ostream& os) const {
   const std::size_t n = recorded();

@@ -1,25 +1,28 @@
-// Run-level streaming event log (`eca.events.v2`).
+// Run-level streaming event log (`eca.events.v3`) — the one serialization
+// of a run.
 //
 // An EventLog owns a bounded, lock-free buffer of fixed-size EventRecords.
-// record() is two relaxed atomics and a struct copy — allocation-free, safe
-// on the decide/Newton hot path — and drops (and counts) once the buffer is
-// full, mirroring TraceSession. flush() serializes the buffer as JSONL: a
-// header line carrying the schema, then one JSON object per event in claim
-// order, each stamped with its sequence number.
+// record() is two relaxed atomics and a struct copy — allocation-free — and
+// drops (and counts) once the buffer is full, mirroring TraceSession.
+// flush() serializes the buffer as JSONL: a header line carrying the
+// schema, then one JSON object per event in claim order, each stamped with
+// its sequence number.
 //
-// Determinism contract (the same one the metrics registry documents):
-// every value placed in an event payload must itself be deterministic —
-// slot indices, cost splits, iteration counts, work volumes — never wall
-// clocks, thread ids, or resolved worker counts. The instrumentation in
-// sim/algo records events only from the thread driving the slot sequence
-// (the simulator emits slot events post-merge in ascending slot order, and
-// the only decide-path emitter, OnlineApprox, always runs its slots
-// serially), so the serialized stream is bit-identical for every
-// ECA_SLOT_THREADS / ECA_BASELINE_THREADS / ECA_LP_THREADS value — pinned
-// by tests/sim/events_determinism_test.cc under the tsan-smoke label. The
-// runner-level repetition fan-out (ECA_THREADS) interleaves whole runs'
-// events nondeterministically; capture streams for diffing with
-// ECA_THREADS=1.
+// Computation never writes to the log. A run is recorded once it has
+// finished, from its RunTelemetry, by emit_run: run_begin, then per slot in
+// ascending order `slot` (and `solve` when the slot has solver stats), then
+// run_end. sim::run_experiment records from its deterministic merge loop:
+// per repetition rep_begin, the offline-opt run (the regret reference),
+// each algorithm's run followed by its result, rep_end. Direct callers of
+// Simulator::run (examples/run_instance) record their own run.
+//
+// Determinism contract: every payload value is deterministic — slot
+// indices, cost splits, iteration counts, KKT residuals — never wall clocks,
+// thread ids or resolved worker counts, and every record is made by one
+// thread in a fixed order. The serialized stream is therefore byte-identical
+// for every ECA_THREADS / ECA_SLOT_THREADS / ECA_BASELINE_THREADS /
+// ECA_LP_THREADS value — pinned by tests/sim/events_determinism_test.cc
+// under the tsan-smoke label.
 //
 // The process-global log is configured from ECA_EVENTS=<path> on first use
 // (ECA_EVENTS_CAP bounds the buffer). Both knobs fail fast with exit
@@ -40,17 +43,18 @@
 
 namespace eca::obs {
 
-inline constexpr const char* kEventsSchema = "eca.events.v2";
+inline constexpr const char* kEventsSchema = "eca.events.v3";
 
 enum class EventKind : std::uint8_t {
   kExperimentBegin,  // label="", a=repetitions, b=roster size
   kRepBegin,         // a=rep, x=offline-opt cost (the ratio denominator)
   kRunBegin,         // label=algorithm, a=clouds, b=users, c=slots
-  kWorkers,          // label=scope, a=work, b=min_work, c=eligible (0/1)
   kSlot,             // a=slot, x/y/z/w = weighted op/sq/rc/mg cost split
-  kSolve,            // a=slot, b=newton iters, c=mu steps, d=flag bits
-  kRunEnd,    // label=algorithm, a=slots, b=iters, c=warm_fb, x=total cost
-  kResult,    // label=algorithm, a=rep, x=cost, y=competitive ratio
+  kSolve,            // a=slot, b=newton iters, c=mu steps, d=flag bits,
+                     // x=kkt_comp_avg, y=kkt_dual_residual
+  kRunEnd,           // label=algorithm, a=slots, b=iters, c=warm_fb,
+                     // d=warm_started, x=total cost
+  kResult,           // label=algorithm, a=rep, x=cost, y=competitive ratio
   kRepEnd,           // a=rep
   kExperimentEnd,    // a=simulations accumulated
 };
@@ -105,7 +109,7 @@ class EventLog {
   [[nodiscard]] std::size_t recorded() const;
   [[nodiscard]] std::size_t dropped() const;
 
-  // Serializes the buffered events as `eca.events.v2` JSONL. flush() opens
+  // Serializes the buffered events as `eca.events.v3` JSONL. flush() opens
   // options.path ("" => no-op, returns false). Flush at quiescent points;
   // events recorded concurrently may or may not be included.
   bool flush();
@@ -135,8 +139,8 @@ EventLog* install_global_events(EventLogOptions options);
 void drop_global_events();
 
 // --- Emit helpers ---------------------------------------------------------
-// All are single-record builders that no-op on a null log and never
-// allocate; payloads carry only deterministic values (see file comment).
+// All no-op on a null log and never allocate; payloads carry only
+// deterministic values (see file comment).
 
 inline void emit_experiment_begin(EventLog* log, int repetitions,
                                   std::size_t num_algorithms) {
@@ -158,77 +162,10 @@ inline void emit_rep_begin(EventLog* log, std::size_t rep,
   log->record(ev);
 }
 
-inline void emit_run_begin(EventLog* log, std::string_view algorithm,
-                           std::size_t clouds, std::size_t users,
-                           std::size_t slots) {
-  if (log == nullptr) return;
-  EventRecord ev;
-  ev.kind = EventKind::kRunBegin;
-  ev.set_label(algorithm);
-  ev.a = static_cast<std::int64_t>(clouds);
-  ev.b = static_cast<std::int64_t>(users);
-  ev.c = static_cast<std::int64_t>(slots);
-  log->record(ev);
-}
-
-// Worker-engagement record. Deliberately carries the *policy inputs* (work
-// volume, floor, separability-based eligibility) and not the resolved
-// worker count — the resolved count depends on ECA_*_THREADS and the host's
-// core count, which would break the stream's bit-identity contract. The
-// resolved counts live in metrics/trace, which are outside that contract.
-inline void emit_workers(EventLog* log, std::string_view scope,
-                         std::size_t work, std::size_t min_work,
-                         bool eligible) {
-  if (log == nullptr) return;
-  EventRecord ev;
-  ev.kind = EventKind::kWorkers;
-  ev.set_label(scope);
-  ev.a = static_cast<std::int64_t>(work);
-  ev.b = static_cast<std::int64_t>(min_work);
-  ev.c = eligible ? 1 : 0;
-  log->record(ev);
-}
-
-inline void emit_slot(EventLog* log, std::size_t slot, double cost_operation,
-                      double cost_service_quality, double cost_reconfiguration,
-                      double cost_migration) {
-  if (log == nullptr) return;
-  EventRecord ev;
-  ev.kind = EventKind::kSlot;
-  ev.a = static_cast<std::int64_t>(slot);
-  ev.x = cost_operation;
-  ev.y = cost_service_quality;
-  ev.z = cost_reconfiguration;
-  ev.w = cost_migration;
-  log->record(ev);
-}
-
-inline void emit_solve(EventLog* log, std::size_t slot,
-                       const SolveTelemetry& solve) {
-  if (log == nullptr) return;
-  EventRecord ev;
-  ev.kind = EventKind::kSolve;
-  ev.a = static_cast<std::int64_t>(slot);
-  ev.b = solve.newton_iterations;
-  ev.c = solve.mu_steps;
-  ev.d = (solve.warm_started ? kSolveWarmStarted : 0) |
-         (solve.warm_fallback ? kSolveWarmFallback : 0);
-  log->record(ev);
-}
-
-// Solver-health summary of one finished run (RunTelemetry aggregates only —
-// no wall clocks, which would break determinism).
-inline void emit_run_end(EventLog* log, const RunTelemetry& run) {
-  if (log == nullptr) return;
-  EventRecord ev;
-  ev.kind = EventKind::kRunEnd;
-  ev.set_label(run.algorithm);
-  ev.a = static_cast<std::int64_t>(run.slots.size());
-  ev.b = run.total_newton_iterations();
-  ev.c = static_cast<std::int64_t>(run.warm_fallback_slots());
-  ev.x = run.total_cost;
-  log->record(ev);
-}
+// Records one finished run: run_begin, then per slot in ascending order a
+// slot record (and a solve record when has_solve), then run_end carrying the
+// run's totals.
+void emit_run(EventLog* log, const RunTelemetry& run);
 
 inline void emit_result(EventLog* log, std::string_view algorithm,
                         std::size_t rep, double cost, double ratio) {

@@ -40,8 +40,12 @@ AggregatedRunResult run_aggregated_online_approx(
   result.per_slot.reserve(kT);
   result.classes_per_slot.reserve(kT);
 
-  obs::TelemetrySink sink;
-  sink.begin_run(result.algorithm, kI, kJ, kT);
+  obs::RunTelemetry& run = result.telemetry;
+  run.algorithm = result.algorithm;
+  run.num_clouds = kI;
+  run.num_users = kJ;
+  run.num_slots = kT;
+  run.slots.reserve(kT);
 
   const agg::SubproblemParams params{
       options.eps1, options.eps2, options.enforce_capacity,
@@ -148,7 +152,7 @@ AggregatedRunResult run_aggregated_online_approx(
         std::max(result.max_violation,
                  agg::class_slot_violation(instance, part, member_x));
 
-    obs::SlotTelemetry st;
+    obs::SlotTelemetry& st = run.slots.emplace_back();
     st.slot = t;
     st.cost_operation = ws * slot.operation;
     st.cost_service_quality = ws * slot.service_quality;
@@ -156,7 +160,6 @@ AggregatedRunResult run_aggregated_online_approx(
     st.cost_migration = wd * slot.migration;
     st.has_solve = true;
     st.solve = sol.stats;
-    sink.record_slot(st);
 
     // Recompute the column hashes for slot t+1's tags (seeded from the
     // value bits only, so two classes holding bitwise-equal columns hash
@@ -179,7 +182,7 @@ AggregatedRunResult run_aggregated_online_approx(
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-  result.telemetry = sink.finish(result.weighted_total, result.wall_seconds);
+  run.total_cost = result.weighted_total;
   return result;
 }
 

@@ -36,8 +36,8 @@ struct AggregatedRunResult {
   // Class-partition statistics per slot (the collapse the run achieved).
   std::vector<std::size_t> classes_per_slot;
   std::size_t max_classes = 0;
-  // Same eca.telemetry.v4 record Simulator produces (cost splits + per-slot
-  // solver convergence stats).
+  // Same run record Simulator produces (cost splits + per-slot solver
+  // convergence stats); record it with obs::emit_run.
   obs::RunTelemetry telemetry;
 };
 

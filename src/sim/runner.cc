@@ -1,8 +1,5 @@
 #include "sim/runner.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <utility>
 
 #include "algo/baselines.h"
@@ -10,7 +7,6 @@
 #include "common/check.h"
 #include "common/log.h"
 #include "common/thread_pool.h"
-#include "io/serialize.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -32,32 +28,6 @@ std::vector<NamedFactory> paper_algorithms(bool include_static_once) {
   return out;
 }
 
-std::string telemetry_dir_from_env() {
-  const char* dir = std::getenv("ECA_TELEMETRY_DIR");
-  if (dir == nullptr) return "";
-  if (dir[0] == '\0') {
-    std::fprintf(stderr,
-                 "error: ECA_TELEMETRY_DIR is set but empty (must name an "
-                 "existing directory; unset it to disable)\n");
-    std::exit(2);
-  }
-  // Probe writability up front — discovering a bad directory after a long
-  // sweep would lose every telemetry dump the run produced.
-  const std::string probe_path = std::string(dir) + "/.eca_telemetry_probe";
-  {
-    std::ofstream probe(probe_path);
-    if (!probe) {
-      std::fprintf(stderr,
-                   "error: ECA_TELEMETRY_DIR='%s' is not writable (must "
-                   "name an existing, writable directory)\n",
-                   dir);
-      std::exit(2);
-    }
-  }
-  std::remove(probe_path.c_str());
-  return dir;
-}
-
 const AlgorithmSummary* ExperimentResult::find(const std::string& name) const {
   for (const auto& summary : algorithms) {
     if (summary.name == name) return &summary;
@@ -73,43 +43,22 @@ namespace {
 struct RepState {
   model::Instance instance;
   double denominator = 0.0;
-  // The offline-opt per-slot cost trajectory — the reference each online
-  // run's competitive-ratio attribution is computed against.
+  // The offline-opt run, recorded ahead of the algorithms' runs as the
+  // reference their ratio and regret attribution is derived against.
   obs::RunTelemetry offline_telemetry;
 };
 
-// Resolves the telemetry dump directory: an explicit option wins, else
-// ECA_TELEMETRY_DIR (see telemetry_dir_from_env).
-std::string telemetry_dir_from(const ExperimentOptions& options) {
-  if (!options.telemetry_dir.empty()) return options.telemetry_dir;
-  return telemetry_dir_from_env();
-}
-
-void dump_telemetry(const std::string& dir, std::size_t rep,
-                    const std::string& algorithm,
-                    const obs::RunTelemetry& telemetry) {
-  if (dir.empty()) return;
-  const std::string path = dir + "/telemetry_rep" + std::to_string(rep) +
-                           "_" + algorithm + ".json";
-  if (!io::save_telemetry(path, telemetry)) {
-    std::fprintf(stderr, "error: cannot write telemetry to %s\n",
-                 path.c_str());
-    std::exit(2);
-  }
-}
-
-// Accumulates one (rep, algorithm) simulation into the summary exactly the
-// way the legacy serial loop did, so parallel and serial runs agree
-// bit-for-bit as long as the adds happen in the same order.
+// Accumulates one (rep, algorithm) simulation into the summary. The merge
+// calls it in rep-major, roster order, so every thread count produces
+// bit-identical statistics.
 void accumulate(const SimulationResult& sim, double denominator,
                 AlgorithmSummary& summary) {
   summary.ratio.add(sim.weighted_total / denominator);
   summary.absolute_cost.add(sim.weighted_total);
   summary.wall_seconds.add(sim.wall_seconds);
   summary.worst_violation = std::max(summary.worst_violation, sim.max_violation);
-  // Runs on the merging thread in deterministic (rep-major, roster-order)
-  // sequence for both the serial and parallel paths, so the counter total
-  // is exact and the accumulated seconds are single-writer.
+  // Runs on the merging thread, so the counter total is exact and the
+  // accumulated seconds are single-writer.
   if (obs::metrics_enabled()) {
     static obs::Counter& sims =
         obs::MetricsRegistry::global().counter("runner.simulations");
@@ -120,65 +69,19 @@ void accumulate(const SimulationResult& sim, double denominator,
   }
 }
 
-ExperimentResult run_experiment_serial(
+}  // namespace
+
+ExperimentResult run_experiment(
     const std::function<model::Instance(int rep)>& make_instance,
     const std::vector<NamedFactory>& algorithms,
     const ExperimentOptions& options) {
-  ExperimentResult result;
-  result.algorithms.resize(algorithms.size());
-  for (std::size_t a = 0; a < algorithms.size(); ++a) {
-    result.algorithms[a].name = algorithms[a].name;
-  }
-  const std::string telemetry_dir = telemetry_dir_from(options);
-  obs::EventLog* const events = obs::global_events();
-  for (int rep = 0; rep < options.repetitions; ++rep) {
-    const model::Instance instance = make_instance(rep);
-    const algo::OfflineResult offline =
-        algo::solve_offline(instance, options.offline);
-    ECA_CHECK(offline.status == solve::SolveStatus::kOptimal,
-              "offline LP failed: ", solve::to_string(offline.status));
-    const SimulationResult offline_scored =
-        Simulator::score(instance, "offline-opt", offline.allocations);
-    const double denominator = offline_scored.weighted_total;
-    ECA_CHECK(denominator > 0.0, "offline optimum must be positive");
-    result.offline_cost.add(denominator);
-    obs::emit_rep_begin(events, static_cast<std::size_t>(rep), denominator);
-    dump_telemetry(telemetry_dir, static_cast<std::size_t>(rep),
-                   "offline-opt", offline_scored.telemetry);
-    if (options.verbose || log::enabled(log::Level::kInfo)) {
-      log::emit(log::Level::kInfo, "rep %d: offline-opt cost %.4f", rep,
-                denominator);
-    }
-    for (std::size_t a = 0; a < algorithms.size(); ++a) {
-      algo::AlgorithmPtr algorithm = algorithms[a].make();
-      SimulationResult sim = Simulator::run(instance, *algorithm);
-      obs::attach_reference(sim.telemetry, offline_scored.telemetry);
-      accumulate(sim, denominator, result.algorithms[a]);
-      obs::emit_result(events, sim.algorithm, static_cast<std::size_t>(rep),
-                       sim.weighted_total, sim.weighted_total / denominator);
-      dump_telemetry(telemetry_dir, static_cast<std::size_t>(rep),
-                     sim.algorithm, sim.telemetry);
-      if (options.verbose || log::enabled(log::Level::kInfo)) {
-        log::emit(log::Level::kInfo,
-                  "rep %d: %-14s cost %.4f ratio %.4f (%.2fs)", rep,
-                  sim.algorithm.c_str(), sim.weighted_total,
-                  sim.weighted_total / denominator, sim.wall_seconds);
-      }
-    }
-    obs::emit_rep_end(events, static_cast<std::size_t>(rep));
-  }
-  return result;
-}
-
-ExperimentResult run_experiment_parallel(
-    const std::function<model::Instance(int rep)>& make_instance,
-    const std::vector<NamedFactory>& algorithms,
-    const ExperimentOptions& options, std::size_t threads) {
+  ECA_TRACE_SPAN("experiment");
   const auto reps = static_cast<std::size_t>(
       options.repetitions > 0 ? options.repetitions : 0);
   const std::size_t num_algos = algorithms.size();
-  const std::string telemetry_dir = telemetry_dir_from(options);
-  obs::EventLog* const events = obs::global_events();
+  // parallel_for runs inline at one thread, so threads == 1 is the serial
+  // order of the same three phases.
+  const std::size_t threads = ThreadPool::resolve_threads(options.threads);
 
   // Phase 1: instance construction + offline optimum, parallel over reps.
   std::vector<RepState> rep_states(reps);
@@ -197,20 +100,20 @@ ExperimentResult run_experiment_parallel(
   });
 
   // Phase 2: one task per (rep × algorithm) pair, each with a fresh
-  // algorithm object; results land in an index-addressed buffer. Attaching
-  // the ratio attribution here is safe — it is pure per-task data.
+  // algorithm object; results land in an index-addressed buffer.
   std::vector<SimulationResult> sims(reps * num_algos);
   ThreadPool::parallel_for(reps * num_algos, threads, [&](std::size_t task) {
     const std::size_t rep = task / num_algos;
     const std::size_t a = task % num_algos;
     algo::AlgorithmPtr algorithm = algorithms[a].make();
     sims[task] = Simulator::run(rep_states[rep].instance, *algorithm);
-    obs::attach_reference(sims[task].telemetry,
-                          rep_states[rep].offline_telemetry);
   });
 
-  // Phase 3: deterministic merge in the legacy (rep-major, roster-order)
-  // sequence — bit-identical to the serial path for any thread count.
+  // Phase 3: deterministic merge in rep-major, roster order on the calling
+  // thread. The statistics and the event stream are recorded only here, so
+  // both are bit-identical for every thread count.
+  obs::EventLog* const events = obs::global_events();
+  obs::emit_experiment_begin(events, options.repetitions, num_algos);
   ExperimentResult result;
   result.algorithms.resize(num_algos);
   for (std::size_t a = 0; a < num_algos; ++a) {
@@ -220,8 +123,9 @@ ExperimentResult run_experiment_parallel(
     const double denominator = rep_states[rep].denominator;
     result.offline_cost.add(denominator);
     obs::emit_rep_begin(events, rep, denominator);
-    dump_telemetry(telemetry_dir, rep, "offline-opt",
-                   rep_states[rep].offline_telemetry);
+    // The offline-opt run first: the reference the report's ratio and
+    // regret attribution is derived against.
+    obs::emit_run(events, rep_states[rep].offline_telemetry);
     if (options.verbose || log::enabled(log::Level::kInfo)) {
       log::emit(log::Level::kInfo, "rep %zu: offline-opt cost %.4f", rep,
                 denominator);
@@ -229,9 +133,9 @@ ExperimentResult run_experiment_parallel(
     for (std::size_t a = 0; a < num_algos; ++a) {
       const SimulationResult& sim = sims[rep * num_algos + a];
       accumulate(sim, denominator, result.algorithms[a]);
+      obs::emit_run(events, sim.telemetry);
       obs::emit_result(events, sim.algorithm, rep, sim.weighted_total,
                        sim.weighted_total / denominator);
-      dump_telemetry(telemetry_dir, rep, sim.algorithm, sim.telemetry);
       if (options.verbose || log::enabled(log::Level::kInfo)) {
         log::emit(log::Level::kInfo,
                   "rep %zu: %-14s cost %.4f ratio %.4f (%.2fs)", rep,
@@ -241,29 +145,7 @@ ExperimentResult run_experiment_parallel(
     }
     obs::emit_rep_end(events, rep);
   }
-  return result;
-}
-
-}  // namespace
-
-ExperimentResult run_experiment(
-    const std::function<model::Instance(int rep)>& make_instance,
-    const std::vector<NamedFactory>& algorithms,
-    const ExperimentOptions& options) {
-  ECA_TRACE_SPAN("experiment");
-  obs::EventLog* const events = obs::global_events();
-  obs::emit_experiment_begin(events, options.repetitions, algorithms.size());
-  const std::size_t threads = ThreadPool::resolve_threads(options.threads);
-  ExperimentResult result =
-      threads <= 1
-          ? run_experiment_serial(make_instance, algorithms, options)
-          : run_experiment_parallel(make_instance, algorithms, options,
-                                    threads);
-  const std::size_t simulations =
-      static_cast<std::size_t>(options.repetitions > 0 ? options.repetitions
-                                                       : 0) *
-      algorithms.size();
-  obs::emit_experiment_end(events, simulations);
+  obs::emit_experiment_end(events, reps * num_algos);
   // Final observability summary: the shard high-water mark and the drop
   // counters that previously vanished silently at process exit. threads_seen
   // depends on resolved worker counts, so it belongs here (a log line) and

@@ -29,12 +29,6 @@ struct NamedFactory {
 // The standard algorithm roster of the paper's figures.
 std::vector<NamedFactory> paper_algorithms(bool include_static_once = false);
 
-// Resolves ECA_TELEMETRY_DIR: returns "" when unset; fails fast with
-// exit(2) when the variable is set but empty or names a directory a probe
-// file cannot be created in. Exposed so death tests can exercise the
-// validation directly.
-std::string telemetry_dir_from_env();
-
 struct ExperimentOptions {
   int repetitions = 3;
   std::uint64_t base_seed = 1;
@@ -42,16 +36,10 @@ struct ExperimentOptions {
   bool verbose = false;
   // Worker threads for the (repetition × algorithm) fan-out. 0 = resolve
   // from the ECA_THREADS environment variable (default: hardware
-  // concurrency); 1 = the exact serial legacy path. Results are merged in
-  // repetition-major order from index-addressed buffers, so every thread
-  // count produces bit-identical statistics.
+  // concurrency); 1 = every phase inline on the calling thread. Results are
+  // merged in repetition-major order from index-addressed buffers, so every
+  // thread count produces bit-identical statistics and event streams.
   int threads = 0;
-  // Directory for per-simulation eca.telemetry.v4 JSON dumps
-  // (telemetry_rep<rep>_<algorithm>.json, with the offline reference
-  // attached so per-slot ratio/regret attribution is filled). Empty =
-  // resolve from ECA_TELEMETRY_DIR (unset => disabled; set-but-empty or
-  // unwritable fail-fast with exit 2, like every observability knob).
-  std::string telemetry_dir;
 };
 
 struct AlgorithmSummary {
@@ -74,6 +62,9 @@ struct ExperimentResult {
 // seed with `rep`). With options.threads != 1 repetitions and algorithm
 // runs execute concurrently, so `make_instance` must be safe to call
 // concurrently for distinct reps (pure seeded generation qualifies).
+// With ECA_EVENTS set, the finished runs are recorded in the event stream
+// from the deterministic merge: per repetition rep_begin, the offline-opt
+// run, each algorithm's run and result, rep_end (see obs/events.h).
 ExperimentResult run_experiment(
     const std::function<model::Instance(int rep)>& make_instance,
     const std::vector<NamedFactory>& algorithms,

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "obs/events.h"
 #include "obs/trace.h"
 
 namespace eca::sim {
@@ -28,18 +27,8 @@ SimulationResult Simulator::run(const Instance& instance,
 
   ECA_TRACE_SPAN("sim_run");
   const auto start = std::chrono::steady_clock::now();
-  // Event/trace drop deltas for this run (surfaced in telemetry v3). The
-  // counters are cumulative per process; the difference brackets the run.
-  obs::EventLog* const events = obs::global_events();
-  obs::TraceSession* const trace = obs::global_trace();
-  const std::size_t events_dropped_before =
-      events != nullptr ? events->dropped() : 0;
-  const std::size_t trace_dropped_before =
-      trace != nullptr ? trace->dropped() : 0;
   algorithm.reset(instance);
   const std::size_t num_slots = instance.num_slots;
-  obs::emit_run_begin(events, algorithm.name(), instance.num_clouds,
-                      instance.num_users, num_slots);
   AllocationSequence seq(num_slots);
   // Solver telemetry captured per decide (empty record for algorithms that
   // expose none); folded into the scored telemetry below. Index-addressed
@@ -77,11 +66,6 @@ SimulationResult Simulator::run(const Instance& instance,
                                    : ThreadPool::kDefaultBaselineMinWork;
   const std::size_t kBlock = algo::kBaselineWarmBlock;
   const std::size_t num_blocks = (num_slots + kBlock - 1) / kBlock;
-  // Engagement record carries the fan-out *policy inputs* only — the
-  // resolved worker count depends on ECA_BASELINE_THREADS and the host, so
-  // it must stay out of the deterministic event stream.
-  obs::emit_workers(events, "baseline_slots", work, min_work,
-                    algorithm.slot_separable() && num_slots > 1);
   std::size_t workers = ThreadPool::resolve_baseline_threads(
       options.baseline_threads, work, min_work, !options.oversubscribe);
   workers = std::min(workers, num_blocks);
@@ -138,26 +122,12 @@ SimulationResult Simulator::run(const Instance& instance,
   }
   SimulationResult result = score(instance, algorithm.name(), std::move(seq));
   result.wall_seconds = seconds_since(start);
-  result.telemetry.wall_seconds = result.wall_seconds;
   for (std::size_t t = 0; t < result.telemetry.slots.size(); ++t) {
     if (has_solve[t] != 0) {
       result.telemetry.slots[t].has_solve = true;
       result.telemetry.slots[t].solve = solve_stats[t];
     }
   }
-  // Slot lifecycle events are emitted here — post-merge, on the driving
-  // thread, in ascending slot order — never from the slot workers above.
-  // This is what keeps the serialized stream bit-identical across
-  // ECA_BASELINE_THREADS / ECA_SLOT_THREADS values.
-  for (const obs::SlotTelemetry& st : result.telemetry.slots) {
-    obs::emit_slot(events, st.slot, st.cost_operation, st.cost_service_quality,
-                   st.cost_reconfiguration, st.cost_migration);
-  }
-  result.telemetry.events_dropped =
-      events != nullptr ? events->dropped() - events_dropped_before : 0;
-  result.telemetry.trace_dropped =
-      trace != nullptr ? trace->dropped() - trace_dropped_before : 0;
-  obs::emit_run_end(events, result.telemetry);
   return result;
 }
 
@@ -168,24 +138,26 @@ SimulationResult Simulator::score(const Instance& instance, std::string name,
   result.cost = model::total_cost(instance, allocations);
   result.weighted_total = result.cost.total(instance.weights);
   result.per_slot.reserve(instance.num_slots);
-  obs::TelemetrySink sink;
-  sink.begin_run(result.algorithm, instance.num_clouds, instance.num_users,
-                 instance.num_slots);
+  obs::RunTelemetry& run = result.telemetry;
+  run.algorithm = result.algorithm;
+  run.num_clouds = instance.num_clouds;
+  run.num_users = instance.num_users;
+  run.num_slots = instance.num_slots;
+  run.total_cost = result.weighted_total;
+  run.slots.reserve(instance.num_slots);
   const double wstat = instance.weights.static_weight;
   const double wdyn = instance.weights.dynamic_weight;
   for (std::size_t t = 0; t < instance.num_slots; ++t) {
     const model::CostBreakdown slot = model::slot_cost(
         instance, t, allocations[t], t > 0 ? &allocations[t - 1] : nullptr);
     result.per_slot.push_back(slot.total(instance.weights));
-    obs::SlotTelemetry st;
+    obs::SlotTelemetry& st = run.slots.emplace_back();
     st.slot = t;
     st.cost_operation = wstat * slot.operation;
     st.cost_service_quality = wstat * slot.service_quality;
     st.cost_reconfiguration = wdyn * slot.reconfiguration;
     st.cost_migration = wdyn * slot.migration;
-    sink.record_slot(st);
   }
-  result.telemetry = sink.finish(result.weighted_total, /*wall_seconds=*/0.0);
   result.max_violation = model::max_violation(instance, allocations);
   result.allocations = std::move(allocations);
   return result;

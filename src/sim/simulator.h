@@ -26,13 +26,11 @@ struct SimulationResult {
   std::vector<double> per_slot;
   double wall_seconds = 0.0;
   double max_violation = 0.0;  // feasibility of the produced sequence
-  // The run's eca.telemetry.v4 record: per-slot weighted cost split (from
-  // the same scoring pass as `cost`, so the splits sum to weighted_total)
-  // plus per-slot solver convergence stats when the algorithm exposes them,
-  // and the run's trace/event drop deltas. Competitive-ratio attribution
-  // (ratio_cum, regret split) is filled by the runner once the repetition's
-  // offline reference exists — see obs::attach_reference.
-  // Serialize with io::write_telemetry / io::save_telemetry.
+  // The run's record: per-slot weighted cost split (from the same scoring
+  // pass as `cost`, so the splits sum to weighted_total) plus per-slot
+  // solver convergence stats when the algorithm exposes them. Simulator
+  // never writes it to the event log; callers record finished runs with
+  // obs::emit_run (the runner does so from its deterministic merge).
   obs::RunTelemetry telemetry;
 };
 

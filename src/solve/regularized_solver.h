@@ -231,8 +231,8 @@ struct RegularizedSolution {
   // True when this solve actually started from the repaired previous-slot
   // point (false: cold start, including every warm-start fallback).
   bool warm_started = false;
-  // Convergence telemetry: iteration/μ-step counts, KKT residuals at exit,
-  // warm-start outcome and (when obs::metrics_enabled()) stage timings.
+  // Convergence telemetry: iteration/μ-step counts, KKT residuals at exit
+  // and warm-start outcome. Stage timings go to the solver.* metrics only.
   // `stats.newton_iterations` and `stats.warm_started` mirror the fields
   // above, which stay for source compatibility.
   obs::SolveTelemetry stats;

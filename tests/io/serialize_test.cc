@@ -123,6 +123,21 @@ TEST(InstanceIo, RejectsCorruptedBody) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(InstanceIo, HugeHeaderOverShortBodyFailsWithoutAllocatingIt) {
+  // Each dimension passes the plausibility check, but I×T×J together would
+  // need terabytes; the body ends after the weights. The reader must fail
+  // on the first missing per-slot row instead of sizing every array from
+  // the header.
+  std::string text = "eca-instance v1\n1 1000000 1000000\n1 0 0 0\n0\n";
+  text.reserve(text.size() + 2000000 + 8);
+  for (int j = 0; j < 1000000; ++j) text += "1 ";
+  text += "\n1 1\n";
+  std::stringstream input(text);
+  std::string error;
+  EXPECT_FALSE(read_instance(input, &error).has_value());
+  EXPECT_NE(error.find("operation price"), std::string::npos) << error;
+}
+
 TEST(InstanceIo, FileSaveLoad) {
   sim::ScenarioOptions options;
   options.num_users = 3;

@@ -1,11 +1,12 @@
 // EventLog unit tests: the bounded lock-free buffer (claim order,
-// drop-and-count overflow), the eca.events.v2 JSONL serialization, label
+// drop-and-count overflow), the eca.events.v3 JSONL serialization, label
 // copying/truncation/escaping, and the null-log no-op contract of the emit
 // helpers. The Python side of the format lives in
-// scripts/validate_telemetry.py --events, which check.sh runs on a real
-// stream; this test pins the C++ writer.
+// scripts/validate_telemetry.py --events, which check.sh runs on real
+// streams; this test pins the C++ writer.
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -21,37 +22,58 @@ EventLogOptions buffer_only(std::size_t capacity) {
   return options;
 }
 
+RunTelemetry one_slot_run(std::string algorithm) {
+  RunTelemetry run;
+  run.algorithm = std::move(algorithm);
+  run.num_clouds = 4;
+  run.num_users = 10;
+  run.num_slots = 1;
+  run.total_cost = 1.875;
+  SlotTelemetry& slot = run.slots.emplace_back();
+  slot.cost_operation = 1.0;
+  slot.cost_service_quality = 0.5;
+  slot.cost_reconfiguration = 0.25;
+  slot.cost_migration = 0.125;
+  slot.has_solve = true;
+  slot.solve.newton_iterations = 12;
+  slot.solve.mu_steps = 5;
+  slot.solve.kkt_comp_avg = 0.25;
+  slot.solve.kkt_dual_residual = 0.5;
+  slot.solve.warm_started = true;
+  return run;
+}
+
 TEST(Events, FlushToWritesHeaderAndClaimOrder) {
   EventLog log(buffer_only(16));
-  emit_run_begin(&log, "online-approx", 4, 10, 3);
-  SolveTelemetry solve;
-  solve.newton_iterations = 12;
-  solve.mu_steps = 5;
-  solve.warm_started = true;
-  emit_solve(&log, 0, solve);
-  emit_slot(&log, 0, 1.0, 0.5, 0.25, 0.125);
-  EXPECT_EQ(log.recorded(), 3u);
+  emit_run(&log, one_slot_run("online-approx"));
+  EXPECT_EQ(log.recorded(), 4u);
   EXPECT_EQ(log.dropped(), 0u);
 
   std::ostringstream os;
   log.flush_to(os);
   const std::string text = os.str();
-  EXPECT_NE(text.find("{\"schema\":\"eca.events.v2\",\"events\":3,"
+  EXPECT_NE(text.find("{\"schema\":\"eca.events.v3\",\"events\":4,"
                       "\"dropped\":0}\n"),
             std::string::npos);
   // One line per event, stamped with its claim-order sequence number.
   EXPECT_NE(text.find("{\"seq\":0,\"kind\":\"run_begin\","
                       "\"algorithm\":\"online-approx\",\"clouds\":4,"
-                      "\"users\":10,\"slots\":3}\n"),
+                      "\"users\":10,\"slots\":1}\n"),
             std::string::npos);
-  EXPECT_NE(text.find("{\"seq\":1,\"kind\":\"solve\",\"slot\":0,"
-                      "\"newton_iterations\":12,\"mu_steps\":5,"
-                      "\"warm_started\":true,\"warm_fallback\":false}\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("{\"seq\":2,\"kind\":\"slot\",\"slot\":0,"
+  EXPECT_NE(text.find("{\"seq\":1,\"kind\":\"slot\",\"slot\":0,"
                       "\"cost_operation\":1,\"cost_service_quality\":0.5,"
                       "\"cost_reconfiguration\":0.25,"
                       "\"cost_migration\":0.125}\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("{\"seq\":2,\"kind\":\"solve\",\"slot\":0,"
+                      "\"newton_iterations\":12,\"mu_steps\":5,"
+                      "\"warm_started\":true,\"warm_fallback\":false,"
+                      "\"kkt_comp_avg\":0.25,\"kkt_dual_residual\":0.5}\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("{\"seq\":3,\"kind\":\"run_end\","
+                      "\"algorithm\":\"online-approx\",\"slots\":1,"
+                      "\"newton_iterations\":12,\"warm_fallback_slots\":0,"
+                      "\"warm_started_slots\":1,\"total_cost\":1.875}\n"),
             std::string::npos);
 }
 
@@ -78,7 +100,7 @@ TEST(Events, LabelIsCopiedTruncatedAndEscaped) {
   EXPECT_EQ(std::string(ev.label).size(), sizeof(ev.label) - 1);
 
   EventLog log(buffer_only(4));
-  emit_run_begin(&log, "evil\"name\\", 1, 1, 1);
+  emit_run(&log, one_slot_run("evil\"name\\"));
   std::ostringstream os;
   log.flush_to(os);
   EXPECT_NE(os.str().find("\"algorithm\":\"evil\\\"name\\\\\""),
@@ -90,11 +112,7 @@ TEST(Events, EmitHelpersNoOpOnNullLog) {
   // Disabled streaming hands out a null log; every emitter must be safe.
   emit_experiment_begin(nullptr, 3, 5);
   emit_rep_begin(nullptr, 0, 1.0);
-  emit_run_begin(nullptr, "a", 1, 1, 1);
-  emit_workers(nullptr, "baseline_slots", 10, 64, true);
-  emit_slot(nullptr, 0, 1.0, 1.0, 1.0, 1.0);
-  emit_solve(nullptr, 0, SolveTelemetry{});
-  emit_run_end(nullptr, RunTelemetry{});
+  emit_run(nullptr, one_slot_run("a"));
   emit_result(nullptr, "a", 0, 1.0, 1.0);
   emit_rep_end(nullptr, 0);
   emit_experiment_end(nullptr, 15);
@@ -104,20 +122,6 @@ TEST(Events, FlushWithoutPathReportsNoSink) {
   EventLog log(buffer_only(4));
   emit_rep_end(&log, 0);
   EXPECT_FALSE(log.flush());  // buffer-only logs flush via flush_to()
-}
-
-TEST(Events, WorkersEventCarriesPolicyInputsNotResolvedCounts) {
-  // The determinism contract: the payload records work volume, floor and
-  // eligibility — reproducible on any host — never a resolved worker count.
-  EventLog log(buffer_only(4));
-  emit_workers(&log, "baseline_slots", 78, 64, false);
-  std::ostringstream os;
-  log.flush_to(os);
-  EXPECT_NE(os.str().find("{\"seq\":0,\"kind\":\"workers\","
-                          "\"scope\":\"baseline_slots\",\"work\":78,"
-                          "\"min_work\":64,\"eligible\":false}"),
-            std::string::npos)
-      << os.str();
 }
 
 TEST(Events, InstallGlobalEventsReplacesAndDrops) {

@@ -10,7 +10,6 @@
 #include "check/harness.h"
 #include "obs/events.h"
 #include "obs/trace.h"
-#include "sim/runner.h"
 
 namespace {
 
@@ -76,24 +75,6 @@ TEST(EnvDeathTest, EventsRejectsUnwritablePath) {
   eca::obs::EventLogOptions options;
   EXPECT_EXIT(eca::obs::events_options_from_env(options),
               ::testing::ExitedWithCode(2), "not writable");
-}
-
-TEST(EnvDeathTest, TelemetryDirRejectsEmptyValue) {
-  ScopedEnv dir("ECA_TELEMETRY_DIR", "");
-  EXPECT_EXIT(eca::sim::telemetry_dir_from_env(),
-              ::testing::ExitedWithCode(2), "ECA_TELEMETRY_DIR");
-}
-
-TEST(EnvDeathTest, TelemetryDirRejectsUnwritableDirectory) {
-  ScopedEnv dir("ECA_TELEMETRY_DIR", "/nonexistent_eca_dir/telemetry");
-  EXPECT_EXIT(eca::sim::telemetry_dir_from_env(),
-              ::testing::ExitedWithCode(2), "not writable");
-}
-
-TEST(EnvDeathTest, TelemetryDirAcceptsWritableDirectory) {
-  const std::string dir_path = ::testing::TempDir();
-  ScopedEnv dir("ECA_TELEMETRY_DIR", dir_path.c_str());
-  EXPECT_EQ(eca::sim::telemetry_dir_from_env(), dir_path);
 }
 
 TEST(EnvDeathTest, PropSeedRejectsNonNumeric) {

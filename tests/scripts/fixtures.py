@@ -1,5 +1,5 @@
 """Shared fixtures for the script golden tests: minimal-but-valid
-observability artifacts (eca.telemetry.v4, eca.events.v2) and gate inputs
+observability artifacts (eca.events.v3 streams) and gate inputs
 (eca.prop_summary.v1, eca.bench_solvers.v3) built in memory, plus a helper
 that runs a repo script as a subprocess the way check.sh does."""
 import json
@@ -19,90 +19,76 @@ def run_script(name, *args):
         capture_output=True, text=True, check=False)
 
 
-def make_solve_stats(iterations=7):
-    return {
-        "newton_iterations": iterations,
-        "mu_steps": 3,
-        "kkt_comp_avg": 1e-9,
-        "kkt_dual_residual": 1e-10,
-        "warm_started": False,
-        "warm_fallback": False,
-        "solve_seconds": 0.001,
-        "assembly_seconds": 0.0005,
-        "factor_seconds": 0.0002,
-    }
-
-
-def make_telemetry(num_slots=2, with_reference=False, with_solve=True):
-    """A valid eca.telemetry.v4 run record whose per-slot splits sum to
-    total_cost exactly (integers scaled by powers of two, so the accounting
-    invariant holds bit-exactly)."""
-    slots = []
+def run_events(algorithm, slots, solves=(), clouds=3, users=4):
+    """The records obs::emit_run writes for one finished run: run_begin,
+    per slot a `slot` record (plus a `solve` record for the slots listed in
+    `solves`), run_end with the run's totals. `slots` holds one
+    (operation, service_quality, reconfiguration, migration) weighted cost
+    split per slot."""
+    events = [{"kind": "run_begin", "algorithm": algorithm,
+               "clouds": clouds, "users": users, "slots": len(slots)}]
     total = 0.0
-    offline_total = 0.0
-    for t in range(num_slots):
-        cost_total = 2.0 + t
-        slot = {
-            "slot": t,
-            "cost_operation": 1.0 + t,
-            "cost_service_quality": 0.5,
-            "cost_reconfiguration": 0.25,
-            "cost_migration": 0.25,
-        }
-        if with_solve:
-            slot["solve"] = make_solve_stats(iterations=5 + t)
-        total += cost_total
-        if with_reference:
-            offline_cost = 1.5 + t
-            offline_total += offline_cost
-            slot.update({
-                "offline_cost": offline_cost,
-                # Validator only pins the LAST slot's ratio_cum to the run
-                # ratio; intermediate values just need to be numeric.
-                "ratio_cum": 1.0,
-                "regret_operation": cost_total - offline_cost,
-                "regret_service_quality": 0.0,
-                "regret_reconfiguration": 0.0,
-                "regret_migration": 0.0,
-            })
-        slots.append(slot)
-    ratio = total / offline_total if with_reference else 0.0
-    if with_reference:
-        slots[-1]["ratio_cum"] = ratio
-    return {
-        "schema": "eca.telemetry.v4",
-        "algorithm": "online-approx",
-        "num_clouds": 3,
-        "num_users": 4,
-        "num_slots": num_slots,
-        "total_cost": total,
-        "wall_seconds": 0.01,
-        "has_reference": with_reference,
-        "offline_total_cost": offline_total,
-        "ratio": ratio,
-        "trace_dropped": 0,
-        "events_dropped": 0,
-        "total_newton_iterations": sum(5 + t for t in range(num_slots)),
-        "warm_started_slots": 0,
-        "warm_fallback_slots": 0,
-        "slots": slots,
-    }
+    iterations = 0
+    for t, (op, sq, rc, mg) in enumerate(slots):
+        events.append({"kind": "slot", "slot": t, "cost_operation": op,
+                       "cost_service_quality": sq,
+                       "cost_reconfiguration": rc, "cost_migration": mg})
+        total += op + sq + rc + mg
+        if t in solves:
+            iterations += 10 + t
+            events.append({"kind": "solve", "slot": t,
+                           "newton_iterations": 10 + t, "mu_steps": 5,
+                           "warm_started": False, "warm_fallback": t == 1,
+                           "kkt_comp_avg": 1e-11,
+                           "kkt_dual_residual": 2e-10})
+    events.append({"kind": "run_end", "algorithm": algorithm,
+                   "slots": len(slots), "newton_iterations": iterations,
+                   "warm_fallback_slots": int(1 in solves),
+                   "warm_started_slots": 0, "total_cost": total})
+    return events
 
 
-def make_events_lines():
-    """A minimal valid eca.events.v2 stream (header + 3 body lines)."""
-    body = [
-        {"seq": 0, "kind": "run_begin", "algorithm": "online-approx",
-         "clouds": 3, "users": 4, "slots": 2},
-        {"seq": 1, "kind": "slot", "slot": 0, "cost_operation": 1.0,
-         "cost_service_quality": 0.5, "cost_reconfiguration": 0.25,
-         "cost_migration": 0.25},
-        {"seq": 2, "kind": "run_end", "algorithm": "online-approx",
-         "slots": 2, "newton_iterations": 11, "warm_fallback_slots": 0,
-         "total_cost": 5.0},
-    ]
-    header = {"schema": "eca.events.v2", "events": len(body), "dropped": 0}
-    return [json.dumps(header)] + [json.dumps(event) for event in body]
+# The hand-checked trajectories of the attribution tests: online slot costs
+# 1.875, 2.875, 3.875 against an offline-opt reference of 1.5 per slot.
+ONLINE_SLOTS = [(1.0 + t, 0.5, 0.25, 0.125) for t in range(3)]
+OFFLINE_SLOTS = [(1.0, 0.25, 0.125, 0.125)] * 3
+
+
+def make_events(offline_slots=OFFLINE_SLOTS, online_slots=ONLINE_SLOTS):
+    """A one-repetition experiment stream the way sim::run_experiment
+    records it: rep_begin, the offline-opt run (omitted when offline_slots
+    is empty), the online-approx run and its result, rep_end."""
+    offline_total = sum(map(sum, offline_slots))
+    online_total = sum(map(sum, online_slots))
+    events = [{"kind": "experiment_begin", "repetitions": 1,
+               "algorithms": 1},
+              {"kind": "rep_begin", "rep": 0, "offline_cost": offline_total}]
+    if offline_slots:
+        events += run_events("offline-opt", offline_slots)
+    events += run_events("online-approx", online_slots, solves=(1, 2))
+    events += [{"kind": "result", "algorithm": "online-approx", "rep": 0,
+                "cost": online_total,
+                "ratio": online_total / offline_total
+                if offline_total else 0.0},
+               {"kind": "rep_end", "rep": 0},
+               {"kind": "experiment_end", "simulations": 1}]
+    return events
+
+
+def events_lines(events, dropped=0):
+    """Serializes events as an eca.events.v3 stream: the header line, then
+    one record per line stamped with its sequence number."""
+    header = {"schema": "eca.events.v3", "events": len(events),
+              "dropped": dropped}
+    body = [json.dumps({"seq": seq, **event})
+            for seq, event in enumerate(events)]
+    return [json.dumps(header)] + body
+
+
+def write_events(path, events, dropped=0):
+    path.write_text("\n".join(events_lines(events, dropped)) + "\n",
+                    encoding="utf-8")
+    return str(path)
 
 
 def make_prop_summary(failures=0):

@@ -1,6 +1,6 @@
-"""Golden tests for scripts/validate_telemetry.py: a valid artifact set
-passes, and each documented failure mode (corrupted JSON/JSONL, schema
-version mismatch, broken accounting invariants) fails with exit 1."""
+"""Golden tests for scripts/validate_telemetry.py: valid trace and events
+artifacts pass, and each documented failure mode (corrupted JSON/JSONL,
+schema version mismatch, broken run accounting) fails with exit 1."""
 import json
 import pathlib
 import sys
@@ -17,91 +17,100 @@ class ValidateTelemetryTest(unittest.TestCase):
         self.dir = pathlib.Path(self._tmp.name)
         self.addCleanup(self._tmp.cleanup)
 
-    def write_telemetry(self, payload):
-        return fixtures.write_json(self.dir / "run.telemetry.json", payload)
+    def validate_events(self, events, dropped=0):
+        path = fixtures.write_events(self.dir / "run.events.jsonl", events,
+                                     dropped)
+        return fixtures.run_script("validate_telemetry.py", "--events", path)
 
-    def test_valid_telemetry_passes(self):
-        path = self.write_telemetry(fixtures.make_telemetry())
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", path)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("OK", proc.stdout)
-        self.assertIn("2 slots", proc.stdout)
-
-    def test_valid_telemetry_with_reference_passes(self):
-        path = self.write_telemetry(
-            fixtures.make_telemetry(with_reference=True))
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", path)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-
-    def test_corrupted_json_fails(self):
-        path = self.dir / "run.telemetry.json"
-        path.write_text('{"schema": "eca.telemetry.v4", "slo',
-                        encoding="utf-8")
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", str(path))
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("FAIL", proc.stderr)
-
-    def test_schema_version_mismatch_fails(self):
-        run = fixtures.make_telemetry()
-        run["schema"] = "eca.telemetry.v2"
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", self.write_telemetry(run))
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("eca.telemetry.v4", proc.stderr)
-
-    def test_broken_cost_accounting_fails(self):
-        run = fixtures.make_telemetry()
-        run["total_cost"] += 0.5
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", self.write_telemetry(run))
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("total_cost", proc.stderr)
-
-    def test_missing_field_fails(self):
-        run = fixtures.make_telemetry()
-        del run["warm_started_slots"]
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", self.write_telemetry(run))
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("warm_started_slots", proc.stderr)
+    def validate_lines(self, lines):
+        path = self.dir / "run.events.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return fixtures.run_script("validate_telemetry.py",
+                                   "--events", str(path))
 
     def test_valid_events_stream_passes(self):
-        telemetry = self.write_telemetry(fixtures.make_telemetry())
-        events = self.dir / "run.events.jsonl"
-        events.write_text("\n".join(fixtures.make_events_lines()) + "\n",
-                          encoding="utf-8")
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", telemetry,
-                                   "--events", str(events))
+        events = fixtures.make_events()
+        proc = self.validate_events(events)
         self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("3 events", proc.stdout)
+        self.assertIn(f"{len(events)} events", proc.stdout)
+        self.assertIn("2 runs", proc.stdout)
+
+    def test_valid_trace_passes(self):
+        trace = self.dir / "run.trace.json"
+        trace.write_text(
+            '[\n{"name":"sim_run","ph":"X","pid":1,"tid":0,"ts":0,'
+            '"dur":5}\n]\n', encoding="utf-8")
+        proc = fixtures.run_script("validate_telemetry.py",
+                                   "--trace", str(trace))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("1 trace events", proc.stdout)
+
+    def test_nothing_to_validate_is_a_usage_error(self):
+        proc = fixtures.run_script("validate_telemetry.py")
+        self.assertEqual(proc.returncode, 2)
+
+    def test_slot_splits_not_summing_to_run_total_fail(self):
+        events = fixtures.make_events()
+        end = next(e for e in events if e["kind"] == "run_end"
+                   and e["algorithm"] == "online-approx")
+        end["total_cost"] += 0.5
+        proc = self.validate_events(events)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("slot cost sum", proc.stderr)
+        self.assertIn("online-approx", proc.stderr)
+
+    def test_run_end_solver_totals_must_match_solves(self):
+        events = fixtures.make_events()
+        end = next(e for e in events if e["kind"] == "run_end"
+                   and e["algorithm"] == "online-approx")
+        end["newton_iterations"] += 1
+        proc = self.validate_events(events)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("newton_iterations", proc.stderr)
+
+    def test_unterminated_run_fails_unless_events_dropped(self):
+        events = fixtures.make_events()
+        cut = next(i for i, e in enumerate(events) if e["kind"] == "run_end")
+        self.assertEqual(self.validate_events(events[:cut]).returncode, 1)
+        proc = self.validate_events(events[:cut], dropped=3)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
+    def test_missing_field_fails(self):
+        events = fixtures.make_events()
+        solve = next(e for e in events if e["kind"] == "solve")
+        del solve["kkt_dual_residual"]
+        proc = self.validate_events(events)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("kkt_dual_residual", proc.stderr)
+
+    def test_retired_event_kind_fails(self):
+        events = fixtures.make_events()
+        events.insert(1, {"kind": "workers", "scope": "baseline_slots",
+                          "work": 78, "min_work": 64, "eligible": False})
+        proc = self.validate_events(events)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("unknown event kind", proc.stderr)
+
+    def test_schema_version_mismatch_fails(self):
+        lines = fixtures.events_lines(fixtures.make_events())
+        lines[0] = lines[0].replace("eca.events.v3", "eca.events.v2")
+        proc = self.validate_lines(lines)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("eca.events.v3", proc.stderr)
 
     def test_corrupted_events_line_fails(self):
-        telemetry = self.write_telemetry(fixtures.make_telemetry())
-        lines = fixtures.make_events_lines()
+        lines = fixtures.events_lines(fixtures.make_events())
         lines[2] = lines[2][:-5]  # truncate one body record mid-object
-        events = self.dir / "run.events.jsonl"
-        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", telemetry,
-                                   "--events", str(events))
+        proc = self.validate_lines(lines)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("FAIL", proc.stderr)
 
     def test_events_header_count_mismatch_fails(self):
-        telemetry = self.write_telemetry(fixtures.make_telemetry())
-        lines = fixtures.make_events_lines()
+        lines = fixtures.events_lines(fixtures.make_events())
         header = json.loads(lines[0])
         header["events"] += 1
         lines[0] = json.dumps(header)
-        events = self.dir / "run.events.jsonl"
-        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        proc = fixtures.run_script("validate_telemetry.py",
-                                   "--telemetry", telemetry,
-                                   "--events", str(events))
+        proc = self.validate_lines(lines)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("header claims", proc.stderr)
 

@@ -1,14 +1,14 @@
-// Bit-identity of the observability artifacts across worker counts: the
-// serialized eca.events.v2 stream and the eca.telemetry.v4 JSON produced by
-// a simulator run must be byte-for-byte identical for every
-// baseline_threads value — including counts beyond the core count
-// (oversubscribed, so the interleaving is stressed on any machine). The
-// event payloads carry only deterministic values (slot indices, cost
-// splits, policy inputs — never resolved worker counts or wall clocks), and
-// slot events are serialized post-merge by the driving thread, so the
-// stream cannot depend on how the fan-out raced. Labelled tsan-smoke: a
-// -DECA_SANITIZE=thread build races the per-worker clones against the
-// event buffer under TSan through exactly this test.
+// Byte-identity of the eca.events.v3 stream across worker counts. A
+// simulator run recorded with obs::emit_run must serialize identically for
+// every baseline_threads value — including counts beyond the core count
+// (oversubscribed, so the interleaving is stressed on any machine) — and a
+// run_experiment stream must serialize identically for every runner thread
+// count. Event payloads carry only deterministic values (slot indices, cost
+// splits, solver convergence stats — never resolved worker counts or wall
+// clocks), and every record is made after the runs finish, by one thread,
+// in a fixed order. Labelled tsan-smoke: a -DECA_SANITIZE=thread build
+// races the per-worker clones and the runner's fan-out under TSan through
+// exactly this test.
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -21,8 +21,8 @@
 
 #include "algo/baselines.h"
 #include "algo/online_approx.h"
-#include "io/serialize.h"
 #include "obs/events.h"
+#include "sim/runner.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 
@@ -39,45 +39,33 @@ model::Instance test_instance(std::uint64_t seed, std::size_t num_slots) {
   return make_random_walk_instance(options);
 }
 
-struct CapturedRun {
-  std::string events;     // flushed eca.events.v2 JSONL
-  std::string telemetry;  // serialized eca.telemetry.v4 JSON
-};
-
-// Runs the simulator against a fresh buffer-only global event log and
-// returns both serialized artifacts. The wall-clock telemetry fields
-// (run wall_seconds, per-solve solve/assembly/factor seconds) are zeroed
-// before serializing: they are the only legitimately nondeterministic
-// fields, and the event stream deliberately omits them.
-CapturedRun capture(const model::Instance& instance,
-                    algo::OnlineAlgorithm& algorithm,
-                    const SimulatorOptions& options) {
+obs::EventLog* install_buffer_log() {
   obs::EventLogOptions log_options;
   log_options.path = "";
   log_options.capacity = 1 << 12;
-  obs::EventLog* log = obs::install_global_events(std::move(log_options));
-  SimulationResult result = Simulator::run(instance, algorithm, options);
-  CapturedRun captured;
-  std::ostringstream events;
-  log->flush_to(events);
-  captured.events = events.str();
-  result.telemetry.wall_seconds = 0.0;
-  for (obs::SlotTelemetry& slot : result.telemetry.slots) {
-    slot.solve.solve_seconds = 0.0;
-    slot.solve.assembly_seconds = 0.0;
-    slot.solve.factor_seconds = 0.0;
-  }
-  std::ostringstream telemetry;
-  io::write_telemetry(telemetry, result.telemetry);
-  captured.telemetry = telemetry.str();
-  obs::drop_global_events();
-  return captured;
+  return obs::install_global_events(std::move(log_options));
 }
 
-// Thread-count variation must hold every policy input fixed (the workers
-// event records work volume, floor and eligibility — all deterministic
-// inputs, but inputs nonetheless), so both legs lift the floor and the
-// hardware cap and differ only in the requested worker count.
+std::string flush_and_drop(obs::EventLog* log) {
+  std::ostringstream events;
+  log->flush_to(events);
+  obs::drop_global_events();
+  return events.str();
+}
+
+// Runs the simulator and records the finished run against a fresh
+// buffer-only global event log; returns the flushed stream.
+std::string capture(const model::Instance& instance,
+                    algo::OnlineAlgorithm& algorithm,
+                    const SimulatorOptions& options) {
+  obs::EventLog* log = install_buffer_log();
+  const SimulationResult result = Simulator::run(instance, algorithm, options);
+  obs::emit_run(log, result.telemetry);
+  return flush_and_drop(log);
+}
+
+// Both legs lift the work floor and the hardware cap so the fan-out engages
+// on the tiny instance; they differ only in the requested worker count.
 SimulatorOptions with_threads(int threads) {
   SimulatorOptions options;
   options.baseline_threads = threads;
@@ -102,56 +90,93 @@ TEST(EventsDeterminism, StreamIsByteIdenticalAcrossBaselineThreadCounts) {
   const model::Instance instance = test_instance(7, 13);
   for (const auto& [name, make] : separable_roster()) {
     auto reference_algorithm = make();
-    const CapturedRun reference =
+    const std::string reference =
         capture(instance, *reference_algorithm, with_threads(1));
     for (int threads : {2, 5, 8}) {
       auto algorithm = make();
-      const CapturedRun parallel =
+      const std::string parallel =
           capture(instance, *algorithm, with_threads(threads));
       SCOPED_TRACE(name + " with " + std::to_string(threads) + " threads");
-      EXPECT_EQ(reference.events, parallel.events);
-      EXPECT_EQ(reference.telemetry, parallel.telemetry);
+      EXPECT_EQ(reference, parallel);
     }
   }
 }
 
 TEST(EventsDeterminism, SolveEventsAreByteIdenticalForOnlineApprox) {
-  // OnlineApprox is the only decide-path emitter; it never takes the slot
-  // fan-out, but its stream (run/workers/solve/slot/run_end) must still be
-  // identical whatever worker count the options request.
+  // OnlineApprox is the algorithm with solver stats; it never takes the
+  // slot fan-out, but its stream (run_begin/slot/solve/run_end) must still
+  // be identical whatever worker count the options request.
   const model::Instance instance = test_instance(11, 6);
   algo::OnlineApprox reference_algorithm;
-  const CapturedRun reference =
+  const std::string reference =
       capture(instance, reference_algorithm, with_threads(1));
-  EXPECT_NE(reference.events.find("\"kind\":\"solve\""), std::string::npos);
+  EXPECT_NE(reference.find("\"kind\":\"solve\""), std::string::npos);
+  EXPECT_NE(reference.find("\"kkt_dual_residual\":"), std::string::npos);
   algo::OnlineApprox algorithm;
-  const CapturedRun parallel = capture(instance, algorithm, with_threads(4));
-  EXPECT_EQ(reference.events, parallel.events);
-  EXPECT_EQ(reference.telemetry, parallel.telemetry);
+  const std::string parallel = capture(instance, algorithm, with_threads(4));
+  EXPECT_EQ(reference, parallel);
 }
 
 TEST(EventsDeterminism, StreamShapeMatchesRunLifecycle) {
   const model::Instance instance = test_instance(3, 4);
   algo::StatOpt algorithm;
-  const CapturedRun captured = capture(instance, algorithm, with_threads(2));
-  // One run_begin, one workers record, four slot records in ascending
-  // order, one run_end; baselines expose no solver telemetry.
-  EXPECT_NE(captured.events.find("\"kind\":\"run_begin\""),
-            std::string::npos);
-  EXPECT_NE(captured.events.find("\"scope\":\"baseline_slots\""),
-            std::string::npos);
+  const std::string events = capture(instance, algorithm, with_threads(2));
+  // One run_begin, four slot records in ascending order, one run_end;
+  // baselines expose no solver telemetry.
   std::size_t slot_events = 0;
-  std::size_t last = std::string::npos;
-  for (std::size_t at = captured.events.find("\"kind\":\"slot\",\"slot\":");
+  std::size_t previous = 0;
+  for (std::size_t at = events.find("\"kind\":\"slot\",\"slot\":");
        at != std::string::npos;
-       at = captured.events.find("\"kind\":\"slot\",\"slot\":", at + 1)) {
+       at = events.find("\"kind\":\"slot\",\"slot\":", at + 1)) {
+    EXPECT_NE(events.find("\"slot\":" + std::to_string(slot_events) + ",",
+                          at),
+              std::string::npos);
+    EXPECT_GT(at, previous);
+    previous = at;
     ++slot_events;
-    last = at;
   }
   EXPECT_EQ(slot_events, 4u);
-  EXPECT_NE(last, std::string::npos);
-  EXPECT_EQ(captured.events.find("\"kind\":\"solve\""), std::string::npos);
-  EXPECT_NE(captured.events.find("\"kind\":\"run_end\""), std::string::npos);
+  EXPECT_LT(events.find("\"kind\":\"run_begin\""),
+            events.find("\"kind\":\"slot\""));
+  EXPECT_GT(events.find("\"kind\":\"run_end\""), previous);
+  EXPECT_EQ(events.find("\"kind\":\"solve\""), std::string::npos);
+}
+
+TEST(EventsDeterminism, RunnerStreamIsByteIdenticalAcrossRunnerThreads) {
+  // The full roster plus offline-opt over two repetitions: the runner's
+  // merge records every finished run, so the stream must not depend on how
+  // the (rep x algorithm) fan-out raced.
+  const auto make = [](int rep) {
+    return test_instance(21 + static_cast<std::uint64_t>(rep), 4);
+  };
+  const std::vector<NamedFactory> roster =
+      paper_algorithms(/*include_static_once=*/true);
+  const auto stream = [&](int threads) {
+    obs::EventLog* log = install_buffer_log();
+    ExperimentOptions options;
+    options.repetitions = 2;
+    options.threads = threads;
+    (void)run_experiment(make, roster, options);
+    return flush_and_drop(log);
+  };
+  const std::string reference = stream(1);
+  EXPECT_NE(reference.find("\"dropped\":0}"), std::string::npos);
+  // Per rep: the offline-opt reference run, then every algorithm's run and
+  // result.
+  EXPECT_NE(reference.find("\"kind\":\"run_begin\","
+                           "\"algorithm\":\"offline-opt\""),
+            std::string::npos);
+  std::size_t results = 0;
+  for (std::size_t at = reference.find("\"kind\":\"result\"");
+       at != std::string::npos;
+       at = reference.find("\"kind\":\"result\"", at + 1)) {
+    ++results;
+  }
+  EXPECT_EQ(results, 2 * roster.size());
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " runner threads");
+    EXPECT_EQ(reference, stream(threads));
+  }
 }
 
 }  // namespace

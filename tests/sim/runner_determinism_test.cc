@@ -1,8 +1,8 @@
 // Regression for the parallel experiment runner's determinism guarantee:
 // run_experiment merges per-task results from index-addressed buffers in
 // repetition-major order, so any thread count must produce bit-identical
-// statistics to the serial path. This binary carries the `tsan-smoke` ctest
-// label and is meant to also run under -DECA_SANITIZE=thread.
+// statistics to the one-thread run. This binary carries the `tsan-smoke`
+// ctest label and is meant to also run under -DECA_SANITIZE=thread.
 #include <cstdlib>
 
 #include <gtest/gtest.h>

@@ -82,5 +82,37 @@ TEST(Simulator, RecordsAlgorithmNameAndTiming) {
   EXPECT_LT(result.wall_seconds, 60.0);
 }
 
+TEST(Simulator, RunTelemetryRecordsEverySlot) {
+  const model::Instance instance = small_instance(7);
+  algo::OnlineApprox algorithm;
+  const SimulationResult result = Simulator::run(instance, algorithm);
+  const obs::RunTelemetry& run = result.telemetry;
+  EXPECT_EQ(run.algorithm, "online-approx");
+  EXPECT_EQ(run.num_clouds, instance.num_clouds);
+  EXPECT_EQ(run.num_users, instance.num_users);
+  EXPECT_EQ(run.num_slots, instance.num_slots);
+  EXPECT_EQ(run.total_cost, result.weighted_total);
+  ASSERT_EQ(run.slots.size(), instance.num_slots);
+  double sum = 0.0;
+  for (std::size_t t = 0; t < run.slots.size(); ++t) {
+    EXPECT_EQ(run.slots[t].slot, t);
+    EXPECT_TRUE(run.slots[t].has_solve);
+    EXPECT_GT(run.slots[t].solve.newton_iterations, 0);
+    sum += run.slots[t].cost_total();
+  }
+  EXPECT_NEAR(sum, run.total_cost, 1e-9 * (1.0 + sum));
+
+  // A baseline exposes no solver stats; a scored sequence carries the name
+  // it was scored under.
+  algo::StatOpt baseline;
+  const SimulationResult scored = Simulator::score(
+      instance, "offline-opt", Simulator::run(instance, baseline).allocations);
+  EXPECT_EQ(scored.telemetry.algorithm, "offline-opt");
+  ASSERT_EQ(scored.telemetry.slots.size(), instance.num_slots);
+  for (const obs::SlotTelemetry& slot : scored.telemetry.slots) {
+    EXPECT_FALSE(slot.has_solve);
+  }
+}
+
 }  // namespace
 }  // namespace eca::sim
