@@ -25,8 +25,8 @@
 //                        bitwise against leg 2.
 //
 // Wall-clock on shared/virtualized CI hosts is ±10% noisy, so each point
-// also records the per-leg ipm.iterations delta (exact with ECA_METRICS=on)
-// and the perf guard keys its warm-vs-cold gate on that ratio.
+// also records the per-leg ipm.iterations counter delta (exact) and the
+// perf guard keys its warm-vs-cold gate on that ratio.
 //
 // Points that the work-volume floor or the hardware-concurrency cap (this
 // matters on small CI machines) collapse to one worker reuse the serial
@@ -68,8 +68,8 @@ struct BaselinePoint {
   double seconds_rebuild_cold = 0.0;
   double seconds_skeleton_warm = 0.0;
   double warm_speedup = 0.0;  // rebuild+cold / skeleton+warm
-  // Total IPM iterations per leg (ipm.iterations counter delta; 0 with
-  // ECA_METRICS=off). Deterministic, unlike wall-clock on noisy hosts —
+  // Total IPM iterations per leg (ipm.iterations counter delta).
+  // Deterministic, unlike wall-clock on noisy hosts —
   // the perf guard's warm-vs-cold gate keys on these.
   std::uint64_t iters_rebuild_cold = 0;
   std::uint64_t iters_skeleton_warm = 0;
@@ -131,7 +131,6 @@ struct Leg {
 };
 
 std::uint64_t ipm_iterations_now() {
-  if (!obs::metrics_enabled()) return 0;
   return obs::MetricsRegistry::global().snapshot().counter("ipm.iterations");
 }
 
@@ -158,9 +157,9 @@ bool runs_bitwise_equal(const sim::SimulationResult& a,
 BaselinePerf time_baseline_sweep(const bench::BenchScale& scale) {
   BaselinePerf perf;
   const auto max_users = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_BASELINE_MAX_USERS", 64, 1));
+      env_int("ECA_BASELINE_MAX_USERS", 64, 1));
   const auto slots = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_BASELINE_SLOTS", 24, 1));
+      env_int("ECA_BASELINE_SLOTS", 24, 1));
   // N-thread leg: honor an explicit ECA_BASELINE_THREADS, else a reference
   // point of 8 workers.
   perf.threads = ThreadPool::resolve_baseline_threads(0);
@@ -300,30 +299,25 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
         p.bit_identical ? "true" : "false", p.cost_drift, p.weighted_total,
         p.max_violation, i + 1 < perf.points.size() ? "," : "");
   }
-  std::fprintf(out, "  ]%s\n", obs::metrics_enabled() ? "," : "");
-  // Optional solver-telemetry block (absent with ECA_METRICS=off):
-  // process-lifetime baseline.* / ipm.* registry totals over all legs.
-  if (obs::metrics_enabled()) {
-    const obs::MetricsSnapshot snap =
-        obs::MetricsRegistry::global().snapshot();
-    std::fprintf(
-        out,
-        "  \"telemetry\": {\"lp_solves\": %llu, \"lp_failures\": %llu, "
-        "\"warm_chained\": %llu, \"anchor_restarts\": %llu, "
-        "\"ipm_solves\": %llu, \"ipm_iterations\": %llu, "
-        "\"ipm_warm_accepted\": %llu, \"ipm_warm_fallbacks\": %llu}\n",
-        static_cast<unsigned long long>(snap.counter("baseline.lp_solves")),
-        static_cast<unsigned long long>(snap.counter("baseline.lp_failures")),
-        static_cast<unsigned long long>(
-            snap.counter("baseline.warm_chained")),
-        static_cast<unsigned long long>(
-            snap.counter("baseline.anchor_restarts")),
-        static_cast<unsigned long long>(snap.counter("ipm.solves")),
-        static_cast<unsigned long long>(snap.counter("ipm.iterations")),
-        static_cast<unsigned long long>(snap.counter("ipm.warm_accepted")),
-        static_cast<unsigned long long>(
-            snap.counter("ipm.warm_fallbacks")));
-  }
+  std::fprintf(out, "  ],\n");
+  // Solver-telemetry block: process-lifetime baseline.* / ipm.* registry
+  // totals over all legs.
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  std::fprintf(
+      out,
+      "  \"telemetry\": {\"lp_solves\": %llu, \"lp_failures\": %llu, "
+      "\"warm_chained\": %llu, \"anchor_restarts\": %llu, "
+      "\"ipm_solves\": %llu, \"ipm_iterations\": %llu, "
+      "\"ipm_warm_accepted\": %llu, \"ipm_warm_fallbacks\": %llu}\n",
+      static_cast<unsigned long long>(snap.counter("baseline.lp_solves")),
+      static_cast<unsigned long long>(snap.counter("baseline.lp_failures")),
+      static_cast<unsigned long long>(snap.counter("baseline.warm_chained")),
+      static_cast<unsigned long long>(
+          snap.counter("baseline.anchor_restarts")),
+      static_cast<unsigned long long>(snap.counter("ipm.solves")),
+      static_cast<unsigned long long>(snap.counter("ipm.iterations")),
+      static_cast<unsigned long long>(snap.counter("ipm.warm_accepted")),
+      static_cast<unsigned long long>(snap.counter("ipm.warm_fallbacks")));
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", path.c_str());

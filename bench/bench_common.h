@@ -42,67 +42,18 @@ struct BenchScale {
   bool csv;
 };
 
-// Exits with a clear message when a scale knob is nonsensical (0 users, 0
-// slots, non-positive repetitions, negative seed) or does not parse as an
-// integer at all: env_int()'s warn-and-fallback contract would otherwise
-// run the DEFAULT experiment under a typo'd scale (ECA_SWEEP_MAX_USERS=8k)
-// and report it as if the requested one had run.
-inline std::int64_t read_positive_scale_knob(const char* name,
-                                             std::int64_t fallback,
-                                             std::int64_t minimum) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  char* end = nullptr;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < minimum) {
-    std::fprintf(stderr,
-                 "error: %s='%s' is invalid (must be an integer >= %lld; "
-                 "unset it to use the default %lld)\n",
-                 name, raw, static_cast<long long>(minimum),
-                 static_cast<long long>(fallback));
-    std::exit(2);
-  }
-  return value;
-}
-
-// Fail-fast validation of a threading knob: when `name` is set in the
-// environment it must parse as an integer >= 1, otherwise the process exits
-// with status 2. env_int()'s warn-and-fallback is the wrong contract here —
-// a typo like ECA_SLOT_THREADS=eight or =0 would silently run the wrong
-// experiment (serial where parallel was requested, or vice versa), and
-// threading misconfiguration should be loud. Unset is fine: the defaults
-// (ECA_THREADS: hardware concurrency, ECA_SLOT_THREADS: 1) apply.
-inline void validate_thread_knob(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < 1) {
-    std::fprintf(stderr,
-                 "error: %s='%s' is invalid (must be an integer >= 1; unset "
-                 "it to use the default)\n",
-                 name, value);
-    std::exit(2);
-  }
-}
-
 inline BenchScale read_scale() {
-  validate_thread_knob("ECA_THREADS");
-  validate_thread_knob("ECA_SLOT_THREADS");
-  validate_thread_knob("ECA_LP_THREADS");
-  validate_thread_knob("ECA_BASELINE_THREADS");
-  // Same integer->=-1 contract as the thread knobs; failing here surfaces a
-  // typo at startup instead of mid-sweep inside the solver.
-  validate_thread_knob("ECA_SLOT_MIN_CHUNK");
+  // Thread knobs are validated up front, where a typo surfaces at startup
+  // rather than mid-sweep (or never, for a pool the run does not reach).
+  for (const char* knob : {"ECA_THREADS", "ECA_SLOT_THREADS", "ECA_LP_THREADS",
+                           "ECA_BASELINE_THREADS", "ECA_SLOT_MIN_CHUNK"}) {
+    env_int(knob, 1, 1);
+  }
   BenchScale scale;
-  scale.users =
-      static_cast<std::size_t>(read_positive_scale_knob("ECA_USERS", 30, 1));
-  scale.slots =
-      static_cast<std::size_t>(read_positive_scale_knob("ECA_SLOTS", 48, 1));
-  scale.repetitions =
-      static_cast<int>(read_positive_scale_knob("ECA_REPS", 2, 1));
-  scale.seed =
-      static_cast<std::uint64_t>(read_positive_scale_knob("ECA_SEED", 1, 0));
+  scale.users = static_cast<std::size_t>(env_int("ECA_USERS", 30, 1));
+  scale.slots = static_cast<std::size_t>(env_int("ECA_SLOTS", 48, 1));
+  scale.repetitions = static_cast<int>(env_int("ECA_REPS", 2, 1));
+  scale.seed = static_cast<std::uint64_t>(env_int("ECA_SEED", 1, 0));
   scale.csv = env_bool("ECA_CSV", false);
   return scale;
 }

@@ -20,8 +20,8 @@ int main() {
 
   BenchScale scale = read_scale();
   // Lookahead solves a windowed LP every slot; keep the default modest.
-  scale.users = static_cast<std::size_t>(env_int("ECA_USERS", 15));
-  scale.slots = static_cast<std::size_t>(env_int("ECA_SLOTS", 30));
+  scale.users = static_cast<std::size_t>(env_int("ECA_USERS", 15, 1));
+  scale.slots = static_cast<std::size_t>(env_int("ECA_SLOTS", 30, 1));
   print_header("Extensions", "lookahead oracles, hysteresis, certification",
                scale);
 

@@ -5,9 +5,9 @@
 // single-core budget, so the default sweep stops earlier; extend it with
 // ECA_FIG5_USERS (comma-separated list).
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "algo/baselines.h"
 #include "algo/online_approx.h"
@@ -18,13 +18,24 @@ namespace {
 std::vector<std::size_t> user_sweep() {
   const std::string spec = eca::env_string("ECA_FIG5_USERS", "20,40,80");
   std::vector<std::size_t> users;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    const long value = std::strtol(token.c_str(), nullptr, 10);
-    if (value > 0) users.push_back(static_cast<std::size_t>(value));
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = spec.find(',', begin);
+    const std::string token = spec.substr(begin, comma - begin);
+    // Each entry must be a whole positive integer: "4O", "abc" or an empty
+    // entry is a typo, not a request to sweep 4 users or to skip it.
+    char* end = nullptr;
+    const long value = std::strtol(token.c_str(), &end, 10);
+    if (end == token.c_str() || *end != '\0' || value < 1) {
+      std::fprintf(stderr,
+                   "error: ECA_FIG5_USERS='%s' is invalid (entry '%s' must "
+                   "be an integer >= 1)\n",
+                   spec.c_str(), token.c_str());
+      std::exit(2);
+    }
+    users.push_back(static_cast<std::size_t>(value));
+    if (comma == std::string::npos) return users;
+    begin = comma + 1;
   }
-  return users;
 }
 
 }  // namespace

@@ -86,11 +86,11 @@ Leg solve_leg(const solve::LpProblem& lp, int lp_threads,
 OfflinePerf time_offline_sweep(const bench::BenchScale& scale) {
   OfflinePerf perf;
   const auto max_users = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_OFFLINE_MAX_USERS", 64, 1));
+      env_int("ECA_OFFLINE_MAX_USERS", 64, 1));
   const auto slots = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_OFFLINE_SLOTS", 24, 1));
-  perf.max_iterations = static_cast<int>(
-      bench::read_positive_scale_knob("ECA_OFFLINE_MAX_ITERS", 20000, 1));
+      env_int("ECA_OFFLINE_SLOTS", 24, 1));
+  perf.max_iterations =
+      static_cast<int>(env_int("ECA_OFFLINE_MAX_ITERS", 20000, 1));
   perf.tolerance = 5e-4;  // OfflineOptions::pdhg_tolerance
   // N-thread leg: honor an explicit ECA_LP_THREADS, else a reference point
   // of 8 LP threads.
@@ -189,25 +189,23 @@ void emit_json(const bench::BenchScale& scale, const OfflinePerf& perf,
                  p.status, p.bit_identical ? "true" : "false",
                  i + 1 < perf.points.size() ? "," : "");
   }
-  std::fprintf(out, "  ]%s\n", obs::metrics_enabled() ? "," : "");
-  // Optional solver-telemetry block (absent with ECA_METRICS=off):
-  // process-lifetime lp.pdhg_* registry totals over every solve above.
-  if (obs::metrics_enabled()) {
-    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
-    std::fprintf(
-        out,
-        "  \"telemetry\": {\"pdhg_solves\": %llu, "
-        "\"pdhg_iterations\": %llu, \"pdhg_restarts\": %llu, "
-        "\"pdhg_seconds\": %.6f, \"pdhg_scale_seconds\": %.6f, "
-        "\"pdhg_kernel_seconds\": %.6f, \"pdhg_kkt_seconds\": %.6f}\n",
-        static_cast<unsigned long long>(snap.counter("lp.pdhg_solves")),
-        static_cast<unsigned long long>(snap.counter("lp.pdhg_iterations")),
-        static_cast<unsigned long long>(snap.counter("lp.pdhg_restarts")),
-        snap.double_counter("lp.pdhg_seconds"),
-        snap.double_counter("lp.pdhg_scale_seconds"),
-        snap.double_counter("lp.pdhg_kernel_seconds"),
-        snap.double_counter("lp.pdhg_kkt_seconds"));
-  }
+  std::fprintf(out, "  ],\n");
+  // Solver-telemetry block: process-lifetime lp.pdhg_* registry totals over
+  // every solve above.
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  std::fprintf(
+      out,
+      "  \"telemetry\": {\"pdhg_solves\": %llu, "
+      "\"pdhg_iterations\": %llu, \"pdhg_restarts\": %llu, "
+      "\"pdhg_seconds\": %.6f, \"pdhg_scale_seconds\": %.6f, "
+      "\"pdhg_kernel_seconds\": %.6f, \"pdhg_kkt_seconds\": %.6f}\n",
+      static_cast<unsigned long long>(snap.counter("lp.pdhg_solves")),
+      static_cast<unsigned long long>(snap.counter("lp.pdhg_iterations")),
+      static_cast<unsigned long long>(snap.counter("lp.pdhg_restarts")),
+      snap.double_counter("lp.pdhg_seconds"),
+      snap.double_counter("lp.pdhg_scale_seconds"),
+      snap.double_counter("lp.pdhg_kernel_seconds"),
+      snap.double_counter("lp.pdhg_kkt_seconds"));
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", path.c_str());

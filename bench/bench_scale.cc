@@ -191,19 +191,18 @@ ScalePoint run_point(const bench::BenchScale& scale, std::size_t users,
 ScalePerf time_scale_sweep(const bench::BenchScale& scale) {
   ScalePerf perf;
   const auto min_users = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SCALE_MIN_USERS", 1000, 1));
+      env_int("ECA_SCALE_MIN_USERS", 1000, 1));
   const auto max_users = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SCALE_MAX_USERS", 1000000, 1));
-  perf.sweep_slots = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SCALE_SLOTS", 6, 1));
+      env_int("ECA_SCALE_MAX_USERS", 1000000, 1));
+  perf.sweep_slots = static_cast<std::size_t>(env_int("ECA_SCALE_SLOTS", 6, 1));
   perf.per_user_max = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SCALE_PER_USER_MAX", 100000, 0));
+      env_int("ECA_SCALE_PER_USER_MAX", 100000, 0));
   perf.parity_max = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SCALE_PARITY_MAX", 10000, 0));
+      env_int("ECA_SCALE_PARITY_MAX", 10000, 0));
   const auto long_users = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SCALE_LONG_USERS", 1000000, 0));
+      env_int("ECA_SCALE_LONG_USERS", 1000000, 0));
   const auto long_slots = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SCALE_LONG_SLOTS", 60, 1));
+      env_int("ECA_SCALE_LONG_SLOTS", 60, 1));
 
   for (std::size_t users = min_users; users <= max_users; users *= 10) {
     if (perf.clouds == 0) {

@@ -283,9 +283,9 @@ struct SweepPerf {
 SweepPerf time_slot_sweep(const bench::BenchScale& scale) {
   SweepPerf sweep;
   const auto max_users = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SWEEP_MAX_USERS", 8192, 1));
+      env_int("ECA_SWEEP_MAX_USERS", 8192, 1));
   sweep.slots_per_point = static_cast<std::size_t>(
-      bench::read_positive_scale_knob("ECA_SWEEP_SLOTS", 4, 1));
+      env_int("ECA_SWEEP_SLOTS", 4, 1));
   // N-thread leg: honor an explicit ECA_SLOT_THREADS, else the issue's
   // reference point of 8 intra-slot threads.
   sweep.threads = ThreadPool::resolve_slot_threads(0);
@@ -436,28 +436,23 @@ void emit_json(const bench::BenchScale& scale, const NewtonPerf& newton,
                  i + 1 < sweep.points.size() ? "," : "");
   }
   std::fprintf(out, "  ]},\n");
-  // Optional solver-telemetry block (absent with ECA_METRICS=off):
-  // process-lifetime registry totals over everything the harness above
-  // solved. Additive — readers of eca.bench_solvers.v3 ignore it.
-  if (obs::metrics_enabled()) {
-    const obs::MetricsSnapshot snap =
-        obs::MetricsRegistry::global().snapshot();
-    std::fprintf(
-        out,
-        "  \"telemetry\": {\"solves\": %llu, \"newton_iterations\": %llu, "
-        "\"warm_starts\": %llu, \"warm_fallbacks\": %llu, "
-        "\"assembly_seconds\": %.6f, \"factor_seconds\": %.6f, "
-        "\"solve_seconds\": %.6f},\n",
-        static_cast<unsigned long long>(snap.counter("solver.solves")),
-        static_cast<unsigned long long>(
-            snap.counter("solver.newton_iterations")),
-        static_cast<unsigned long long>(snap.counter("solver.warm_starts")),
-        static_cast<unsigned long long>(
-            snap.counter("solver.warm_fallbacks")),
-        snap.double_counter("solver.assembly_seconds"),
-        snap.double_counter("solver.factor_seconds"),
-        snap.double_counter("solver.solve_seconds"));
-  }
+  // Solver-telemetry block: process-lifetime registry totals over
+  // everything the harness above solved. Additive — readers of
+  // eca.bench_solvers.v3 ignore it.
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  std::fprintf(
+      out,
+      "  \"telemetry\": {\"solves\": %llu, \"newton_iterations\": %llu, "
+      "\"warm_starts\": %llu, \"warm_fallbacks\": %llu, "
+      "\"assembly_seconds\": %.6f, \"factor_seconds\": %.6f, "
+      "\"solve_seconds\": %.6f},\n",
+      static_cast<unsigned long long>(snap.counter("solver.solves")),
+      static_cast<unsigned long long>(snap.counter("solver.newton_iterations")),
+      static_cast<unsigned long long>(snap.counter("solver.warm_starts")),
+      static_cast<unsigned long long>(snap.counter("solver.warm_fallbacks")),
+      snap.double_counter("solver.assembly_seconds"),
+      snap.double_counter("solver.factor_seconds"),
+      snap.double_counter("solver.solve_seconds"));
   std::fprintf(out,
                "  \"warm_start\": {\"clouds\": %zu, \"users\": %zu, "
                "\"slots\": %zu, \"mean_iters_warm\": %.3f, "

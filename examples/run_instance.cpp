@@ -12,10 +12,9 @@
 //
 // Observability: set ECA_EVENTS=<path> to record the finished run in the
 // eca.events.v3 JSONL stream (per-slot cost split + solver convergence;
-// render it with scripts/report_run.py), ECA_METRICS_OUT=<path> for a
-// Prometheus text dump of the metrics registry, ECA_TRACE=<path> for a
-// Chrome-trace span file, and ECA_METRICS=off to turn instrumentation off
-// entirely. See README.md §Observability.
+// render it with scripts/report_run.py) and ECA_TRACE=<path> for a
+// Chrome-trace span file that ends with the metrics counters' run totals.
+// See README.md §Observability.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,17 +95,6 @@ int run(const std::string& path, const std::string& algorithm_name) {
               result.cost.reconfiguration, result.cost.migration);
   std::printf("  max constraint violation %.2e, wall %.2fs\n",
               result.max_violation, result.wall_seconds);
-  const std::string metrics_out = io::metrics_out_path_from_env();
-  if (!metrics_out.empty()) {
-    if (io::save_metrics_snapshot(metrics_out,
-                                  obs::MetricsRegistry::global().snapshot())) {
-      std::printf("  metrics snapshot -> %s\n", metrics_out.c_str());
-    } else {
-      std::fprintf(stderr, "could not write metrics snapshot to %s\n",
-                   metrics_out.c_str());
-      return 1;
-    }
-  }
   obs::TraceSession* const trace = obs::global_trace();
   std::printf("  obs: threads_seen=%zu trace_dropped=%zu "
               "events_recorded=%zu events_dropped=%zu\n",

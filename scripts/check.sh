@@ -77,9 +77,9 @@ echo "== obs: instrumented trajectory + schema validation =="
 obs_dir=build/obs-check
 rm -rf "$obs_dir" && mkdir -p "$obs_dir"
 (cd "$obs_dir" && ../examples/run_instance --demo > run.log)
-ECA_METRICS=on ECA_TRACE="$obs_dir/run.trace.json" \
-  ECA_EVENTS="$obs_dir/run.events.jsonl" \
-  ECA_METRICS_OUT="$obs_dir/run.metrics.prom" \
+# One process writes both streams, so validate_telemetry.py also checks
+# that the trace's counter totals agree with the events' run records.
+ECA_TRACE="$obs_dir/run.trace.json" ECA_EVENTS="$obs_dir/run.events.jsonl" \
   ./build/examples/run_instance "$obs_dir/demo.instance" online-approx
 python3 scripts/validate_telemetry.py \
   --trace "$obs_dir/run.trace.json" \
@@ -118,9 +118,9 @@ echo "== bench: baseline-evaluation sweep (quick mode) =="
 # Small points only: exercises the three-leg emitter (rebuild+cold vs
 # skeleton+warm vs slot fan-out) and the bitwise cross-check end to end
 # (the committed BENCH file is regenerated separately at full scale).
-# ECA_METRICS=on records per-leg ipm.iterations deltas so perf_guard's
-# deterministic warm-iteration gate exercises even on noisy hosts.
-ECA_METRICS=on ECA_BASELINE_MAX_USERS=32 ECA_BASELINE_SLOTS=8 \
+# Per-leg ipm.iterations deltas feed perf_guard's deterministic
+# warm-iteration gate, which exercises even on noisy hosts.
+ECA_BASELINE_MAX_USERS=32 ECA_BASELINE_SLOTS=8 \
   ECA_BENCH_BASELINES_JSON=build/BENCH_baselines.quick.json \
   ./build/bench/bench_baselines
 

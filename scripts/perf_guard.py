@@ -35,12 +35,12 @@ eca.bench_baselines.v1 (baseline-evaluation sweep):
     floor contract, same as above; on 1-CPU hosts no point engages and a
     note is printed);
   * wherever the algorithm's default path chains warm starts
-    (warm_enabled=true) and the bench ran with ECA_METRICS=on
+    (warm_enabled=true) and the point carries IPM iteration counts
     (iters_rebuild_cold > 0), the warm leg must not cost IPM iterations:
     warm_iter_ratio <= 1.02. Iteration counts are deterministic, so this
     gate is immune to the +/-10% wall-clock noise of shared CI hosts —
     warm_max_users exists precisely because hints that stop paying in
-    iterations must disengage (without metrics a note is printed);
+    iterations must disengage (with no such point a note is printed);
   * at J >= 1024, the default path must stay within 10% of wall parity
     with rebuild+cold (warm_speedup >= 0.9) — caching must never be a
     slowdown at the scale it exists for;
@@ -237,8 +237,7 @@ def check_baselines(path, bench):
                      "at scale")
     if warm_gated == 0:
         print(f"perf_guard: note: {path}: no warm-enabled point with "
-              "iteration data (run with ECA_METRICS=on); warm-iteration "
-              "gate not exercised")
+              "IPM iteration counts; warm-iteration gate not exercised")
     if scale_gated == 0:
         print(f"perf_guard: note: {path}: no point with J >= "
               f"{AT_SCALE_USERS}; at-scale parity gate not exercised")

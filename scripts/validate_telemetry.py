@@ -6,7 +6,8 @@
 
 Validates:
   * the Chrome-trace file: a strict JSON array, one event per line, each a
-    complete-event record ("ph":"X") with numeric ts/dur — i.e. loadable by
+    complete-event record ("ph":"X") with numeric ts/dur or a counter
+    record ("ph":"C") with a numeric args.value — i.e. loadable by
     chrome://tracing and Perfetto;
   * the eca.events.v3 JSONL stream: a header line with matching
     schema/count, contiguous sequence numbers, known event kinds with the
@@ -14,7 +15,11 @@ Validates:
     records in ascending slot order plus the accounting invariant: the
     per-slot weighted cost splits sum to the run_end total within 1e-9
     relative (float reassociation is the only permitted difference), and
-    the run_end slot count and solver totals match the run's records.
+    the run_end slot count and solver totals match the run's records;
+  * given both, from the same process: the trace's solver.newton_iterations
+    counter total equals the sum of the run_end Newton iteration counts
+    (every P2 solve is recorded once in each stream). Skipped when the
+    events buffer dropped records.
 
 At least one artifact is required. Exits 0 when valid, 1 with a message on
 the first violation.
@@ -44,7 +49,12 @@ def check_fields(obj, fields, where):
             fail(f"{where}: field '{name}' has type {type(value).__name__}")
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_trace(path):
+    """Returns the trace's counter totals, name -> value."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -59,23 +69,32 @@ def validate_trace(path):
     if len(body_lines) != len(events):
         fail(f"{path}: {len(events)} events across {len(body_lines)} lines; "
              "expected one event per line")
+    counters = {}
     for index, event in enumerate(events):
         where = f"{path}: event[{index}]"
         if not isinstance(event, dict):
             fail(f"{where}: not an object")
-        for name in ("name", "ph", "pid", "tid", "ts", "dur"):
+        phase = event.get("ph")
+        if phase not in ("X", "C"):
+            fail(f"{where}: ph is {phase!r}, expected complete event 'X' "
+                 "or counter event 'C'")
+        timed = ("ts", "dur") if phase == "X" else ("ts",)
+        for name in ("name", "pid", "tid") + timed:
             if name not in event:
                 fail(f"{where}: missing field '{name}'")
-        if event["ph"] != "X":
-            fail(f"{where}: ph is '{event['ph']}', expected complete "
-                 "event 'X'")
-        for name in ("ts", "dur"):
-            if not isinstance(event[name], (int, float)) \
-                    or isinstance(event[name], bool):
+        for name in timed:
+            if not is_number(event[name]):
                 fail(f"{where}: '{name}' must be numeric")
             if event[name] < 0:
                 fail(f"{where}: '{name}' must be non-negative")
-    print(f"validate_telemetry: OK: {path}: {len(events)} trace events")
+        if phase == "C":
+            args = event.get("args")
+            if not isinstance(args, dict) or not is_number(args.get("value")):
+                fail(f"{where}: counter event needs a numeric args.value")
+            counters[event["name"]] = args["value"]
+    print(f"validate_telemetry: OK: {path}: {len(events)} trace events "
+          f"({len(counters)} counters)")
+    return counters
 
 
 NUMBER = (int, float)
@@ -134,6 +153,7 @@ def close_run(run, event, where):
 
 
 def validate_events(path):
+    """Returns (dropped, summed run_end newton_iterations)."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -156,6 +176,7 @@ def validate_events(path):
              f"{len(lines) - 1} body lines")
     run = None
     runs = 0
+    iterations = 0
     worst_drift = 0.0
     for index, line in enumerate(lines[1:]):
         where = f"{path}: line {index + 2}"
@@ -196,6 +217,7 @@ def validate_events(path):
             run["warm_started"] += event["warm_started"]
         elif kind == "run_end":
             worst_drift = max(worst_drift, close_run(run, event, where))
+            iterations += event["newton_iterations"]
             run = None
             runs += 1
         elif run is not None:
@@ -206,6 +228,20 @@ def validate_events(path):
     print(f"validate_telemetry: OK: {path}: {len(lines) - 1} events, "
           f"{header['dropped']} dropped, {runs} runs (worst slot-sum drift "
           f"{worst_drift:.3e})")
+    return header["dropped"], iterations
+
+
+def check_streams_agree(counters, dropped, iterations):
+    if dropped:
+        print("validate_telemetry: cross-stream check skipped: "
+              f"{dropped} events dropped")
+        return
+    total = counters.get("solver.newton_iterations", 0)
+    if total != iterations:
+        fail(f"trace counter solver.newton_iterations is {total}, but the "
+             f"events stream's run_end records sum to {iterations}")
+    print(f"validate_telemetry: OK: streams agree on {iterations} Newton "
+          "iterations")
 
 
 def main():
@@ -217,10 +253,10 @@ def main():
     args = parser.parse_args()
     if not args.trace and not args.events:
         parser.error("nothing to validate: pass --trace and/or --events")
-    if args.trace:
-        validate_trace(args.trace)
-    if args.events:
-        validate_events(args.events)
+    counters = validate_trace(args.trace) if args.trace else None
+    summary = validate_events(args.events) if args.events else None
+    if counters is not None and summary is not None:
+        check_streams_agree(counters, *summary)
 
 
 if __name__ == "__main__":

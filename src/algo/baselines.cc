@@ -39,12 +39,12 @@ struct BaselineMetrics {
 // one rebuild-from-scratch, cold, fresh-workspace re-solve, bit-identical
 // to the never-faulted rebuild+cold path. Only a second failure aborts.
 bool lp_check(const solve::LpSolution& sol, const char* who, std::size_t t) {
-  if (obs::metrics_enabled()) BaselineMetrics::get().lp_solves.add(1);
+  BaselineMetrics::get().lp_solves.add(1);
   const bool injected = fault_fire(FaultSite::kLpFail);
   if (sol.status == solve::SolveStatus::kOptimal && !injected) [[likely]] {
     return true;
   }
-  if (obs::metrics_enabled()) BaselineMetrics::get().lp_failures.add(1);
+  BaselineMetrics::get().lp_failures.add(1);
   ECA_LOG_ERROR(
       "%s: LP solve failed at slot %zu: status=%s iterations=%d "
       "warm_started=%d warm_fallback=%d injected=%d",
@@ -119,10 +119,8 @@ Allocation AtomisticAlgorithm::decide(const Instance& instance, std::size_t t,
     const solve::LpSolution& src = chain ? last_ : anchor_;
     warm.x = &src.x;
     warm.row_duals = &src.row_duals;
-    if (obs::metrics_enabled()) {
-      auto& m = BaselineMetrics::get();
-      (chain ? m.warm_chained : m.anchor_restarts).add(1);
-    }
+    auto& m = BaselineMetrics::get();
+    (chain ? m.warm_chained : m.anchor_restarts).add(1);
   }
   solve::InteriorPointLp().solve_into(built.lp, workspace_, warm, scratch_);
   if (!lp_check(scratch_, name_.c_str(), t)) [[unlikely]] {
@@ -183,7 +181,7 @@ Allocation OnlineGreedy::decide(const Instance& instance, std::size_t t,
       t == static_cast<std::size_t>(last_t_) + 1) {
     warm.x = &last_.x;
     warm.row_duals = &last_.row_duals;
-    if (obs::metrics_enabled()) BaselineMetrics::get().warm_chained.add(1);
+    BaselineMetrics::get().warm_chained.add(1);
   }
   solve::InteriorPointLp().solve_into(built.lp, workspace_, warm, scratch_);
   if (!lp_check(scratch_, "online-greedy", t)) [[unlikely]] {

@@ -135,21 +135,19 @@ Allocation OnlineApprox::decide(const Instance& instance, std::size_t t,
   alloc.x = sol.x;
   last_stats_ = sol.stats;
   has_last_stats_ = true;
-  if (obs::metrics_enabled()) {
-    // The P0 cost split of the decision just played (weighted, so the
-    // accumulated totals decompose the run objective).
-    const model::CostBreakdown bd =
-        model::slot_cost(instance, t, alloc, &previous);
-    const double wstat = instance.weights.static_weight;
-    const double wdyn = instance.weights.dynamic_weight;
-    AlgoMetrics& am = AlgoMetrics::get();
-    am.slots.add();
-    am.mu_steps.add(static_cast<std::uint64_t>(sol.stats.mu_steps));
-    am.cost_operation.add(wstat * bd.operation);
-    am.cost_service_quality.add(wstat * bd.service_quality);
-    am.cost_reconfiguration.add(wdyn * bd.reconfiguration);
-    am.cost_migration.add(wdyn * bd.migration);
-  }
+  // The P0 cost split of the decision just played (weighted, so the
+  // accumulated totals decompose the run objective).
+  const model::CostBreakdown bd =
+      model::slot_cost(instance, t, alloc, &previous);
+  const double wstat = instance.weights.static_weight;
+  const double wdyn = instance.weights.dynamic_weight;
+  AlgoMetrics& am = AlgoMetrics::get();
+  am.slots.add();
+  am.mu_steps.add(static_cast<std::uint64_t>(sol.stats.mu_steps));
+  am.cost_operation.add(wstat * bd.operation);
+  am.cost_service_quality.add(wstat * bd.service_quality);
+  am.cost_reconfiguration.add(wdyn * bd.reconfiguration);
+  am.cost_migration.add(wdyn * bd.migration);
   return alloc;
 }
 

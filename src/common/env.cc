@@ -1,23 +1,42 @@
 #include "common/env.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 namespace eca {
 
 namespace {
-const char* raw(const char* name) { return std::getenv(name); }
+
+// The set, non-empty value of `name`, or nullptr.
+const char* raw(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr && value[0] != '\0' ? value : nullptr;
+}
+
+[[noreturn]] void invalid(const char* name, const char* value,
+                          const char* expected) {
+  std::fprintf(stderr,
+               "error: %s='%s' is invalid (must be %s; unset it for the "
+               "default)\n",
+               name, value, expected);
+  std::exit(2);
+}
+
 }  // namespace
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
+std::int64_t env_int(const char* name, std::int64_t fallback,
+                     std::int64_t minimum) {
   const char* value = raw(name);
   if (value == nullptr) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "warning: %s='%s' is not an integer; using %lld\n",
-                 name, value, static_cast<long long>(fallback));
-    return fallback;
+  if (errno != 0 || end == value || *end != '\0' || parsed < minimum) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "an integer >= %lld",
+                  static_cast<long long>(minimum));
+    invalid(name, value, expected);
   }
   return parsed;
 }
@@ -26,17 +45,16 @@ double env_double(const char* name, double fallback) {
   const char* value = raw(name);
   if (value == nullptr) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "warning: %s='%s' is not a number; using %g\n", name,
-                 value, fallback);
-    return fallback;
+  if (errno != 0 || end == value || *end != '\0') {
+    invalid(name, value, "a number");
   }
   return parsed;
 }
 
 std::string env_string(const char* name, const std::string& fallback) {
-  const char* value = raw(name);
+  const char* value = std::getenv(name);
   return value != nullptr ? std::string(value) : fallback;
 }
 
@@ -46,9 +64,7 @@ bool env_bool(const char* name, bool fallback) {
   const std::string v(value);
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  std::fprintf(stderr, "warning: %s='%s' is not a boolean; using %d\n", name,
-               value, fallback);
-  return fallback;
+  invalid(name, value, "one of 1|0|true|false|yes|no|on|off");
 }
 
 }  // namespace eca

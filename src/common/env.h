@@ -1,8 +1,14 @@
-// Environment-variable configuration knobs for benchmark binaries.
+// Environment-variable configuration knobs.
 //
-// Figure harnesses read their scale (user count, repetitions, ...) from
-// ECA_* environment variables so the same binary can run the paper-scale
-// experiment or a CI-sized one without recompiling.
+// Figure harnesses read their scale (user count, repetitions, ...) and the
+// thread policies read their worker counts from ECA_* environment variables
+// so the same binary can run the paper-scale experiment or a CI-sized one
+// without recompiling.
+//
+// Fail-fast contract shared by every ECA_* knob: an unset (or empty)
+// variable yields `fallback`; a set value that does not parse, or that lies
+// below `minimum`, prints an error naming the knob and exits with status 2.
+// A typo must never silently run a configuration nobody asked for.
 #pragma once
 
 #include <cstdint>
@@ -10,9 +16,8 @@
 
 namespace eca {
 
-// Returns the value of the environment variable, or `fallback` when unset or
-// unparsable. Parsing failures are reported on stderr (never fatal).
-std::int64_t env_int(const char* name, std::int64_t fallback);
+std::int64_t env_int(const char* name, std::int64_t fallback,
+                     std::int64_t minimum);
 double env_double(const char* name, double fallback);
 std::string env_string(const char* name, const std::string& fallback);
 bool env_bool(const char* name, bool fallback);

@@ -2,25 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/env.h"
-#include "obs/metrics.h"
 
 namespace eca {
-namespace {
-
-// Queue depth observed at each submit (before the new task is counted):
-// a persistently high histogram tail means producers outrun the workers.
-obs::Histogram& queue_depth_histogram() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::global().histogram("threadpool.queue_depth");
-  return h;
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t n = std::max<std::size_t>(1, threads);
@@ -40,13 +25,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> fn) {
-  std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    depth = queue_.size();
     queue_.push(std::move(fn));
   }
-  if (obs::metrics_enabled()) queue_depth_histogram().record(depth);
   task_ready_.notify_one();
 }
 
@@ -77,17 +59,13 @@ void ThreadPool::worker_loop() {
 
 std::size_t ThreadPool::resolve_threads(int requested) {
   if (requested > 0) return static_cast<std::size_t>(requested);
-  const std::int64_t from_env = env_int("ECA_THREADS", 0);
-  if (from_env > 0) return static_cast<std::size_t>(from_env);
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return static_cast<std::size_t>(env_int("ECA_THREADS", hw > 0 ? hw : 1, 1));
 }
 
 std::size_t ThreadPool::resolve_slot_threads(int requested) {
   if (requested > 0) return static_cast<std::size_t>(requested);
-  const std::int64_t from_env = env_int("ECA_SLOT_THREADS", 0);
-  if (from_env > 0) return static_cast<std::size_t>(from_env);
-  return 1;
+  return static_cast<std::size_t>(env_int("ECA_SLOT_THREADS", 1, 1));
 }
 
 namespace {
@@ -118,9 +96,7 @@ std::size_t ThreadPool::resolve_slot_threads(int requested, std::size_t work,
 
 std::size_t ThreadPool::resolve_lp_threads(int requested) {
   if (requested > 0) return static_cast<std::size_t>(requested);
-  const std::int64_t from_env = env_int("ECA_LP_THREADS", 0);
-  if (from_env > 0) return static_cast<std::size_t>(from_env);
-  return 1;
+  return static_cast<std::size_t>(env_int("ECA_LP_THREADS", 1, 1));
 }
 
 std::size_t ThreadPool::resolve_lp_threads(int requested, std::size_t work,
@@ -132,19 +108,7 @@ std::size_t ThreadPool::resolve_lp_threads(int requested, std::size_t work,
 
 std::size_t ThreadPool::resolve_baseline_threads(int requested) {
   if (requested > 0) return static_cast<std::size_t>(requested);
-  const char* raw = std::getenv("ECA_BASELINE_THREADS");
-  if (raw == nullptr || raw[0] == '\0') return 1;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (errno != 0 || end == raw || *end != '\0' || value <= 0) {
-    std::fprintf(stderr,
-                 "ECA_BASELINE_THREADS='%s' is invalid: expected a positive "
-                 "integer (baseline slot-evaluation worker count)\n",
-                 raw);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(value);
+  return static_cast<std::size_t>(env_int("ECA_BASELINE_THREADS", 1, 1));
 }
 
 std::size_t ThreadPool::resolve_baseline_threads(int requested,
@@ -156,19 +120,8 @@ std::size_t ThreadPool::resolve_baseline_threads(int requested,
 }
 
 std::size_t ThreadPool::slot_min_chunk() {
-  const char* raw = std::getenv("ECA_SLOT_MIN_CHUNK");
-  if (raw == nullptr || raw[0] == '\0') return kDefaultSlotMinChunk;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (errno != 0 || end == raw || *end != '\0' || value <= 0) {
-    std::fprintf(stderr,
-                 "ECA_SLOT_MIN_CHUNK='%s' is invalid: expected a positive "
-                 "integer (minimum users-worth of work per slot task)\n",
-                 raw);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(value);
+  return static_cast<std::size_t>(
+      env_int("ECA_SLOT_MIN_CHUNK", kDefaultSlotMinChunk, 1));
 }
 
 void ThreadPool::run_indexed(std::size_t count,

@@ -9,7 +9,9 @@
 // Thread count policy (`resolve_threads`): an explicit positive request
 // wins, otherwise the ECA_THREADS environment variable, otherwise
 // std::thread::hardware_concurrency(). A resolved count of 1 means "run on
-// the caller's thread, no pool" — the exact legacy serial path.
+// the caller's thread, no pool" — the exact legacy serial path. Every
+// thread knob read here follows env_int's fail-fast contract: a set value
+// that is not an integer >= 1 exits with status 2.
 #pragma once
 
 #include <condition_variable>
@@ -39,19 +41,19 @@ class ThreadPool {
   // Blocks until the queue is empty and no task is executing.
   void wait_idle();
 
-  // Resolved worker count: `requested` if positive, else ECA_THREADS if set
-  // and positive, else hardware_concurrency (min 1).
+  // Resolved worker count: `requested` if positive, else ECA_THREADS if
+  // set, else hardware_concurrency (min 1).
   static std::size_t resolve_threads(int requested = 0);
 
   // Intra-slot (solver) thread policy: `requested` if positive, else
-  // ECA_SLOT_THREADS if set and positive, else 1. The default is serial —
+  // ECA_SLOT_THREADS if set, else 1. The default is serial —
   // the experiment runner already parallelizes across repetitions, and
   // nesting slot-level workers under ECA_THREADS workers would
   // oversubscribe; slot parallelism is opt-in for single-trajectory runs.
   static std::size_t resolve_slot_threads(int requested = 0);
 
   // Horizon-LP (PDHG) thread policy: `requested` if positive, else
-  // ECA_LP_THREADS if set and positive, else 1. Like the slot policy the
+  // ECA_LP_THREADS if set, else 1. Like the slot policy the
   // default is serial: the experiment runner parallelizes across
   // repetitions, and the offline LP solve runs inside one repetition task —
   // LP-level workers are opt-in for single-instance / benchmark runs.
@@ -87,10 +89,7 @@ class ThreadPool {
   // if positive, else ECA_BASELINE_THREADS, else 1. Serial by default for
   // the same reason as the slot/LP policies: the experiment runner already
   // parallelizes across repetitions, so slot-level fan-out is opt-in for
-  // single-trajectory runs and benchmarks. Unlike the other knobs,
-  // ECA_BASELINE_THREADS is fail-fast: a set but invalid value
-  // (non-numeric, zero, negative) exits with status 2 — a typo must not
-  // silently fall back to a serial sweep that looks like a slow machine.
+  // single-trajectory runs and benchmarks.
   static std::size_t resolve_baseline_threads(int requested = 0);
 
   // Work-aware overload mirroring the slot/LP policies: capped so every
@@ -105,9 +104,7 @@ class ThreadPool {
   static constexpr std::size_t kDefaultBaselineMinWork = 4096;
 
   // Minimum users-worth of work per dispatched intra-slot task, from
-  // ECA_SLOT_MIN_CHUNK (default kDefaultSlotMinChunk). Fail-fast: a set but
-  // invalid value (non-numeric, zero, negative) exits with status 2 — a
-  // typo must not silently pick the wrong granularity.
+  // ECA_SLOT_MIN_CHUNK (default kDefaultSlotMinChunk).
   static std::size_t slot_min_chunk();
   static constexpr std::size_t kDefaultSlotMinChunk = 1024;
 

@@ -1,7 +1,5 @@
 #include "io/serialize.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -221,100 +219,6 @@ std::optional<model::Instance> load_instance(const std::string& path,
     return std::nullopt;
   }
   return read_instance(is, error);
-}
-
-namespace {
-
-// Prometheus metric names allow [a-zA-Z0-9_:]; registry names use dots as
-// separators (e.g. "solve.newton.iterations").
-std::string prom_name(const std::string& name) {
-  std::string out = "eca_";
-  out.reserve(out.size() + name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-void write_prom_double(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-}  // namespace
-
-void write_metrics_snapshot(std::ostream& os,
-                            const obs::MetricsSnapshot& snapshot) {
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string p = prom_name(name);
-    os << "# TYPE " << p << " counter\n" << p << ' ' << value << '\n';
-  }
-  for (const auto& [name, value] : snapshot.double_counters) {
-    const std::string p = prom_name(name);
-    os << "# TYPE " << p << " counter\n" << p << ' ';
-    write_prom_double(os, value);
-    os << '\n';
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string p = prom_name(name);
-    os << "# TYPE " << p << " gauge\n" << p << ' ';
-    write_prom_double(os, value);
-    os << '\n';
-  }
-  for (const auto& hist : snapshot.histograms) {
-    const std::string p = prom_name(hist.name);
-    os << "# TYPE " << p << " histogram\n";
-    // Cumulative le-buckets; bucket b covers values < 2^b, so its upper
-    // bound is histogram_bucket_floor(b + 1) - 1 inclusive == le 2^b - 1...
-    // Prometheus convention is `le` inclusive, so emit the last value each
-    // bucket can hold. Empty trailing buckets are skipped; +Inf closes.
-    std::uint64_t cumulative = 0;
-    std::size_t last_nonzero = 0;
-    for (std::size_t b = 0; b < obs::kHistogramBuckets; ++b) {
-      if (hist.buckets[b] != 0) last_nonzero = b;
-    }
-    for (std::size_t b = 0; b <= last_nonzero; ++b) {
-      cumulative += hist.buckets[b];
-      // Largest value bucket b holds: 0 for bucket 0, else 2^b - 1.
-      const std::uint64_t le =
-          b == 0 ? 0 : (obs::histogram_bucket_floor(b + 1) - 1);
-      os << p << "_bucket{le=\"" << le << "\"} " << cumulative << '\n';
-    }
-    os << p << "_bucket{le=\"+Inf\"} " << hist.count << '\n'
-       << p << "_sum " << hist.sum << '\n'
-       << p << "_count " << hist.count << '\n';
-  }
-}
-
-bool save_metrics_snapshot(const std::string& path,
-                           const obs::MetricsSnapshot& snapshot) {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_metrics_snapshot(os, snapshot);
-  return static_cast<bool>(os);
-}
-
-std::string metrics_out_path_from_env() {
-  const char* path = std::getenv("ECA_METRICS_OUT");
-  if (path == nullptr) return "";
-  if (path[0] == '\0') {
-    std::fprintf(stderr,
-                 "error: ECA_METRICS_OUT is set but empty (must name the "
-                 "Prometheus text output path; unset it to disable)\n");
-    std::exit(2);
-  }
-  {
-    std::ofstream probe(path);
-    if (!probe) {
-      std::fprintf(stderr, "error: ECA_METRICS_OUT='%s' is not writable\n",
-                   path);
-      std::exit(2);
-    }
-  }
-  return path;
 }
 
 }  // namespace eca::io

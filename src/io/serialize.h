@@ -30,7 +30,6 @@
 
 #include "mobility/mobility.h"
 #include "model/instance.h"
-#include "obs/metrics.h"
 
 namespace eca::io {
 
@@ -46,20 +45,5 @@ std::optional<model::Instance> read_instance(std::istream& is,
 bool save_instance(const std::string& path, const model::Instance& instance);
 std::optional<model::Instance> load_instance(const std::string& path,
                                              std::string* error);
-
-// End-of-run metrics exposition: the full MetricsRegistry snapshot in
-// Prometheus text format (one `# TYPE` line per metric; names sanitized to
-// `eca_<name with dots replaced by underscores>`; log2-bucket histograms as
-// cumulative `le`-bucket series). Scrape-file friendly: point a node_exporter
-// textfile collector, `promtool check metrics`, or a notebook at it.
-void write_metrics_snapshot(std::ostream& os,
-                            const obs::MetricsSnapshot& snapshot);
-bool save_metrics_snapshot(const std::string& path,
-                           const obs::MetricsSnapshot& snapshot);
-
-// Resolves ECA_METRICS_OUT. Returns the target path or "" when the knob is
-// unset; fail-fasts (exit 2) when it is set but empty or unwritable — the
-// same contract as ECA_METRICS / ECA_EVENTS.
-std::string metrics_out_path_from_env();
 
 }  // namespace eca::io

@@ -248,7 +248,7 @@ void init_global_events_from_env() {
 bool events_options_from_env(EventLogOptions& options) {
   const char* path = std::getenv("ECA_EVENTS");
   if (path == nullptr) return false;
-  // Same fail-fast contract as ECA_METRICS: a set-but-useless value must
+  // Fail-fast contract of every ECA_* knob: a set-but-useless value must
   // not silently run an unobserved configuration.
   if (path[0] == '\0') {
     std::fprintf(stderr,

@@ -26,8 +26,9 @@
 //
 // The process-global log is configured from ECA_EVENTS=<path> on first use
 // (ECA_EVENTS_CAP bounds the buffer). Both knobs fail fast with exit
-// status 2 on invalid values — the same contract as ECA_METRICS: an
-// observability typo must not silently run a different configuration.
+// status 2 on invalid values — the contract every ECA_* knob keeps (see
+// common/env.h): an observability typo must not silently run a different
+// configuration.
 #pragma once
 
 #include <atomic>

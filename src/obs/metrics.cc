@@ -1,40 +1,7 @@
 #include "obs/metrics.h"
 
-#include <bit>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 namespace eca::obs {
 namespace internal {
-
-namespace {
-
-// ECA_METRICS=on|off (plus the usual boolean spellings); default on. A
-// value that parses as neither is a fail-fast error: observability knobs
-// follow the same contract as the threading knobs (a typo must not
-// silently flip the configuration).
-bool metrics_enabled_from_env() {
-  const char* value = std::getenv("ECA_METRICS");
-  if (value == nullptr) return true;
-  if (std::strcmp(value, "on") == 0 || std::strcmp(value, "1") == 0 ||
-      std::strcmp(value, "true") == 0 || std::strcmp(value, "yes") == 0) {
-    return true;
-  }
-  if (std::strcmp(value, "off") == 0 || std::strcmp(value, "0") == 0 ||
-      std::strcmp(value, "false") == 0 || std::strcmp(value, "no") == 0) {
-    return false;
-  }
-  std::fprintf(stderr,
-               "error: ECA_METRICS='%s' is invalid (must be on|off|1|0|"
-               "true|false|yes|no; unset it for the default)\n",
-               value);
-  std::exit(2);
-}
-
-}  // namespace
-
-std::atomic<bool> g_metrics_enabled{metrics_enabled_from_env()};
 
 namespace {
 std::atomic<std::size_t> g_next_ordinal{0};
@@ -50,20 +17,6 @@ std::size_t thread_ordinal() {
 
 std::size_t threads_seen() {
   return internal::g_next_ordinal.load(std::memory_order_relaxed);
-}
-
-bool set_metrics_enabled(bool enabled) {
-  return internal::g_metrics_enabled.exchange(enabled,
-                                              std::memory_order_relaxed);
-}
-
-std::size_t histogram_bucket(std::uint64_t value) {
-  return static_cast<std::size_t>(std::bit_width(value));
-}
-
-std::uint64_t histogram_bucket_floor(std::size_t bucket) {
-  if (bucket == 0) return 0;
-  return std::uint64_t{1} << (bucket - 1);
 }
 
 std::uint64_t Counter::total() const {
@@ -91,43 +44,6 @@ double DoubleCounter::total() const {
 void DoubleCounter::reset() {
   for (DoubleCell& cell : cells_) {
     cell.value.store(0.0, std::memory_order_relaxed);
-  }
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_) {
-    for (const auto& bucket : shard.buckets) {
-      n += bucket.load(std::memory_order_relaxed);
-    }
-  }
-  return n;
-}
-
-std::uint64_t Histogram::sum() const {
-  std::uint64_t s = 0;
-  for (const Shard& shard : shards_) {
-    s += shard.sum.load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
-std::array<std::uint64_t, kHistogramBuckets> Histogram::buckets() const {
-  std::array<std::uint64_t, kHistogramBuckets> merged{};
-  for (const Shard& shard : shards_) {
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      merged[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  return merged;
-}
-
-void Histogram::reset() {
-  for (Shard& shard : shards_) {
-    for (auto& bucket : shard.buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-    shard.sum.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -165,20 +81,6 @@ DoubleCounter& MetricsRegistry::double_counter(std::string_view name) {
   return *double_counters_.back();
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Gauge* existing = find_by_name(gauges_, name)) return *existing;
-  gauges_.emplace_back(new Gauge(std::string(name)));
-  return *gauges_.back();
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (Histogram* existing = find_by_name(histograms_, name)) return *existing;
-  histograms_.emplace_back(new Histogram(std::string(name)));
-  return *histograms_.back();
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
@@ -188,17 +90,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& c : double_counters_) {
     snap.double_counters.emplace_back(c->name(), c->total());
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& g : gauges_) snap.gauges.emplace_back(g->name(), g->value());
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& h : histograms_) {
-    HistogramSnapshot hs;
-    hs.name = h->name();
-    hs.count = h->count();
-    hs.sum = h->sum();
-    hs.buckets = h->buckets();
-    snap.histograms.push_back(std::move(hs));
-  }
   return snap;
 }
 
@@ -206,8 +97,6 @@ void MetricsRegistry::reset_values() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& c : counters_) c->reset();
   for (const auto& c : double_counters_) c->reset();
-  for (const auto& g : gauges_) g->reset();
-  for (const auto& h : histograms_) h->reset();
 }
 
 std::uint64_t MetricsSnapshot::counter(std::string_view name,

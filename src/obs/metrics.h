@@ -1,26 +1,24 @@
-// Process-wide metrics registry: counters, gauges and log2-bucketed
-// histograms, updated lock-free from any thread.
+// Process-wide metrics registry: integer and double counters, updated
+// lock-free from any thread and read in-process (perfbench and the bench
+// emitters diff snapshots; a trace session appends the end-of-run totals
+// to its file as Chrome-trace counter events).
 //
 // Design contract (mirrors the experiment runner's determinism story):
-//  * Every additive metric is sharded into kMetricShards cache-line-padded
-//    cells; a thread updates only the cell of its own shard (thread-local
+//  * Every counter is sharded into kMetricShards cache-line-padded cells;
+//    a thread updates only the cell of its own shard (thread-local
 //    ordinal modulo kMetricShards), so increments never contend and never
 //    tear. Snapshots merge cells in FIXED shard order (0, 1, ..., N-1) —
 //    integer totals are exact regardless of scheduling, and double totals
-//    are bit-deterministic whenever each double metric is fed from a single
-//    thread (which is what the instrumentation in solve/algo keeps to: the
-//    values that must be reproducible — iteration counts, cost splits —
-//    are recorded by the thread driving the slot sequence, never by the
-//    chunk workers, which only record wall-clock timings).
-//  * Enable/disable is one branch on a cached atomic bool
-//    (metrics_enabled()). Initialized once from ECA_METRICS
-//    (on|off|1|0|true|false|yes|no, default on; anything else fail-fasts
-//    with exit code 2 — a typo must not silently run the wrong
-//    configuration). set_metrics_enabled() overrides at runtime.
-//  * Handle acquisition (counter()/gauge()/histogram()) allocates and
-//    locks; callers cache handles (function-local statics in hot code).
-//    add()/set()/record() on a handle never allocate — this is what the
-//    counting-allocator test in tests/solve/newton_alloc_test.cc pins down.
+//    are bit-deterministic whenever each double counter is fed from a
+//    single thread (which is what the instrumentation in solve/algo keeps
+//    to: the values that must be reproducible — iteration counts, cost
+//    splits — are recorded by the thread driving the slot sequence, never
+//    by the chunk workers, which only record wall-clock timings).
+//  * Recording is unconditional: one relaxed atomic add per update.
+//  * Handle acquisition (counter()/double_counter()) allocates and locks;
+//    callers cache handles (function-local statics in hot code). add() on
+//    a handle never allocates — this is what the counting-allocator test
+//    in tests/solve/newton_alloc_test.cc pins down.
 //
 // This library intentionally depends on nothing else in the repo (not even
 // src/common) so that eca_common itself can be instrumented.
@@ -39,12 +37,8 @@
 namespace eca::obs {
 
 inline constexpr std::size_t kMetricShards = 32;
-// Bucket b holds values v with bit_width(v) == b, i.e. v in [2^(b-1), 2^b);
-// bucket 0 holds v == 0. 64-bit values need buckets 0..64.
-inline constexpr std::size_t kHistogramBuckets = 65;
 
 namespace internal {
-extern std::atomic<bool> g_metrics_enabled;
 // Small dense per-thread ordinal (0, 1, 2, ... in first-touch order); also
 // used by TraceSession as the tid of emitted spans.
 std::size_t thread_ordinal();
@@ -65,18 +59,6 @@ inline void atomic_fadd(std::atomic<double>& cell, double v) {
 // counts, so it belongs in log lines — never in deterministic artifacts.
 std::size_t threads_seen();
 
-// True when instrumentation should record. One relaxed load + branch.
-inline bool metrics_enabled() {
-  return internal::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-// Runtime override (tests, embedders). Returns the previous value.
-bool set_metrics_enabled(bool enabled);
-
-// Log2 bucket index of a value (0 for 0, else floor(log2(v)) + 1).
-std::size_t histogram_bucket(std::uint64_t value);
-// Inclusive-exclusive value range [lo, hi) covered by a bucket.
-std::uint64_t histogram_bucket_floor(std::size_t bucket);
-
 struct alignas(64) CounterCell {
   std::atomic<std::uint64_t> value{0};
 };
@@ -88,7 +70,6 @@ struct alignas(64) DoubleCell {
 class Counter {
  public:
   void add(std::uint64_t v = 1) {
-    if (!metrics_enabled()) return;
     cells_[internal::shard_index()].value.fetch_add(v,
                                                     std::memory_order_relaxed);
   }
@@ -109,7 +90,6 @@ class Counter {
 class DoubleCounter {
  public:
   void add(double v) {
-    if (!metrics_enabled()) return;
     internal::atomic_fadd(cells_[internal::shard_index()].value, v);
   }
   [[nodiscard]] double total() const;
@@ -123,69 +103,12 @@ class DoubleCounter {
   std::array<DoubleCell, kMetricShards> cells_;
 };
 
-// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) {
-    if (!metrics_enabled()) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
-  [[nodiscard]] double value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::string& name() const { return name_; }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-  std::string name_;
-  std::atomic<double> value_{0.0};
-};
-
-// Fixed log2-bucket histogram over unsigned 64-bit samples (typically
-// nanoseconds or iteration counts).
-class Histogram {
- public:
-  void record(std::uint64_t v) {
-    if (!metrics_enabled()) return;
-    Shard& s = shards_[internal::shard_index()];
-    s.buckets[histogram_bucket(v)].fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(v, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] std::uint64_t sum() const;
-  // Merged bucket counts in fixed shard order.
-  [[nodiscard]] std::array<std::uint64_t, kHistogramBuckets> buckets() const;
-  [[nodiscard]] const std::string& name() const { return name_; }
-  void reset();
-
- private:
-  friend class MetricsRegistry;
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-    std::atomic<std::uint64_t> sum{0};
-  };
-  explicit Histogram(std::string name) : name_(std::move(name)) {}
-  std::string name_;
-  std::array<Shard, kMetricShards> shards_;
-};
-
-struct HistogramSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-};
-
 // Point-in-time merged view; metric order is registration order, which is
 // itself deterministic for a fixed program (static-local handles register
 // on first execution of their acquisition site).
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> double_counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
 
   // Lookup helpers; return fallback when the metric is absent.
   [[nodiscard]] std::uint64_t counter(std::string_view name,
@@ -204,11 +127,9 @@ class MetricsRegistry {
   // is a programming error and aborts.
   Counter& counter(std::string_view name);
   DoubleCounter& double_counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  // Zeroes every cell of every metric, keeping the registrations (and the
+  // Zeroes every cell of every counter, keeping the registrations (and the
   // handles pointing at them) valid. For per-run scoping and tests.
   void reset_values();
 
@@ -220,8 +141,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Counter>> counters_;
   std::vector<std::unique_ptr<DoubleCounter>> double_counters_;
-  std::vector<std::unique_ptr<Gauge>> gauges_;
-  std::vector<std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace eca::obs

@@ -56,33 +56,55 @@ std::size_t TraceSession::dropped() const {
   return dropped_.load(std::memory_order_relaxed);
 }
 
-void TraceSession::flush_to(std::ostream& os) const {
+void TraceSession::flush_to(std::ostream& os,
+                            const MetricsSnapshot* totals) const {
   const std::size_t n = recorded();
   os << "[\n";
+  const char* separator = "";
   char line[256];
+  const auto emit = [&](int written) {
+    if (written < 0) return;
+    os << separator << line;
+    separator = ",\n";
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const TraceEvent& ev = buffer_[i];
     const double ts_us = static_cast<double>(ev.start_ns) * 1e-3;
     const double dur_us = static_cast<double>(ev.dur_ns) * 1e-3;
-    int written;
     if (ev.arg_name != nullptr) {
-      written = std::snprintf(
+      emit(std::snprintf(
           line, sizeof(line),
           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%u,\"tid\":%u,"
           "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"%s\":%.17g}}",
           ev.name, options_.pid, ev.tid, ts_us, dur_us, ev.arg_name,
-          ev.arg_value);
+          ev.arg_value));
     } else {
-      written = std::snprintf(
+      emit(std::snprintf(
           line, sizeof(line),
           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%u,\"tid\":%u,"
           "\"ts\":%.3f,\"dur\":%.3f}",
-          ev.name, options_.pid, ev.tid, ts_us, dur_us);
+          ev.name, options_.pid, ev.tid, ts_us, dur_us));
     }
-    if (written < 0) continue;
-    os << line << (i + 1 < n ? ",\n" : "\n");
   }
-  os << "]\n";
+  if (totals != nullptr) {
+    const double ts_us = static_cast<double>(now()) * 1e-3;
+    const char* format =
+        "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%u,\"tid\":0,"
+        "\"ts\":%.3f,\"args\":{\"value\":%s}}";
+    char value[32];
+    for (const auto& [name, total] : totals->counters) {
+      std::snprintf(value, sizeof(value), "%llu",
+                    static_cast<unsigned long long>(total));
+      emit(std::snprintf(line, sizeof(line), format, name.c_str(),
+                         options_.pid, ts_us, value));
+    }
+    for (const auto& [name, total] : totals->double_counters) {
+      std::snprintf(value, sizeof(value), "%.17g", total);
+      emit(std::snprintf(line, sizeof(line), format, name.c_str(),
+                         options_.pid, ts_us, value));
+    }
+  }
+  os << (separator[0] != '\0' ? "\n]\n" : "]\n");
 }
 
 bool TraceSession::flush() {
@@ -93,7 +115,8 @@ bool TraceSession::flush() {
                  options_.path.c_str());
     return false;
   }
-  flush_to(os);
+  const MetricsSnapshot totals = MetricsRegistry::global().snapshot();
+  flush_to(os, &totals);
   flushed_ = static_cast<bool>(os);
   return flushed_;
 }

@@ -24,6 +24,16 @@
 // `grep`/`wc -l` style processing works. Timestamps are microseconds, as
 // the trace-event format requires.
 //
+// A flush to the session's file also appends, after the spans, one counter
+// event ("ph":"C") per registered metrics counter and double counter, in
+// registration order, stamped with the flush time:
+//
+//   {"name":"solver.newton_iterations","ph":"C","pid":1,"tid":0,
+//    "ts":40.000,"args":{"value":412}}
+//
+// so the end-of-run totals travel with the timing stream (Perfetto shows
+// them as counter tracks).
+//
 // A process-global session is configured from ECA_TRACE=<path> on first use
 // and flushed at exit; global_trace() returns nullptr when tracing is off,
 // and every TraceSpan on a null session is a no-op.
@@ -37,6 +47,8 @@
 #include <vector>
 
 namespace eca::obs {
+
+struct MetricsSnapshot;
 
 // Monotonic nanosecond clock; injectable for tests.
 using ClockFn = std::uint64_t (*)();
@@ -77,11 +89,14 @@ class TraceSession {
   [[nodiscard]] std::size_t recorded() const;
   [[nodiscard]] std::size_t dropped() const;
 
-  // Serializes the buffered events. flush() opens options.path ("" =>
-  // no-op, returns false). Events recorded concurrently with a flush may or
-  // may not be included; flush at quiescent points.
+  // Serializes the buffered events, followed by one counter event per
+  // entry of `totals` when given. flush() opens options.path ("" => no-op,
+  // returns false) and passes the global registry's snapshot. Events
+  // recorded concurrently with a flush may or may not be included; flush at
+  // quiescent points.
   bool flush();
-  void flush_to(std::ostream& os) const;
+  void flush_to(std::ostream& os,
+                const MetricsSnapshot* totals = nullptr) const;
 
  private:
   TraceOptions options_;

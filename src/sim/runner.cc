@@ -59,14 +59,12 @@ void accumulate(const SimulationResult& sim, double denominator,
   summary.worst_violation = std::max(summary.worst_violation, sim.max_violation);
   // Runs on the merging thread, so the counter total is exact and the
   // accumulated seconds are single-writer.
-  if (obs::metrics_enabled()) {
-    static obs::Counter& sims =
-        obs::MetricsRegistry::global().counter("runner.simulations");
-    static obs::DoubleCounter& sim_seconds =
-        obs::MetricsRegistry::global().double_counter("runner.sim_seconds");
-    sims.add();
-    sim_seconds.add(sim.wall_seconds);
-  }
+  static obs::Counter& sims =
+      obs::MetricsRegistry::global().counter("runner.simulations");
+  static obs::DoubleCounter& sim_seconds =
+      obs::MetricsRegistry::global().double_counter("runner.sim_seconds");
+  sims.add();
+  sim_seconds.add(sim.wall_seconds);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ constexpr double kFixedTol = 1e-12;
 // Cached handles into the global metrics registry (same contract as the
 // Newton solver's SolverMetrics: acquisition locks once, updates are sharded
 // relaxed atomics and never allocate, so the IPM hot path stays
-// allocation-free with metrics enabled). Only integer counters are recorded
+// allocation-free). Only integer counters are recorded
 // here — their fixed-shard-order merge is exact for any assignment of solves
 // to threads, keeping metric totals bit-identical across thread counts.
 struct IpmMetrics {
@@ -365,7 +365,7 @@ void InteriorPointLp::solve_into(const LpProblem& lp, IpmWorkspace& ws,
                                  const IpmWarmStart& warm,
                                  LpSolution& sol) const {
   ECA_TRACE_SPAN("ipm_solve");
-  if (obs::metrics_enabled()) IpmMetrics::get().solves.add(1);
+  IpmMetrics::get().solves.add(1);
   solve_attempt(lp, ws, warm, sol);
   if (fault_fire(FaultSite::kIpmFail)) [[unlikely]] {
     sol.status = SolveStatus::kNumericalError;
@@ -382,7 +382,7 @@ void InteriorPointLp::solve_into(const LpProblem& lp, IpmWorkspace& ws,
     // have gone (divergence heuristics can mistake a bad trajectory for
     // unboundedness). A warm start is an optimization, never a correctness
     // risk: rerun cold, bit-identical to a never-warmed solve.
-    if (obs::metrics_enabled()) IpmMetrics::get().warm_retries.add(1);
+    IpmMetrics::get().warm_retries.add(1);
     ECA_LOG_WARN(
         "ipm: warm-started solve failed (status=%s after %d iterations, "
         "primal=%.3e dual=%.3e gap=%.3e); retrying cold",
@@ -512,10 +512,10 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
       std::copy(sf.wv.begin(), sf.wv.end(), v.begin());
       mu = duality_mu();
       sol.warm_started = true;
-      if (obs::metrics_enabled()) IpmMetrics::get().warm_accepted.add(1);
+      IpmMetrics::get().warm_accepted.add(1);
     } else {
       sol.warm_fallback = true;
-      if (obs::metrics_enabled()) IpmMetrics::get().warm_fallbacks.add(1);
+      IpmMetrics::get().warm_fallbacks.add(1);
     }
   }
 
@@ -630,18 +630,14 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
     // Divergence heuristics.
     if (linalg::norm_inf(x) > 1e13) {
       sol.status = SolveStatus::kDualInfeasible;
-      if (obs::metrics_enabled()) {
-        IpmMetrics::get().iterations.add(
-            static_cast<std::uint64_t>(sol.iterations));
-      }
+      IpmMetrics::get().iterations.add(
+          static_cast<std::uint64_t>(sol.iterations));
       return;
     }
     if (linalg::norm_inf(z) > 1e13 || linalg::norm_inf(y) > 1e13) {
       sol.status = SolveStatus::kPrimalInfeasible;
-      if (obs::metrics_enabled()) {
-        IpmMetrics::get().iterations.add(
-            static_cast<std::uint64_t>(sol.iterations));
-      }
+      IpmMetrics::get().iterations.add(
+          static_cast<std::uint64_t>(sol.iterations));
       return;
     }
 
@@ -777,9 +773,7 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   } else if (sol.status != SolveStatus::kOptimal) {
     sol.status = SolveStatus::kIterationLimit;
   }
-  if (obs::metrics_enabled()) {
-    IpmMetrics::get().iterations.add(static_cast<std::uint64_t>(sol.iterations));
-  }
+  IpmMetrics::get().iterations.add(static_cast<std::uint64_t>(sol.iterations));
 
   // Expand to the original variable space.
   sol.x.assign(lp.num_vars, 0.0);

@@ -95,7 +95,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 LpSolution PdhgLp::solve(const LpProblem& lp) const {
   obs::TraceSpan solve_span(obs::global_trace(), "lp_pdhg_solve");
-  const bool metrics_on = obs::metrics_enabled();
   const auto solve_start = std::chrono::steady_clock::now();
 
   LpSolution sol;
@@ -352,8 +351,7 @@ LpSolution PdhgLp::solve(const LpProblem& lp) const {
   Vec best_x = x, best_y = y;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const auto iter_start = metrics_on ? std::chrono::steady_clock::now()
-                                       : std::chrono::steady_clock::time_point{};
+    const auto iter_start = std::chrono::steady_clock::now();
     if (pool != nullptr) {
       pool->run_indexed(col_parts, column_pass);
       pool->run_indexed(row_parts, row_pass);
@@ -365,18 +363,17 @@ LpSolution PdhgLp::solve(const LpProblem& lp) const {
     ++avg_count;
     ++since_restart;
     iterations_run = iter + 1;
-    if (metrics_on) kernel_seconds += seconds_since(iter_start);
+    kernel_seconds += seconds_since(iter_start);
 
     if ((iter + 1) % options_.check_every != 0) continue;
 
-    const auto kkt_start = metrics_on ? std::chrono::steady_clock::now()
-                                      : std::chrono::steady_clock::time_point{};
+    const auto kkt_start = std::chrono::steady_clock::now();
     const KktScore cur = evaluate(x, y);
     const double inv = 1.0 / static_cast<double>(avg_count);
     for (std::size_t j = 0; j < n; ++j) x_avg[j] = x_sum[j] * inv;
     for (std::size_t r = 0; r < m; ++r) y_avg[r] = y_sum[r] * inv;
     const KktScore avg = evaluate(x_avg, y_avg);
-    if (metrics_on) kkt_seconds += seconds_since(kkt_start);
+    kkt_seconds += seconds_since(kkt_start);
 
     const bool avg_better = avg.worst() < cur.worst();
     const KktScore& cand_score = avg_better ? avg : cur;
@@ -439,29 +436,25 @@ LpSolution PdhgLp::solve(const LpProblem& lp) const {
            SolveStatus::kIterationLimit);
   }
 
-  if (metrics_on) {
-    auto& registry = obs::MetricsRegistry::global();
-    static obs::Counter& solves = registry.counter("lp.pdhg_solves");
-    static obs::Counter& iters = registry.counter("lp.pdhg_iterations");
-    static obs::Counter& restart_count = registry.counter("lp.pdhg_restarts");
-    static obs::DoubleCounter& total_s =
-        registry.double_counter("lp.pdhg_seconds");
-    static obs::DoubleCounter& scale_s =
-        registry.double_counter("lp.pdhg_scale_seconds");
-    static obs::DoubleCounter& kernel_s =
-        registry.double_counter("lp.pdhg_kernel_seconds");
-    static obs::DoubleCounter& kkt_s =
-        registry.double_counter("lp.pdhg_kkt_seconds");
-    static obs::Gauge& threads_gauge = registry.gauge("lp.pdhg_threads");
-    solves.add();
-    iters.add(static_cast<std::uint64_t>(iterations_run));
-    restart_count.add(restarts);
-    total_s.add(seconds_since(solve_start));
-    scale_s.add(scale_seconds);
-    kernel_s.add(kernel_seconds);
-    kkt_s.add(kkt_seconds);
-    threads_gauge.set(static_cast<double>(threads));
-  }
+  auto& registry = obs::MetricsRegistry::global();
+  static obs::Counter& solves = registry.counter("lp.pdhg_solves");
+  static obs::Counter& iters = registry.counter("lp.pdhg_iterations");
+  static obs::Counter& restart_count = registry.counter("lp.pdhg_restarts");
+  static obs::DoubleCounter& total_s =
+      registry.double_counter("lp.pdhg_seconds");
+  static obs::DoubleCounter& scale_s =
+      registry.double_counter("lp.pdhg_scale_seconds");
+  static obs::DoubleCounter& kernel_s =
+      registry.double_counter("lp.pdhg_kernel_seconds");
+  static obs::DoubleCounter& kkt_s =
+      registry.double_counter("lp.pdhg_kkt_seconds");
+  solves.add();
+  iters.add(static_cast<std::uint64_t>(iterations_run));
+  restart_count.add(restarts);
+  total_s.add(seconds_since(solve_start));
+  scale_s.add(scale_seconds);
+  kernel_s.add(kernel_seconds);
+  kkt_s.add(kkt_seconds);
   // Fault seam: one solve reports iteration-cap exhaustion after running,
   // so callers' failure handling is exercised on an otherwise-good solve.
   if (fault_fire(FaultSite::kPdhgFail)) [[unlikely]] {

@@ -306,18 +306,14 @@ bool warm_point_usable(const RegularizedProblem& p, const NewtonWorkspace& ws,
 // Cached handles into the global metrics registry. Acquired once (first
 // solve in the process — registration locks and allocates), then every
 // update is a sharded relaxed atomic op: the Newton hot path stays
-// allocation-free with metrics enabled (tests/solve/newton_alloc_test.cc).
-// Counters and per-solve stats are recorded only by the thread driving the
-// solve, so their totals are deterministic for any slot_threads value; the
-// chunk_assembly_ns histogram is the one metric fed concurrently by the
-// assembly workers (its *count* is still exact and deterministic).
+// allocation-free (tests/solve/newton_alloc_test.cc).
+// Every counter is recorded only by the thread driving the solve, so the
+// integer totals are deterministic for any slot_threads value.
 struct SolverMetrics {
   obs::Counter& solves;
   obs::Counter& newton_iterations;
   obs::Counter& warm_starts;
   obs::Counter& warm_fallbacks;
-  obs::Histogram& iterations_per_solve;
-  obs::Histogram& chunk_assembly_ns;
   obs::DoubleCounter& assembly_seconds;
   obs::DoubleCounter& factor_seconds;
   obs::DoubleCounter& solve_seconds;
@@ -328,9 +324,6 @@ struct SolverMetrics {
         obs::MetricsRegistry::global().counter("solver.newton_iterations"),
         obs::MetricsRegistry::global().counter("solver.warm_starts"),
         obs::MetricsRegistry::global().counter("solver.warm_fallbacks"),
-        obs::MetricsRegistry::global().histogram(
-            "solver.iterations_per_solve"),
-        obs::MetricsRegistry::global().histogram("solver.chunk_assembly_ns"),
         obs::MetricsRegistry::global().double_counter(
             "solver.assembly_seconds"),
         obs::MetricsRegistry::global().double_counter("solver.factor_seconds"),
@@ -389,9 +382,7 @@ RegularizedSolution RegularizedSolver::solve(
 RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
                                              NewtonWorkspace& ws) const {
   ECA_TRACE_SPAN("p2_solve");
-  // Sampled once per solve: recording must not toggle mid-iteration.
-  const bool metrics_on = obs::metrics_enabled();
-  const std::uint64_t solve_t0 = metrics_on ? obs::steady_clock_ns() : 0;
+  const std::uint64_t solve_t0 = obs::steady_clock_ns();
   std::uint64_t assembly_ns = 0;
   std::uint64_t factor_ns = 0;
 
@@ -878,7 +869,7 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
     mu = mu_next;
 
     // --- Newton matrix pieces + Schur accumulators -------------------------
-    const std::uint64_t assembly_t0 = metrics_on ? obs::steady_clock_ns() : 0;
+    const std::uint64_t assembly_t0 = obs::steady_clock_ns();
     beta_sum = 0.0;
     for (std::size_t i = 0; i < kI; ++i) {
       const double eta_i = ws.eta_cache[i];
@@ -893,10 +884,6 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
       beta_sum += b;
     }
     for_chunks([&](std::size_t c) {
-      // The per-worker assembly timing: recorded from whichever pool thread
-      // runs the chunk (a concurrent, sharded histogram update — this is
-      // the path the tsan-smoke test hammers).
-      const std::uint64_t chunk_t0 = metrics_on ? obs::steady_clock_ns() : 0;
       const std::size_t j0 = chunk_begin(c);
       const std::size_t j1 = chunk_end(c);
       double* ia = ws.chunk_ia.data() + c * kI;        // r_i partials
@@ -944,10 +931,6 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
                             ib);
       sc[0] = total_part;
       sc[1] = r2_part;
-      if (metrics_on) {
-        SolverMetrics::get().chunk_assembly_ns.record(obs::steady_clock_ns() -
-                                                      chunk_t0);
-      }
     });
     // Chunk-ordered reduction of r_i, s, Q_i, R and P.
     linalg::fill(ws.row_sum, 0.0);
@@ -968,7 +951,7 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
       r_cap += sc[1];
     }
     linalg::symmetrize_from_lower(pm, kI, kI);
-    if (metrics_on) assembly_ns += obs::steady_clock_ns() - assembly_t0;
+    assembly_ns += obs::steady_clock_ns() - assembly_t0;
 
     // --- (I+1)² Schur system over [u_1..u_I, e] ---------------------------
     double rb = 0.0;  // Σ_i r_i β_i
@@ -999,10 +982,10 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
     ws.s_mat(kI, kI) =
         1.0 - rb + total_sum * beta_sum + qb - r_cap * beta_sum;
     {
-      const std::uint64_t factor_t0 = metrics_on ? obs::steady_clock_ns() : 0;
+      const std::uint64_t factor_t0 = obs::steady_clock_ns();
       const bool factored =
           ws.lu.factor(ws.s_mat) && !fault_fire(FaultSite::kSchurSingular);
-      if (metrics_on) factor_ns += obs::steady_clock_ns() - factor_t0;
+      factor_ns += obs::steady_clock_ns() - factor_t0;
       if (!factored) break;  // fall back to the best iterate
     }
 
@@ -1183,18 +1166,15 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
   sol.stats.mu_steps = mu_steps;
   sol.stats.kkt_comp_avg = converged ? exit_comp_avg : best_comp_avg;
   sol.stats.kkt_dual_residual = converged ? exit_dual_resid : best_dual_resid;
-  if (metrics_on) {
-    SolverMetrics& sm = SolverMetrics::get();
-    sm.solves.add();
-    sm.newton_iterations.add(static_cast<std::uint64_t>(iter));
-    if (warm) sm.warm_starts.add();
-    if (sol.stats.warm_fallback) sm.warm_fallbacks.add();
-    sm.iterations_per_solve.record(static_cast<std::uint64_t>(iter));
-    sm.assembly_seconds.add(static_cast<double>(assembly_ns) * 1e-9);
-    sm.factor_seconds.add(static_cast<double>(factor_ns) * 1e-9);
-    sm.solve_seconds.add(
-        static_cast<double>(obs::steady_clock_ns() - solve_t0) * 1e-9);
-  }
+  SolverMetrics& sm = SolverMetrics::get();
+  sm.solves.add();
+  sm.newton_iterations.add(static_cast<std::uint64_t>(iter));
+  if (warm) sm.warm_starts.add();
+  if (sol.stats.warm_fallback) sm.warm_fallbacks.add();
+  sm.assembly_seconds.add(static_cast<double>(assembly_ns) * 1e-9);
+  sm.factor_seconds.add(static_cast<double>(factor_ns) * 1e-9);
+  sm.solve_seconds.add(
+      static_cast<double>(obs::steady_clock_ns() - solve_t0) * 1e-9);
   // A best-iterate fallback with a small KKT score is still a usable
   // optimum; only report failure when even the best point is poor.
   if (converged) {

@@ -48,8 +48,9 @@ TEST(ThreadPool, ResolveThreadsIsAtLeastOne) {
   ::unsetenv("ECA_THREADS");
   EXPECT_GE(ThreadPool::resolve_threads(), 1u);
   EXPECT_EQ(ThreadPool::resolve_threads(7), 7u);
-  ::setenv("ECA_THREADS", "0", 1);  // non-positive env falls through
-  EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
+  ::setenv("ECA_THREADS", "0", 1);  // non-positive env fails fast
+  EXPECT_EXIT(ThreadPool::resolve_threads(0), ::testing::ExitedWithCode(2),
+              "ECA_THREADS");
   ::unsetenv("ECA_THREADS");
 }
 
@@ -96,8 +97,9 @@ TEST(ThreadPool, ResolveLpThreadsPolicy) {
   ::setenv("ECA_LP_THREADS", "3", 1);
   EXPECT_EQ(ThreadPool::resolve_lp_threads(0), 3u);
   EXPECT_EQ(ThreadPool::resolve_lp_threads(5), 5u);  // explicit wins
-  ::setenv("ECA_LP_THREADS", "0", 1);  // non-positive env falls through
-  EXPECT_EQ(ThreadPool::resolve_lp_threads(0), 1u);
+  ::setenv("ECA_LP_THREADS", "0", 1);  // non-positive env fails fast
+  EXPECT_EXIT(ThreadPool::resolve_lp_threads(0), ::testing::ExitedWithCode(2),
+              "ECA_LP_THREADS");
   ::unsetenv("ECA_LP_THREADS");
 }
 
@@ -143,9 +145,9 @@ TEST(ThreadPool, ResolveBaselineThreadsPolicy) {
 }
 
 TEST(ThreadPool, ResolveBaselineThreadsFailsFastOnInvalidEnv) {
-  // Unlike the warn-and-fall-back knobs, ECA_BASELINE_THREADS exits with
-  // status 2 on any set-but-invalid value: a typo must not silently run a
-  // serial sweep that looks like a slow machine.
+  // Like every thread knob, ECA_BASELINE_THREADS exits with status 2 on any
+  // set-but-invalid value: a typo must not silently run a serial sweep that
+  // looks like a slow machine.
   ::setenv("ECA_BASELINE_THREADS", "many", 1);
   EXPECT_EXIT(ThreadPool::resolve_baseline_threads(),
               ::testing::ExitedWithCode(2), "ECA_BASELINE_THREADS");

@@ -1,6 +1,5 @@
-// MetricsRegistry semantics: handle identity, sharded merging, the log2
-// histogram bucket map, enable/disable gating, reset_values, and snapshot
-// lookups. Concurrency here is correctness-of-totals (integer adds are
+// MetricsRegistry semantics: handle identity, sharded merging,
+// reset_values, and snapshot lookups. Concurrency here is correctness-of-totals (integer adds are
 // exact under any interleaving); the TSan pass over the same primitives
 // lives in tests/solve/obs_parallel_test.cc.
 #include <cstdint>
@@ -15,21 +14,11 @@ namespace eca::obs {
 namespace {
 
 // Every test runs against the process-global registry (that is the contract
-// hot-path call sites rely on), so each starts from zeroed values and a
-// known enabled state.
+// hot-path call sites rely on), so each starts from zeroed values.
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    previous_enabled_ = set_metrics_enabled(true);
-    MetricsRegistry::global().reset_values();
-  }
-  void TearDown() override {
-    MetricsRegistry::global().reset_values();
-    set_metrics_enabled(previous_enabled_);
-  }
-
- private:
-  bool previous_enabled_ = true;
+  void SetUp() override { MetricsRegistry::global().reset_values(); }
+  void TearDown() override { MetricsRegistry::global().reset_values(); }
 };
 
 TEST_F(MetricsTest, CounterAddsAndResets) {
@@ -59,58 +48,9 @@ TEST_F(MetricsTest, DoubleCounterAccumulates) {
   EXPECT_EQ(c.total(), 4.0);
 }
 
-TEST_F(MetricsTest, GaugeIsLastWriteWins) {
-  Gauge& g = MetricsRegistry::global().gauge("test.gauge");
-  g.set(3.5);
-  g.set(-1.0);
-  EXPECT_EQ(g.value(), -1.0);
-  g.reset();
-  EXPECT_EQ(g.value(), 0.0);
-}
-
-TEST_F(MetricsTest, HistogramBucketEdges) {
-  // Bucket 0 holds the value 0; bucket b >= 1 holds [2^(b-1), 2^b).
-  EXPECT_EQ(histogram_bucket(0), 0u);
-  EXPECT_EQ(histogram_bucket(1), 1u);
-  EXPECT_EQ(histogram_bucket(2), 2u);
-  EXPECT_EQ(histogram_bucket(3), 2u);
-  EXPECT_EQ(histogram_bucket(4), 3u);
-  EXPECT_EQ(histogram_bucket(7), 3u);
-  EXPECT_EQ(histogram_bucket(8), 4u);
-  EXPECT_EQ(histogram_bucket((1ull << 32)), 33u);
-  EXPECT_EQ(histogram_bucket(~0ull), 64u);
-  EXPECT_EQ(histogram_bucket_floor(0), 0u);
-  EXPECT_EQ(histogram_bucket_floor(1), 1u);
-  EXPECT_EQ(histogram_bucket_floor(4), 8u);
-  // Floors are consistent with the bucket map on both edges.
-  for (std::size_t b = 1; b < 64; ++b) {
-    EXPECT_EQ(histogram_bucket(histogram_bucket_floor(b)), b) << b;
-    EXPECT_EQ(histogram_bucket(histogram_bucket_floor(b + 1) - 1), b) << b;
-  }
-}
-
-TEST_F(MetricsTest, HistogramCountsSumAndBuckets) {
-  Histogram& h = MetricsRegistry::global().histogram("test.histogram");
-  h.record(0);
-  h.record(1);
-  h.record(3);
-  h.record(3);
-  h.record(1000);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 1007u);
-  const auto buckets = h.buckets();
-  EXPECT_EQ(buckets[0], 1u);            // the zero
-  EXPECT_EQ(buckets[1], 1u);            // 1
-  EXPECT_EQ(buckets[2], 2u);            // 3, 3
-  EXPECT_EQ(buckets[10], 1u);           // 1000 in [512, 1024)
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0u);
-}
-
 TEST_F(MetricsTest, ConcurrentAddsMergeExactly) {
   Counter& c = MetricsRegistry::global().counter("test.concurrent");
-  Histogram& h = MetricsRegistry::global().histogram("test.concurrent_hist");
+  Counter& sum = MetricsRegistry::global().counter("test.concurrent_sum");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> workers;
@@ -119,7 +59,7 @@ TEST_F(MetricsTest, ConcurrentAddsMergeExactly) {
     workers.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         c.add();
-        h.record(static_cast<std::uint64_t>(i));
+        sum.add(static_cast<std::uint64_t>(i));
       }
     });
   }
@@ -127,61 +67,18 @@ TEST_F(MetricsTest, ConcurrentAddsMergeExactly) {
   // Integer shard cells merge exactly regardless of which shard each thread
   // landed on.
   EXPECT_EQ(c.total(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.sum(), static_cast<std::uint64_t>(kThreads) * kPerThread *
-                         (kPerThread - 1) / 2);
-}
-
-TEST_F(MetricsTest, DisabledMetricsRecordNothing) {
-  Counter& c = MetricsRegistry::global().counter("test.disabled");
-  DoubleCounter& d =
-      MetricsRegistry::global().double_counter("test.disabled_d");
-  Gauge& g = MetricsRegistry::global().gauge("test.disabled_g");
-  Histogram& h = MetricsRegistry::global().histogram("test.disabled_h");
-  ASSERT_TRUE(set_metrics_enabled(false));
-  EXPECT_FALSE(metrics_enabled());
-  c.add(5);
-  d.add(1.0);
-  g.set(2.0);
-  h.record(9);
-  EXPECT_EQ(c.total(), 0u);
-  EXPECT_EQ(d.total(), 0.0);
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-  // Re-enabling resumes recording on the same handles.
-  EXPECT_FALSE(set_metrics_enabled(true));
-  c.add(5);
-  EXPECT_EQ(c.total(), 5u);
+  EXPECT_EQ(sum.total(), static_cast<std::uint64_t>(kThreads) * kPerThread *
+                           (kPerThread - 1) / 2);
 }
 
 TEST_F(MetricsTest, SnapshotLooksUpByName) {
   MetricsRegistry::global().counter("test.snap_counter").add(11);
   MetricsRegistry::global().double_counter("test.snap_double").add(2.5);
-  MetricsRegistry::global().gauge("test.snap_gauge").set(7.0);
-  MetricsRegistry::global().histogram("test.snap_hist").record(3);
   const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
   EXPECT_EQ(snap.counter("test.snap_counter"), 11u);
   EXPECT_EQ(snap.double_counter("test.snap_double"), 2.5);
   EXPECT_EQ(snap.counter("test.no_such_metric", 99), 99u);
   EXPECT_EQ(snap.double_counter("test.no_such_metric", -1.0), -1.0);
-  bool found_gauge = false;
-  for (const auto& [name, value] : snap.gauges) {
-    if (name == "test.snap_gauge") {
-      found_gauge = true;
-      EXPECT_EQ(value, 7.0);
-    }
-  }
-  EXPECT_TRUE(found_gauge);
-  bool found_hist = false;
-  for (const auto& hist : snap.histograms) {
-    if (hist.name == "test.snap_hist") {
-      found_hist = true;
-      EXPECT_EQ(hist.count, 1u);
-      EXPECT_EQ(hist.sum, 3u);
-      EXPECT_EQ(hist.buckets[histogram_bucket(3)], 1u);
-    }
-  }
-  EXPECT_TRUE(found_hist);
 }
 
 TEST_F(MetricsTest, ResetValuesKeepsHandlesValid) {

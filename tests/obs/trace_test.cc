@@ -1,15 +1,17 @@
 // TraceSession behaviour under an injected clock: span recording, the
 // Chrome-trace serialization contract (strict JSON array, one complete
-// event per line, microsecond timestamps), drop-on-overflow accounting,
-// and the global-session install/drop lifecycle.
+// event per line, microsecond timestamps), the counter events a file flush
+// appends, drop-on-overflow accounting, and the global-session install/drop
+// lifecycle.
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"  // internal::thread_ordinal, for the expected tid
+#include "obs/metrics.h"  // thread_ordinal for the expected tid; counters
 #include "obs/trace.h"
 
 namespace eca::obs {
@@ -71,6 +73,62 @@ TEST(Trace, SpanArgIsEmitted) {
   session.flush_to(os);
   EXPECT_NE(os.str().find("\"args\":{\"t\":7}"), std::string::npos)
       << os.str();
+}
+
+TEST(Trace, FileFlushAppendsOneCounterEventPerRegisteredCounter) {
+  Counter& counter = MetricsRegistry::global().counter("test.trace_counter");
+  DoubleCounter& seconds =
+      MetricsRegistry::global().double_counter("test.trace_seconds");
+  counter.reset();
+  seconds.reset();
+  counter.add(41);
+  seconds.add(0.5);
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+
+  g_fake_now = 0;
+  TraceOptions options = fake_options();
+  options.path = ::testing::TempDir() + "trace_counters.json";
+  {
+    TraceSession session(options);
+    { TraceSpan span(&session, "unit_span"); }
+    ASSERT_TRUE(session.flush());
+  }
+  std::ifstream in(options.path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::vector<std::string> lines = lines_of(text.str());
+  // [, the span, one counter event per registered counter, ].
+  ASSERT_EQ(lines.size(),
+            3 + snap.counters.size() + snap.double_counters.size());
+  EXPECT_EQ(lines.front(), "[");
+  EXPECT_EQ(lines.back(), "]");
+  EXPECT_NE(lines[1].find("\"ph\":\"X\""), std::string::npos);
+  // Counter events follow the spans in registration order, every line but
+  // the last comma-terminated so the file stays a JSON array.
+  std::size_t row = 2;
+  for (const auto& [name, total] : snap.counters) {
+    const std::string& line = lines[row++];
+    EXPECT_EQ(line.rfind("{\"name\":\"" + name + "\",\"ph\":\"C\"", 0), 0u)
+        << line;
+    EXPECT_NE(line.find("\"tid\":0,"), std::string::npos) << line;
+    if (name == "test.trace_counter") {
+      EXPECT_NE(line.find("\"args\":{\"value\":41}}"), std::string::npos)
+          << line;
+    }
+  }
+  for (const auto& [name, total] : snap.double_counters) {
+    const std::string& line = lines[row++];
+    EXPECT_EQ(line.rfind("{\"name\":\"" + name + "\",\"ph\":\"C\"", 0), 0u)
+        << line;
+    if (name == "test.trace_seconds") {
+      EXPECT_NE(line.find("\"args\":{\"value\":0.5}}"), std::string::npos)
+          << line;
+    }
+  }
+  for (std::size_t i = 1; i + 2 < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].back(), ',') << lines[i];
+  }
+  EXPECT_NE(lines[lines.size() - 2].back(), ',');
 }
 
 TEST(Trace, NullSessionSpanIsNoOp) {

@@ -8,6 +8,8 @@
 #include <string>
 
 #include "check/harness.h"
+#include "common/env.h"
+#include "common/thread_pool.h"
 #include "obs/events.h"
 #include "obs/trace.h"
 
@@ -116,6 +118,51 @@ TEST(EnvDeathTest, PropScenariosRejectsOverCap) {
 TEST(EnvDeathTest, PropScenariosParsesValidValue) {
   ScopedEnv n("ECA_PROP_SCENARIOS", "200");
   EXPECT_EQ(eca::check::prop_scenarios_from_env(50), 200);
+}
+
+TEST(EnvDeathTest, ThreadsRejectsNonNumeric) {
+  ScopedEnv threads("ECA_THREADS", "eight");
+  EXPECT_EXIT(eca::ThreadPool::resolve_threads(),
+              ::testing::ExitedWithCode(2), "ECA_THREADS");
+}
+
+TEST(EnvDeathTest, SlotThreadsRejectsZero) {
+  ScopedEnv threads("ECA_SLOT_THREADS", "0");
+  EXPECT_EXIT(eca::ThreadPool::resolve_slot_threads(),
+              ::testing::ExitedWithCode(2), "ECA_SLOT_THREADS");
+}
+
+TEST(EnvDeathTest, LpThreadsRejectsNegative) {
+  ScopedEnv threads("ECA_LP_THREADS", "-1");
+  EXPECT_EXIT(eca::ThreadPool::resolve_lp_threads(),
+              ::testing::ExitedWithCode(2), "ECA_LP_THREADS");
+}
+
+TEST(EnvDeathTest, EnvIntRejectsBelowMinimum) {
+  ScopedEnv users("ECA_USERS", "0");
+  EXPECT_EXIT(eca::env_int("ECA_USERS", 30, 1), ::testing::ExitedWithCode(2),
+              "ECA_USERS");
+}
+
+TEST(EnvDeathTest, EnvDoubleRejectsNonNumeric) {
+  ScopedEnv scale("ECA_BW_SCALE", "0.4x");
+  EXPECT_EXIT(eca::env_double("ECA_BW_SCALE", 0.4),
+              ::testing::ExitedWithCode(2), "ECA_BW_SCALE");
+}
+
+TEST(EnvDeathTest, EnvBoolRejectsUnknownSpelling) {
+  ScopedEnv csv("ECA_CSV", "maybe");
+  EXPECT_EXIT(eca::env_bool("ECA_CSV", false), ::testing::ExitedWithCode(2),
+              "ECA_CSV");
+}
+
+TEST(EnvDeathTest, EnvParsersReadValidValues) {
+  ScopedEnv users("ECA_USERS", "12");
+  ScopedEnv scale("ECA_BW_SCALE", "0.25");
+  ScopedEnv csv("ECA_CSV", "on");
+  EXPECT_EQ(eca::env_int("ECA_USERS", 30, 1), 12);
+  EXPECT_EQ(eca::env_double("ECA_BW_SCALE", 0.4), 0.25);
+  EXPECT_TRUE(eca::env_bool("ECA_CSV", false));
 }
 
 TEST(EnvDeathTest, UnsetKnobsFallBack) {

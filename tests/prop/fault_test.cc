@@ -38,23 +38,17 @@ bool bitwise_equal(const linalg::Vec& a, const linalg::Vec& b) {
   return true;
 }
 
-// Fresh metrics + no fault plan around every test, restoring the previous
-// metrics mode so the fixture composes with any ECA_METRICS setting.
+// Fresh metrics + no fault plan around every test.
 class FaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    previous_metrics_ = obs::set_metrics_enabled(true);
     obs::MetricsRegistry::global().reset_values();
     install_fault_plan(nullptr);
   }
   void TearDown() override {
     install_fault_plan(nullptr);
     obs::MetricsRegistry::global().reset_values();
-    obs::set_metrics_enabled(previous_metrics_);
   }
-
- private:
-  bool previous_metrics_ = false;
 };
 
 model::Instance default_instance() {

@@ -1,6 +1,7 @@
 """Golden tests for scripts/validate_telemetry.py: valid trace and events
 artifacts pass, and each documented failure mode (corrupted JSON/JSONL,
-schema version mismatch, broken run accounting) fails with exit 1."""
+schema version mismatch, broken run accounting, trace and events streams
+disagreeing) fails with exit 1."""
 import json
 import pathlib
 import sys
@@ -44,6 +45,54 @@ class ValidateTelemetryTest(unittest.TestCase):
                                    "--trace", str(trace))
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("1 trace events", proc.stdout)
+
+    def write_trace(self, newton_iterations):
+        """A trace ending with the counter events a file flush appends."""
+        trace = self.dir / "run.trace.json"
+        trace.write_text(
+            '[\n{"name":"p2_solve","ph":"X","pid":1,"tid":0,"ts":0,'
+            '"dur":5},\n'
+            '{"name":"solver.newton_iterations","ph":"C","pid":1,"tid":0,'
+            f'"ts":9,"args":{{"value":{newton_iterations}}}}},\n'
+            '{"name":"solver.solve_seconds","ph":"C","pid":1,"tid":0,'
+            '"ts":9,"args":{"value":0.25}}\n]\n', encoding="utf-8")
+        return str(trace)
+
+    def test_counter_events_pass(self):
+        proc = fixtures.run_script("validate_telemetry.py",
+                                   "--trace", self.write_trace(23))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("3 trace events (2 counters)", proc.stdout)
+
+    def test_counter_event_without_numeric_value_fails(self):
+        trace = self.dir / "run.trace.json"
+        trace.write_text(
+            '[\n{"name":"ipm.iterations","ph":"C","pid":1,"tid":0,"ts":1,'
+            '"args":{"value":"12"}}\n]\n', encoding="utf-8")
+        proc = fixtures.run_script("validate_telemetry.py",
+                                   "--trace", str(trace))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("args.value", proc.stderr)
+
+    def test_streams_agreeing_on_newton_iterations_pass(self):
+        # make_events' online-approx run solves slots 1 and 2 in 11 + 12
+        # Newton iterations.
+        events = fixtures.write_events(self.dir / "run.events.jsonl",
+                                       fixtures.make_events())
+        proc = fixtures.run_script("validate_telemetry.py",
+                                   "--trace", self.write_trace(23),
+                                   "--events", events)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("streams agree on 23 Newton iterations", proc.stdout)
+
+    def test_streams_disagreeing_on_newton_iterations_fail(self):
+        events = fixtures.write_events(self.dir / "run.events.jsonl",
+                                       fixtures.make_events())
+        proc = fixtures.run_script("validate_telemetry.py",
+                                   "--trace", self.write_trace(24),
+                                   "--events", events)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("solver.newton_iterations is 24", proc.stderr)
 
     def test_nothing_to_validate_is_a_usage_error(self):
         proc = fixtures.run_script("validate_telemetry.py")

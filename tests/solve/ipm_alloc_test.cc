@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "solve/ipm_lp.h"
 #include "lp_test_util.h"
 
@@ -139,7 +138,6 @@ TEST(IpmAlloc, MetricsEnabledKeepsIterationIndependence) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "allocation counting is unreliable under sanitizers";
 #endif
-  const bool previous_enabled = obs::set_metrics_enabled(true);
   const LpProblem lp = sample_lp();
   IpmOptions loose;
   loose.tolerance = 1e-2;
@@ -153,7 +151,6 @@ TEST(IpmAlloc, MetricsEnabledKeepsIterationIndependence) {
 
   const SolveProfile few = profile(lp, loose, ws, sol);
   const SolveProfile many = profile(lp, tight, ws, sol);
-  obs::set_metrics_enabled(previous_enabled);
   ASSERT_GT(many.iterations, few.iterations);
   EXPECT_EQ(few.allocations, many.allocations);
 }

@@ -7,6 +7,7 @@
 //
 // This TU replaces the global allocator, so it gets its own test binary.
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -92,7 +93,9 @@ TEST(NewtonAlloc, IterationLoopIsAllocationFree) {
   tight.warm_start = false;
 
   NewtonWorkspace ws;
-  // Warm the workspace so setup (resize) allocations are out of the picture.
+  // Warm the workspace so setup (resize) allocations are out of the picture;
+  // this also registers the solver's metric handles (cached function-local
+  // statics — the one-time registration allocates, add() never does).
   (void)RegularizedSolver(tight).solve(p, ws);
 
   const SolveProfile few = profile(p, loose, ws);
@@ -110,11 +113,10 @@ TEST(NewtonAlloc, IterationLoopIsAllocationFreeWithMetricsEnabled) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "allocation counting is unreliable under sanitizers";
 #endif
-  // The observability instrumentation must preserve the guarantee: metric
-  // handles are cached in function-local statics and add()/record() on them
-  // never allocate, so the per-solve allocation count stays independent of
-  // the iteration count with ECA_METRICS on.
-  const bool previous_enabled = obs::set_metrics_enabled(true);
+  // The observability instrumentation must preserve the guarantee while it
+  // is demonstrably recording: the solver's counters advance by exactly the
+  // profiled solves' work, and the per-solve allocation count still stays
+  // independent of the iteration count.
   const RegularizedProblem p = sample_problem();
   RegularizedOptions loose;
   loose.final_mu = 1e-4;
@@ -124,15 +126,24 @@ TEST(NewtonAlloc, IterationLoopIsAllocationFreeWithMetricsEnabled) {
   tight.warm_start = false;
 
   NewtonWorkspace ws;
-  // Warm-up solve with metrics enabled: registers the handle statics (the
-  // one-time registration does allocate) and sizes the workspace.
+  // Warm-up solve: registers the handle statics (the one-time registration
+  // does allocate) and sizes the workspace.
   (void)RegularizedSolver(tight).solve(p, ws);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const obs::Counter& solves = registry.counter("solver.solves");
+  const obs::Counter& iterations = registry.counter("solver.newton_iterations");
+  const std::uint64_t solves_before = solves.total();
+  const std::uint64_t iterations_before = iterations.total();
 
   const SolveProfile few = profile(p, loose, ws);
   const SolveProfile many = profile(p, tight, ws);
-  obs::set_metrics_enabled(previous_enabled);
   ASSERT_GT(many.newton_iterations, few.newton_iterations);
   EXPECT_EQ(few.allocations, many.allocations);
+  EXPECT_EQ(solves.total() - solves_before, 2U);
+  EXPECT_EQ(iterations.total() - iterations_before,
+            static_cast<std::uint64_t>(few.newton_iterations +
+                                       many.newton_iterations));
 }
 
 TEST(NewtonAlloc, WorkspaceReuseMatchesFreshWorkspace) {

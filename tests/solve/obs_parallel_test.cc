@@ -1,18 +1,15 @@
 // Observability determinism under chunk-parallel solves, plus the
 // concurrent-update surface of the metrics/trace primitives.
 //
-// The contract (src/obs/metrics.h): reproducible metrics — solve counts,
-// Newton iteration totals, warm-start outcomes, the iteration histogram —
-// are recorded only by the thread driving the slot sequence, so their
-// merged totals must be BIT-IDENTICAL for every slot_threads value. The
-// chunk workers feed exactly one metric (the chunk-assembly timing
-// histogram), whose COUNT is still exact (one record per chunk task); only
-// its nanosecond sum is wall-clock noise.
+// The contract (src/obs/metrics.h): reproducible counters — solve counts,
+// Newton iteration totals, warm-start outcomes — are recorded only by the
+// thread driving the slot sequence, so their merged totals must be
+// BIT-IDENTICAL for every slot_threads value. The chunk workers record no
+// metric at all.
 //
 // Own binary, labelled tsan-smoke: a -DECA_SANITIZE=thread build runs this
 // under TSan to prove the sharded metric cells and the trace buffer's
 // cursor claim really are race-free when hammered from a thread pool.
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -29,17 +26,8 @@ namespace {
 
 class ObsParallelTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    previous_enabled_ = obs::set_metrics_enabled(true);
-    obs::MetricsRegistry::global().reset_values();
-  }
-  void TearDown() override {
-    obs::MetricsRegistry::global().reset_values();
-    obs::set_metrics_enabled(previous_enabled_);
-  }
-
- private:
-  bool previous_enabled_ = true;
+  void SetUp() override { obs::MetricsRegistry::global().reset_values(); }
+  void TearDown() override { obs::MetricsRegistry::global().reset_values(); }
 };
 
 RegularizedProblem make_problem(Rng& rng, std::size_t num_clouds,
@@ -71,10 +59,9 @@ struct SolverMetricTotals {
   std::uint64_t newton_iterations = 0;
   std::uint64_t warm_starts = 0;
   std::uint64_t warm_fallbacks = 0;
-  std::uint64_t iterations_hist_count = 0;
-  std::uint64_t iterations_hist_sum = 0;
-  std::array<std::uint64_t, obs::kHistogramBuckets> iterations_hist_buckets{};
-  std::uint64_t chunk_tasks = 0;  // chunk_assembly_ns count (sum is noise)
+  // Wall-clock stage timings: populated, but noise, so only checked > 0.
+  double assembly_seconds = 0.0;
+  double factor_seconds = 0.0;
 };
 
 // Runs a fixed 3-slot warm-started trajectory with the given thread count
@@ -101,15 +88,8 @@ SolverMetricTotals run_trajectory(int threads) {
   totals.newton_iterations = snap.counter("solver.newton_iterations");
   totals.warm_starts = snap.counter("solver.warm_starts");
   totals.warm_fallbacks = snap.counter("solver.warm_fallbacks");
-  for (const auto& hist : snap.histograms) {
-    if (hist.name == "solver.iterations_per_solve") {
-      totals.iterations_hist_count = hist.count;
-      totals.iterations_hist_sum = hist.sum;
-      totals.iterations_hist_buckets = hist.buckets;
-    } else if (hist.name == "solver.chunk_assembly_ns") {
-      totals.chunk_tasks = hist.count;
-    }
-  }
+  totals.assembly_seconds = snap.double_counter("solver.assembly_seconds");
+  totals.factor_seconds = snap.double_counter("solver.factor_seconds");
   return totals;
 }
 
@@ -117,9 +97,6 @@ TEST_F(ObsParallelTest, MetricTotalsBitIdenticalAcrossThreadCounts) {
   const SolverMetricTotals want = run_trajectory(1);
   ASSERT_EQ(want.solves, 3u);
   ASSERT_GT(want.newton_iterations, 0u);
-  ASSERT_GT(want.chunk_tasks, 0u);
-  EXPECT_EQ(want.iterations_hist_count, want.solves);
-  EXPECT_EQ(want.iterations_hist_sum, want.newton_iterations);
   for (const int threads : {2, 7}) {
     const SolverMetricTotals got = run_trajectory(threads);
     EXPECT_EQ(got.solves, want.solves) << threads << " threads";
@@ -128,66 +105,14 @@ TEST_F(ObsParallelTest, MetricTotalsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(got.warm_starts, want.warm_starts) << threads << " threads";
     EXPECT_EQ(got.warm_fallbacks, want.warm_fallbacks)
         << threads << " threads";
-    EXPECT_EQ(got.iterations_hist_count, want.iterations_hist_count)
-        << threads << " threads";
-    EXPECT_EQ(got.iterations_hist_sum, want.iterations_hist_sum)
-        << threads << " threads";
-    for (std::size_t b = 0; b < obs::kHistogramBuckets; ++b) {
-      EXPECT_EQ(got.iterations_hist_buckets[b],
-                want.iterations_hist_buckets[b])
-          << threads << " threads, bucket " << b;
-    }
-    // One histogram record per chunk-assembly task: the chunk partition and
-    // the iteration count are thread-count independent, so the count is too
-    // (only the recorded nanoseconds differ).
-    EXPECT_EQ(got.chunk_tasks, want.chunk_tasks) << threads << " threads";
+    EXPECT_GT(got.assembly_seconds, 0.0) << threads << " threads";
+    EXPECT_GT(got.factor_seconds, 0.0) << threads << " threads";
   }
-}
-
-TEST_F(ObsParallelTest, SolveWithMetricsOffMatchesMetricsOn) {
-  // Instrumentation must never perturb the arithmetic: the solutions with
-  // ECA_METRICS on and off have to be bit-identical.
-  Rng rng(88);
-  const RegularizedProblem p = make_problem(rng, 4, 200);
-  RegularizedOptions opt;
-  opt.slot_threads = 2;
-  opt.chunk_users = 64;
-  opt.slot_min_users = 1;
-  opt.slot_oversubscribe = true;
-  const auto solve_seconds = [] {
-    return obs::MetricsRegistry::global().snapshot().double_counter(
-        "solver.solve_seconds");
-  };
-  NewtonWorkspace ws_on;
-  obs::set_metrics_enabled(true);
-  const double before_on = solve_seconds();
-  const RegularizedSolution on = RegularizedSolver(opt).solve(p, ws_on);
-  const double timed_on = solve_seconds() - before_on;
-  NewtonWorkspace ws_off;
-  obs::set_metrics_enabled(false);
-  const double before_off = solve_seconds();
-  const RegularizedSolution off = RegularizedSolver(opt).solve(p, ws_off);
-  const double timed_off = solve_seconds() - before_off;
-  obs::set_metrics_enabled(true);
-  ASSERT_EQ(on.status, off.status);
-  EXPECT_EQ(on.newton_iterations, off.newton_iterations);
-  EXPECT_EQ(on.objective_value, off.objective_value);
-  ASSERT_EQ(on.x.size(), off.x.size());
-  for (std::size_t i = 0; i < on.x.size(); ++i) {
-    ASSERT_EQ(on.x[i], off.x[i]) << "x[" << i << "]";
-  }
-  // Convergence telemetry is populated either way; stage timings reach the
-  // solver.* metrics only when on.
-  EXPECT_EQ(on.stats.newton_iterations, off.stats.newton_iterations);
-  EXPECT_EQ(on.stats.mu_steps, off.stats.mu_steps);
-  EXPECT_EQ(on.stats.kkt_comp_avg, off.stats.kkt_comp_avg);
-  EXPECT_EQ(timed_off, 0.0);
-  EXPECT_GT(timed_on, 0.0);
 }
 
 TEST_F(ObsParallelTest, ConcurrentRecordsFromThreadPool) {
   // Hammers the sharded cells and the trace cursor from a pool: TSan's
-  // target. Totals are exact for the integer metrics.
+  // target. Totals are exact for the integer counters.
   obs::TraceOptions trace_options;
   trace_options.path.clear();
   trace_options.capacity = 512;  // less than the records: exercises dropping
@@ -199,19 +124,20 @@ TEST_F(ObsParallelTest, ConcurrentRecordsFromThreadPool) {
       obs::MetricsRegistry::global().counter("test.pool_counter");
   obs::DoubleCounter& seconds =
       obs::MetricsRegistry::global().double_counter("test.pool_seconds");
-  obs::Histogram& hist =
-      obs::MetricsRegistry::global().histogram("test.pool_hist");
+  obs::Counter& sum = obs::MetricsRegistry::global().counter("test.pool_sum");
   constexpr std::size_t kTasks = 2000;
   ThreadPool::parallel_for(kTasks, 8, [&](std::size_t i) {
     ECA_TRACE_SPAN("pool_task");
     counter.add();
     seconds.add(0.5);
-    hist.record(static_cast<std::uint64_t>(i % 97));
+    sum.add(static_cast<std::uint64_t>(i % 97));
   });
 
   EXPECT_EQ(counter.total(), kTasks);
   EXPECT_EQ(seconds.total(), 0.5 * static_cast<double>(kTasks));
-  EXPECT_EQ(hist.count(), kTasks);
+  std::uint64_t want_sum = 0;
+  for (std::size_t i = 0; i < kTasks; ++i) want_sum += i % 97;
+  EXPECT_EQ(sum.total(), want_sum);
   EXPECT_EQ(session->recorded() + session->dropped(), kTasks);
   EXPECT_EQ(session->recorded(), 512u);
   obs::drop_global_trace();
