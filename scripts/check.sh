@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, ThreadSanitizer smoke of the
-# parallel code paths, the property-harness smoke sweep, and a quick-mode
-# bench sweep that exercises the BENCH_solvers.json emitter end to end.
+# parallel code paths, AddressSanitizer + UBSan smoke of the envelope
+# factor and the runner, the property-harness smoke sweep, and a
+# quick-mode bench sweep that exercises the BENCH_solvers.json emitter end
+# to end.
 #
 #   scripts/check.sh                 # everything
 #   scripts/check.sh fuzz [N] [SEC]  # extended property-harness soak only:
@@ -9,9 +11,11 @@
 #                                    # time-boxed to SEC seconds (default
 #                                    # 300), gated through perf_guard.py
 #   ECA_CHECK_SKIP_TSAN=1 scripts/check.sh   # skip the TSan build (slow)
+#   ECA_CHECK_SKIP_ASAN=1 scripts/check.sh   # skip the ASan + UBSan build
 #   ECA_PROP_SEED=7 scripts/check.sh fuzz    # soak a different seed range
 #
-# Build directories: build/ (tier-1, Release) and build-tsan/ (TSan smoke).
+# Build directories: build/ (tier-1, Release), build-tsan/ (TSan smoke) and
+# build-asan/ (ASan + UBSan smoke).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,6 +58,22 @@ if [[ "${ECA_CHECK_SKIP_TSAN:-0}" != "1" ]]; then
   ctest --test-dir build-tsan -L tsan-smoke --output-on-failure
 else
   echo "== tsan-smoke: skipped (ECA_CHECK_SKIP_TSAN=1) =="
+fi
+
+if [[ "${ECA_CHECK_SKIP_ASAN:-0}" != "1" ]]; then
+  echo "== asan-smoke: build with -DECA_SANITIZE=address plus UBSan =="
+  # UBSan aborts on its first report; the libstdc++ assertions bound-check
+  # every container index the envelope factor computes.
+  cmake -B build-asan -S . -DECA_SANITIZE=address \
+    -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
+  cmake --build build-asan -j "$jobs" \
+    --target test_linalg test_lp_normal test_runner_determinism \
+             test_events_determinism
+  echo "== asan-smoke: ctest -L asan-smoke =="
+  ctest --test-dir build-asan -L asan-smoke --output-on-failure -j "$jobs"
+else
+  echo "== asan-smoke: skipped (ECA_CHECK_SKIP_ASAN=1) =="
 fi
 
 echo "== prop-smoke: differential harness sweep (ctest -L prop-smoke) =="

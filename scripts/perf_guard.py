@@ -21,19 +21,20 @@ eca.bench_offline.v1 (parallel PDHG horizon-LP sweep):
   * any pool-engaged point with speedup below 0.95 (same granularity-floor
     contract as above);
   * the largest pool-engaged point must beat serial outright (speedup
-    > 1.0) — that scale is the reason the parallel path exists. On hosts
-    where no point engages the pool (1-CPU CI containers: the
-    hardware-concurrency cap collapses every leg to serial) the gate prints
-    a note instead; bit-identity is still enforced via the oversubscribed
-    determinism tests.
+    > 1.0) — that scale is the reason the parallel path exists. Where no
+    point engages the pool the gate prints a note naming the cause the
+    points show (every point under two workers' nonzeros-per-worker floor,
+    or the hardware-concurrency cap of a small host) instead;
+    bit-identity is still enforced via the oversubscribed determinism
+    tests.
 
 eca.bench_baselines.v1 (baseline-evaluation sweep):
 
   * any bit_identical=false — the slot fan-out must reproduce the serial
     trajectory bit for bit for every separable baseline;
   * any pool-engaged point with fan-out speedup below 0.95 (work-volume
-    floor contract, same as above; on 1-CPU hosts no point engages and a
-    note is printed);
+    floor contract, same as above; where no point engages, a note names
+    the causes the points show);
   * wherever the algorithm's default path chains warm starts
     (warm_enabled=true) and the point carries IPM iteration counts
     (iters_rebuild_cold > 0), the warm leg must not cost IPM iterations:
@@ -85,6 +86,7 @@ time; a recorded ok=false fails the gate, a recorded skip is a note.
 
 Exits 0 with a summary line per file when every check passes.
 """
+import collections
 import json
 import sys
 
@@ -92,6 +94,12 @@ AT_SCALE_USERS = 1024
 MIN_POOL_SPEEDUP = 0.95
 MAX_EVENTS_OVERHEAD = 1.02
 MIN_GATEABLE_SECONDS = 0.01
+# The work floors the emitters' engagement flags mirror: PDHG's
+# min_nnz_per_thread (bench_offline) and ThreadPool::kDefaultBaselineMinWork
+# in slot-LP cells (bench_baselines). A point under two workers' worth
+# resolves to one worker on any host.
+OFFLINE_MIN_NNZ_PER_WORKER = 32768
+BASELINE_MIN_WORK = 4096
 
 
 def fail(message):
@@ -146,6 +154,16 @@ def check_meta_checks(path, bench):
           f"{block.get('wall_seconds', 0.0):.3f}s)")
 
 
+def unengaged_cause(causes):
+    """Why no point engaged the pool, from the per-point causes: the one
+    cause when every point shares it, else each cause with its count."""
+    counts = collections.Counter(causes)
+    if len(counts) == 1:
+        return causes[0]
+    return ", ".join(f"{cause} on {n} of {len(causes)} points"
+                     for cause, n in counts.most_common())
+
+
 def check_solvers(path, bench):
     points = bench.get("slot_sweep", {}).get("points", [])
     if not points:
@@ -185,8 +203,16 @@ def check_offline(path, bench):
                  f"{largest['speedup']:.3f} <= 1.0 — the parallel PDHG path "
                  "must beat serial at scale")
     else:
+        def cause(point):
+            if bench.get("threads", 2) <= 1:
+                return "one worker requested"
+            if point["nnz"] < 2 * OFFLINE_MIN_NNZ_PER_WORKER:
+                return (f"nonzeros-per-worker floor: nnz < 2 x "
+                        f"{OFFLINE_MIN_NNZ_PER_WORKER}")
+            return "hardware-concurrency cap"
         print(f"perf_guard: note: {path}: no point engaged the pool "
-              "(hardware-concurrency cap); speedup gates not exercised")
+              f"({unengaged_cause([cause(p) for p in points])}); speedup "
+              "gates not exercised")
     print(f"perf_guard: OK: {path}: {len(points)} offline points "
           f"({len(engaged)} pool-engaged)")
 
@@ -242,9 +268,21 @@ def check_baselines(path, bench):
         print(f"perf_guard: note: {path}: no point with J >= "
               f"{AT_SCALE_USERS}; at-scale parity gate not exercised")
     if engaged == 0:
+        def cause(point):
+            if bench.get("threads", 2) <= 1:
+                return "one worker requested"
+            if not point["separable"]:
+                return "not slot-separable"
+            if point["slots"] <= 1:
+                return "a single slot"
+            cells = point["slots"] * bench["clouds"] * point["users"]
+            if cells < 2 * BASELINE_MIN_WORK:
+                return (f"work-volume floor: slots x clouds x users < 2 x "
+                        f"{BASELINE_MIN_WORK}")
+            return "hardware-concurrency cap"
         print(f"perf_guard: note: {path}: no point engaged the pool "
-              "(hardware-concurrency cap); fan-out speedup gate not "
-              "exercised")
+              f"({unengaged_cause([cause(p) for p in points])}); fan-out "
+              "speedup gate not exercised")
     print(f"perf_guard: OK: {path}: {len(points)} baseline points "
           f"({engaged} pool-engaged, {warm_gated} under the warm-iteration "
           f"gate, {scale_gated} under the at-scale parity gate)")

@@ -11,11 +11,12 @@ namespace eca::algo {
 namespace {
 
 // Measured crossover of the auto solver choice, in multiply-adds of one
-// normal-equations factor (solve::normal_factor_work). Up to it the IPM's
-// exact solves took less total time than PDHG at 5e-4 on the measured
-// Rome-taxi instances; above it PDHG was faster and needs a fraction of the
-// IPM's envelope memory (DESIGN.md §10 has the table).
-constexpr double kIpmFactorWorkCrossover = 1e9;
+// normal-equations factor (solve::normal_factor_work). Up to it (the
+// largest measured shape, J=T=24) the IPM's exact solves took less total
+// time than PDHG at 5e-4 on the measured Rome-taxi instances, and its
+// slowest solve was faster than PDHG's slowest; PDHG needs a fraction of
+// the IPM's envelope memory (DESIGN.md §10 has the table).
+constexpr double kIpmFactorWorkCrossover = 1.7e9;
 
 }  // namespace
 

@@ -17,12 +17,15 @@
 //
 // assemble() accumulates every entry in the order a dense symmetric
 // assembly does, and factor() and solve_in_place() run linalg::Cholesky's
-// k-order exactly, skipping only products with a structural zero outside
-// the envelope. A dense factor's entries outside the envelope are +0 and
-// skipping them never changes a factor entry; the substitutions replay the
-// signed-zero effect of the skipped products. For finite data the factor
-// and the solution are therefore bitwise equal to linalg::Cholesky on the
-// dense matrix (tests/linalg/envelope_cholesky_test.cc).
+// k-order for every entry, skipping only products with a structural zero
+// outside the envelope. A dense factor's entries outside the envelope are
+// +0 and skipping them never changes a factor entry; the substitutions
+// replay the signed-zero effect of the skipped products. factor() and the
+// forward substitution take rows in blocks of kBlockRows and run the
+// block's independent sums side by side, each in its own k-order. For
+// finite data the factor and the solution are therefore bitwise equal to
+// linalg::Cholesky on the dense matrix
+// (tests/linalg/envelope_cholesky_test.cc).
 #pragma once
 
 #include <cstddef>
@@ -40,6 +43,10 @@ using SparseColumns = std::vector<std::vector<std::pair<std::size_t, double>>>;
 
 class EnvelopeCholesky {
  public:
+  // Rows per block of factor() and of the forward substitution: the number
+  // of subtraction chains they interleave.
+  static constexpr std::size_t kBlockRows = 8;
+
   // first[r] for the m x m matrix A Theta A', A = columns[0, n).
   static void envelope(const SparseColumns& columns, std::size_t n,
                        std::size_t m, std::vector<std::size_t>& first);
@@ -82,6 +89,10 @@ class EnvelopeCholesky {
   std::vector<std::size_t> first_;
   std::vector<std::size_t> start_;  // row r's entries start at start_[r]
   Vec values_;                      // assembled matrix, then the factor
+  // factor()'s working copy of one row block, interleaved by column and
+  // zero outside the rows' envelopes; sized by analyze() for the widest
+  // block.
+  Vec panel_;
   // Transposed index for the back substitution: the rows k > c whose
   // envelope reaches column c, ascending, are
   // col_rows_[col_start_[c], col_start_[c + 1]).

@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include "common/check.h"
+
 namespace eca::obs {
 namespace internal {
 
@@ -68,6 +70,8 @@ T* find_by_name(const std::vector<std::unique_ptr<T>>& metrics,
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (Counter* existing = find_by_name(counters_, name)) return *existing;
+  ECA_CHECK(find_by_name(double_counters_, name) == nullptr,
+            "metric '", name, "' is already a double counter");
   counters_.emplace_back(new Counter(std::string(name)));
   return *counters_.back();
 }
@@ -77,6 +81,8 @@ DoubleCounter& MetricsRegistry::double_counter(std::string_view name) {
   if (DoubleCounter* existing = find_by_name(double_counters_, name)) {
     return *existing;
   }
+  ECA_CHECK(find_by_name(counters_, name) == nullptr,
+            "metric '", name, "' is already a counter");
   double_counters_.emplace_back(new DoubleCounter(std::string(name)));
   return *double_counters_.back();
 }

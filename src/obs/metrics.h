@@ -20,8 +20,9 @@
 //    a handle never allocates — this is what the counting-allocator test
 //    in tests/solve/newton_alloc_test.cc pins down.
 //
-// This library intentionally depends on nothing else in the repo (not even
-// src/common) so that eca_common itself can be instrumented.
+// This library links against nothing else in the repo (not even
+// eca_common; it uses only the header-only common/check.h) so that
+// eca_common itself can be instrumented.
 #pragma once
 
 #include <array>

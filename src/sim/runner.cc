@@ -37,9 +37,9 @@ const AlgorithmSummary* ExperimentResult::find(const std::string& name) const {
 
 namespace {
 
-// Per-repetition state produced by the offline phase and consumed by the
-// algorithm phase; kept alive so concurrent algorithm runs share one
-// instance per repetition.
+// Per-repetition state: the instance, shared by the rep's concurrent
+// offline and algorithm tasks, and the offline task's results for the
+// merge.
 struct RepState {
   model::Instance instance;
   double denominator = 0.0;
@@ -78,38 +78,44 @@ ExperimentResult run_experiment(
       options.repetitions > 0 ? options.repetitions : 0);
   const std::size_t num_algos = algorithms.size();
   // parallel_for runs inline at one thread, so threads == 1 is the serial
-  // order of the same three phases.
+  // order of the same tasks.
   const std::size_t threads = ThreadPool::resolve_threads(options.threads);
 
-  // Phase 1: instance construction + offline optimum, parallel over reps.
+  // The instances first, parallel over reps.
   std::vector<RepState> rep_states(reps);
   ThreadPool::parallel_for(reps, threads, [&](std::size_t rep) {
-    RepState& state = rep_states[rep];
-    state.instance = make_instance(static_cast<int>(rep));
-    const algo::OfflineResult offline =
-        algo::solve_offline(state.instance, options.offline);
-    ECA_CHECK(offline.status == solve::SolveStatus::kOptimal,
-              "offline LP failed: ", solve::to_string(offline.status));
-    SimulationResult offline_scored =
-        Simulator::score(state.instance, "offline-opt", offline.allocations);
-    state.denominator = offline_scored.weighted_total;
-    ECA_CHECK(state.denominator > 0.0, "offline optimum must be positive");
-    state.offline_telemetry = std::move(offline_scored.telemetry);
+    rep_states[rep].instance = make_instance(static_cast<int>(rep));
   });
 
-  // Phase 2: one task per (rep × algorithm) pair, each with a fresh
-  // algorithm object; results land in an index-addressed buffer.
+  // Then one task list: the reps' offline optima (the longest tasks) first,
+  // then one task per (rep × algorithm) pair with a fresh algorithm object.
+  // Neither kind reads the other's result, so no worker waits at a barrier
+  // between them; results land in index-addressed buffers.
   std::vector<SimulationResult> sims(reps * num_algos);
-  ThreadPool::parallel_for(reps * num_algos, threads, [&](std::size_t task) {
-    const std::size_t rep = task / num_algos;
-    const std::size_t a = task % num_algos;
+  ThreadPool::parallel_for(reps + reps * num_algos, threads,
+                           [&](std::size_t task) {
+    if (task < reps) {
+      RepState& state = rep_states[task];
+      const algo::OfflineResult offline =
+          algo::solve_offline(state.instance, options.offline);
+      ECA_CHECK(offline.status == solve::SolveStatus::kOptimal,
+                "offline LP failed: ", solve::to_string(offline.status));
+      SimulationResult offline_scored =
+          Simulator::score(state.instance, "offline-opt", offline.allocations);
+      state.denominator = offline_scored.weighted_total;
+      ECA_CHECK(state.denominator > 0.0, "offline optimum must be positive");
+      state.offline_telemetry = std::move(offline_scored.telemetry);
+      return;
+    }
+    const std::size_t rep = (task - reps) / num_algos;
+    const std::size_t a = (task - reps) % num_algos;
     algo::AlgorithmPtr algorithm = algorithms[a].make();
-    sims[task] = Simulator::run(rep_states[rep].instance, *algorithm);
+    sims[task - reps] = Simulator::run(rep_states[rep].instance, *algorithm);
   });
 
-  // Phase 3: deterministic merge in rep-major, roster order on the calling
-  // thread. The statistics and the event stream are recorded only here, so
-  // both are bit-identical for every thread count.
+  // Deterministic merge in rep-major, roster order on the calling thread.
+  // The statistics and the event stream are recorded only here, so both
+  // are bit-identical for every thread count.
   obs::EventLog* const events = obs::global_events();
   obs::emit_experiment_begin(events, options.repetitions, num_algos);
   ExperimentResult result;

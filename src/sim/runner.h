@@ -36,7 +36,7 @@ struct ExperimentOptions {
   bool verbose = false;
   // Worker threads for the (repetition × algorithm) fan-out. 0 = resolve
   // from the ECA_THREADS environment variable (default: hardware
-  // concurrency); 1 = every phase inline on the calling thread. Results are
+  // concurrency); 1 = every task inline on the calling thread. Results are
   // merged in repetition-major order from index-addressed buffers, so every
   // thread count produces bit-identical statistics and event streams.
   int threads = 0;

@@ -144,5 +144,19 @@ TEST(OfflineLpNormalMatrix, CloudMajorOrderShrinksTheFactorAtFigure2Scale) {
   EXPECT_EQ(envelope.stored_entries(), 89106U);
 }
 
+// The blocked factor and forward solve on the real Fig-2 staircase: 158
+// blocks whose rows start anywhere from a few rows back (the cloud
+// staircases) to the top of the matrix (the demand rows).
+TEST(OfflineLpNormalMatrix, Figure2StaircaseMatchesDense) {
+  sim::ScenarioOptions options;
+  options.num_users = 8;
+  options.num_slots = 8;
+  const model::Instance instance = sim::make_rome_taxi_instance(options, 3);
+  const solve::LpProblem lp = build_offline_lp(instance);
+  ASSERT_EQ(lp.num_rows, 1264U);
+  expect_matches_dense_on_random_theta(standard_form_columns(lp),
+                                       lp.num_rows, 500);
+}
+
 }  // namespace
 }  // namespace eca::algo

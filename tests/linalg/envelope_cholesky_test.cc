@@ -1,11 +1,13 @@
 // EnvelopeCholesky against linalg::Cholesky, bit for bit. The
 // BorderedCholesky suite covers the per-slot LP shape — a diagonal prefix of
 // rows no column touches twice, then full border rows; the EnvelopeCholesky
-// suite covers general envelopes, where rows start anywhere.
+// suite covers general envelopes, where rows start anywhere, and the edges
+// of the kBlockRows row blocks factor() and the forward solve work in.
 #include "linalg/envelope_cholesky.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -245,6 +247,139 @@ TEST(EnvelopeCholesky, SignedZerosThroughEnvelopeGapsMatchDense) {
     for (const double v : want) signed_zero_outputs += v == 0.0 ? 1 : 0;
   }
   EXPECT_GT(signed_zero_outputs, 100);
+}
+
+constexpr std::size_t R = EnvelopeCholesky::kBlockRows;
+
+// Sizes below one block, at and around block multiples, and staircases
+// narrow enough that most rows' envelopes start inside their own block.
+TEST(EnvelopeCholesky, BlockEdgesMatchDense) {
+  Rng rng(23);
+  int first_inside_block = 0;
+  for (const std::size_t m :
+       {std::size_t{1}, std::size_t{2}, R - 1, R, R + 1, 2 * R - 1, 2 * R,
+        3 * R + 5, 5 * R + 3}) {
+    for (const std::size_t width : {std::size_t{2}, std::size_t{4}, R + 3}) {
+      const SparseColumns columns = random_staircase(rng, m, width, 2 * m);
+      const std::vector<std::size_t> first = envelope_of(columns, m);
+      for (std::size_t r = 0; r < m; ++r) {
+        if (first[r] < r && first[r] >= r - r % R) ++first_inside_block;
+      }
+      const Vec theta = random_theta(rng, columns.size());
+      EXPECT_TRUE(expect_envelope_matches_dense(columns, theta, 1e-10, m,
+                                                m * 100 + width));
+    }
+  }
+  EXPECT_GT(first_inside_block, 50);
+}
+
+// Blocks whose rows start far apart: a border row over the whole matrix
+// shares each block with staircase rows, so a block's rows start anywhere
+// from 0 to their own index.
+TEST(EnvelopeCholesky, BlocksMixingBorderAndStaircaseRowsMatchDense) {
+  Rng rng(24);
+  for (const std::size_t m : {3 * R + 2, 6 * R}) {
+    SparseColumns columns = random_staircase(rng, m, 3, 2 * m);
+    for (std::size_t r = R / 2; r < m; r += R + 3) {
+      columns.push_back({{0, rng.uniform(-2.0, 2.0)}, {r, 1.0}});
+    }
+    const std::vector<std::size_t> first = envelope_of(columns, m);
+    EXPECT_EQ(first[R / 2], 0U);
+    const Vec theta = random_theta(rng, columns.size());
+    EXPECT_TRUE(expect_envelope_matches_dense(columns, theta, 1e-10, m, m));
+  }
+}
+
+TEST(EnvelopeCholesky, FullyDiagonalMatrixAcrossBlocks) {
+  Rng rng(25);
+  const std::size_t m = 3 * R + 1;
+  SparseColumns columns;
+  for (std::size_t k = 0; k < 2 * m; ++k) {
+    columns.push_back({{k % m, rng.uniform(-2.0, 2.0)}});
+  }
+  expect_diagonal_prefix(columns, m, m);
+  const Vec theta = random_theta(rng, columns.size());
+  EXPECT_TRUE(expect_envelope_matches_dense(columns, theta, 1e-10, m, 4));
+}
+
+// The interior-point solver's retry on one object: a factor that fails in
+// the middle of a block, then a re-assembly with more regularization that
+// succeeds. Rows p and q = p + 2 sit in one block and are identical (every
+// column touches both alike), and a negatively weighted column on e_p - e_q
+// makes the matrix indefinite; the failure must leave nothing behind that
+// the retry reads.
+TEST(EnvelopeCholesky, FailureMidBlockThenRetryMatchesDense) {
+  Rng rng(26);
+  const std::size_t m = 3 * R;
+  const std::size_t p = R + R / 2 - 1;
+  const std::size_t q = p + 2;
+  SparseColumns columns = random_staircase(rng, m, 5, 2 * m);
+  for (auto& col : columns) {
+    std::erase_if(col, [&](const auto& e) { return e.first == q; });
+    const auto at_p = std::find_if(col.begin(), col.end(),
+                                   [&](const auto& e) { return e.first == p; });
+    if (at_p != col.end()) col.push_back({q, at_p->second});
+  }
+  columns.push_back({{p, 1.0}, {q, -1.0}});
+  Vec theta = random_theta(rng, columns.size());
+  theta.back() = -1e-3;
+  EnvelopeCholesky envelope;
+  envelope.analyze(columns, columns.size(), m);
+  int failures = 0;
+  double reg = 1e-10;
+  for (;;) {
+    Cholesky chol;
+    const bool dense_ok =
+        chol.factor(dense_normal_matrix(columns, theta, reg, m));
+    envelope.assemble(columns, columns.size(), theta, reg);
+    ASSERT_EQ(envelope.factor(), dense_ok) << "reg " << reg;
+    if (dense_ok) {
+      Rng rhs(27);
+      Vec b(m);
+      for (double& v : b) v = rhs.uniform(-1.0, 1.0);
+      Vec want = b;
+      chol.solve_in_place(want);
+      envelope.solve_in_place(b);
+      expect_bitwise_equal(b, want);
+      break;
+    }
+    ++failures;
+    reg *= 100.0;
+    ASSERT_LE(reg, 1e4);
+  }
+  EXPECT_GE(failures, 2);
+}
+
+// Signed zeros through the blocked forward solve: matrices several blocks
+// tall, so each block's k < i0 chains run interleaved and the replay of a
+// negative x_k before first[i] happens when row i finishes.
+TEST(EnvelopeCholesky, SignedZerosThroughBlockedForwardSolveMatchDense) {
+  Rng rng(28);
+  int signed_zero_outputs = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t m = 2 * R + 1 + rng.uniform_index(3 * R);
+    const SparseColumns columns =
+        random_staircase(rng, m, 2 + rng.uniform_index(2 * R), m / 2);
+    const Vec theta = random_theta(rng, columns.size());
+    Cholesky chol;
+    ASSERT_TRUE(chol.factor(dense_normal_matrix(columns, theta, 1e-10, m)));
+    EnvelopeCholesky envelope;
+    envelope.analyze(columns, columns.size(), m);
+    envelope.assemble(columns, columns.size(), theta, 1e-10);
+    ASSERT_TRUE(envelope.factor());
+    Vec b(m);
+    for (double& v : b) {
+      const double u = rng.uniform();
+      v = u < 0.4 ? -0.0 : u < 0.8 ? 0.0 : rng.uniform(-1.0, 1.0);
+    }
+    Vec want = b;
+    chol.solve_in_place(want);
+    Vec got = b;
+    envelope.solve_in_place(got);
+    expect_bitwise_equal(got, want);
+    for (const double v : want) signed_zero_outputs += v == 0.0 ? 1 : 0;
+  }
+  EXPECT_GT(signed_zero_outputs, 200);
 }
 
 }  // namespace

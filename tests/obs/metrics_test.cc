@@ -92,5 +92,24 @@ TEST_F(MetricsTest, ResetValuesKeepsHandlesValid) {
             2u);
 }
 
+// A name belongs to one kind: a second registration as the other kind
+// aborts instead of creating a second metric under the same name.
+TEST(MetricsDeathTest, OneNameCannotBeTwoKinds) {
+  EXPECT_DEATH(
+      {
+        MetricsRegistry registry;
+        registry.counter("x");
+        registry.double_counter("x");
+      },
+      "'x' is already a counter");
+  EXPECT_DEATH(
+      {
+        MetricsRegistry registry;
+        registry.double_counter("x");
+        registry.counter("x");
+      },
+      "'x' is already a double counter");
+}
+
 }  // namespace
 }  // namespace eca::obs

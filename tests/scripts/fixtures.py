@@ -137,6 +137,35 @@ def make_bench_solvers(bit_identical=True, prop_smoke=None):
     return bench
 
 
+def make_bench_offline(nnz_values, threads=8):
+    """A minimal eca.bench_offline.v1 payload with one unengaged point per
+    entry of nnz_values."""
+    return {
+        "schema": "eca.bench_offline.v1",
+        "threads": threads,
+        "points": [{
+            "users": 8 * (k + 1), "slots": 8, "nnz": nnz,
+            "pool_engaged": False, "speedup": 1.0, "bit_identical": True,
+        } for k, nnz in enumerate(nnz_values)],
+    }
+
+
+def make_bench_baselines(points, clouds=15, threads=8):
+    """A minimal eca.bench_baselines.v1 payload; points are (algorithm,
+    separable, users, slots) tuples, all unengaged."""
+    return {
+        "schema": "eca.bench_baselines.v1",
+        "clouds": clouds,
+        "threads": threads,
+        "points": [{
+            "algorithm": algorithm, "separable": separable, "users": users,
+            "slots": slots, "warm_enabled": False, "pool_engaged": False,
+            "speedup": 1.0, "bit_identical": True, "cost_drift": 0.0,
+            "max_violation": 0.0, "warm_speedup": 1.0,
+        } for algorithm, separable, users, slots in points],
+    }
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)

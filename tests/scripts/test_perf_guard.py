@@ -100,6 +100,42 @@ class PerfGuardTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("bit_identical=false", proc.stderr)
 
+    def run_guard(self, payload):
+        path = fixtures.write_json(self.dir / "bench.json", payload)
+        proc = fixtures.run_script("perf_guard.py", path)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        return proc.stdout
+
+    def test_unengaged_offline_points_under_the_floor_name_it(self):
+        # The quick sweep's points: every one under two workers' nonzeros.
+        out = self.run_guard(fixtures.make_bench_offline([3000, 12000]))
+        self.assertIn("nonzeros-per-worker floor", out)
+        self.assertNotIn("hardware-concurrency cap", out)
+
+    def test_unengaged_offline_points_over_the_floor_name_the_cap(self):
+        out = self.run_guard(fixtures.make_bench_offline([70000, 150000]))
+        self.assertIn("no point engaged the pool (hardware-concurrency cap)",
+                      out)
+
+    def test_unengaged_offline_points_count_each_cause(self):
+        out = self.run_guard(fixtures.make_bench_offline([3000, 150000]))
+        self.assertIn("nonzeros-per-worker floor: nnz < 2 x 32768 on 1 of 2 "
+                      "points", out)
+        self.assertIn("hardware-concurrency cap on 1 of 2 points", out)
+
+    def test_unengaged_baseline_points_under_the_floor_name_it(self):
+        # 15 clouds x 16 users x 8 slots = 1920 cells < 2 x 4096.
+        out = self.run_guard(fixtures.make_bench_baselines(
+            [("perf-opt", True, 16, 8), ("stat-opt", True, 32, 8)]))
+        self.assertIn("(work-volume floor", out)
+        self.assertNotIn("hardware-concurrency cap", out)
+
+    def test_unengaged_baseline_points_over_the_floor_name_the_cap(self):
+        out = self.run_guard(fixtures.make_bench_baselines(
+            [("perf-opt", True, 512, 8), ("online-greedy", False, 512, 8)]))
+        self.assertIn("hardware-concurrency cap on 1 of 2 points", out)
+        self.assertIn("not slot-separable on 1 of 2 points", out)
+
 
 if __name__ == "__main__":
     unittest.main()
