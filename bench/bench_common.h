@@ -1,4 +1,6 @@
-// Shared plumbing for the figure-reproduction binaries.
+// Shared plumbing for the figure-reproduction binaries, plus the BENCH
+// provenance helpers (meta block, events-overhead leg) that bench_baselines
+// writes into BENCH_baselines.json and scripts/perf_guard.py gates.
 //
 // Every binary reads its scale from ECA_* environment variables so the same
 // build can run a CI-sized experiment or something closer to paper scale:
@@ -98,7 +100,7 @@ inline void emit(const Table& table, bool csv) {
 // Verification-gate provenance for the meta block: a tiny prop-harness
 // smoke (a handful of seeded scenarios through the full differential
 // oracle of DESIGN.md §13, no shrinking) run right before the BENCH JSON
-// is written. Recording its timing and outcome in every BENCH_*.json ties
+// is written. Recording its timing and outcome in the BENCH file ties
 // a perf number to proof that the correctness gates actually ran on the
 // same binary at commit time. ECA_BENCH_PROP_SMOKE=0 skips it (recorded
 // as "skipped": perf_guard.py treats a recorded skip as informational,
@@ -129,7 +131,7 @@ inline MetaChecks run_meta_checks() {
   return checks;
 }
 
-// Provenance meta block shared by every BENCH_*.json: git_sha and
+// Provenance meta block of a BENCH file: git_sha and
 // build_type are compile-time stamps, the UTC timestamp is taken at run
 // time, and `checks` records the verification gates run against this very
 // binary — together they make a BENCH trajectory joinable across commits
@@ -208,7 +210,7 @@ inline void write_events_overhead_json(FILE* out, const EventsOverhead& o) {
                o.seconds_off, o.seconds_on);
 }
 
-// Default events-overhead workload shared by the bench binaries: one
+// Default events-overhead workload of the BENCH file: one
 // online-approx simulation over a small instance, recorded the way every
 // caller records a finished run (obs::emit_run: run lifecycle, per-slot
 // cost splits and solve records).

@@ -2,8 +2,7 @@
 # Full local gate: tier-1 build + tests, ThreadSanitizer smoke of the
 # parallel code paths, AddressSanitizer + UBSan smoke of the envelope
 # factor and the runner, the property-harness smoke sweep, and a
-# quick-mode bench sweep that exercises the BENCH_solvers.json emitter end
-# to end.
+# quick-mode baseline-evaluation sweep through the perf guard.
 #
 #   scripts/check.sh                 # everything
 #   scripts/check.sh fuzz [N] [SEC]  # extended property-harness soak only:
@@ -118,22 +117,6 @@ python3 scripts/report_run.py \
   --out "$obs_dir/report.md"
 grep -q "## Worst" "$obs_dir/report.md"
 
-echo "== bench: quick-mode sweep =="
-# The sweep itself is cheap; the committed BENCH file is regenerated
-# separately at full scale.
-ECA_SWEEP_MAX_USERS=1024 ECA_SWEEP_SLOTS=2 ECA_USERS=15 ECA_SLOTS=8 \
-  ECA_REPS=1 ECA_BENCH_JSON=build/BENCH_solvers.quick.json \
-  ./build/bench/bench_solvers
-
-echo "== bench: offline horizon-LP sweep (quick mode) =="
-# Two small points under a tight iteration budget: exercises the
-# BENCH_offline.json emitter, the serial-vs-N-thread legs and the bitwise
-# cross-check end to end (the committed BENCH file is regenerated
-# separately at full scale).
-ECA_OFFLINE_MAX_USERS=32 ECA_OFFLINE_SLOTS=8 ECA_OFFLINE_MAX_ITERS=2000 \
-  ECA_BENCH_OFFLINE_JSON=build/BENCH_offline.quick.json \
-  ./build/bench/bench_offline
-
 echo "== bench: baseline-evaluation sweep (quick mode) =="
 # Small points only: exercises the three-leg emitter (rebuild+cold vs
 # skeleton+warm vs slot fan-out) and the bitwise cross-check end to end
@@ -144,21 +127,7 @@ ECA_BASELINE_MAX_USERS=32 ECA_BASELINE_SLOTS=8 \
   ECA_BENCH_BASELINES_JSON=build/BENCH_baselines.quick.json \
   ./build/bench/bench_baselines
 
-echo "== bench: user-class aggregation sweep (quick mode) =="
-# Small sweep with a miniature long leg: exercises the aggregated vs
-# per-user legs, the streaming-parity cross-check and the long-run RSS
-# accounting end to end (the committed BENCH file is regenerated
-# separately at full scale, where the >= 2x speedup and >= 10x collapse
-# gates actually engage).
-ECA_SCALE_MIN_USERS=200 ECA_SCALE_MAX_USERS=2000 ECA_SCALE_SLOTS=4 \
-  ECA_SCALE_PER_USER_MAX=2000 ECA_SCALE_PARITY_MAX=400 \
-  ECA_SCALE_LONG_USERS=20000 ECA_SCALE_LONG_SLOTS=10 \
-  ECA_BENCH_SCALE_JSON=build/BENCH_scale.quick.json \
-  ./build/bench/bench_scale
-
-echo "== perf guard: adaptive-granularity + LP-thread + baseline + aggregation gates =="
-python3 scripts/perf_guard.py build/BENCH_solvers.quick.json \
-  build/BENCH_offline.quick.json build/BENCH_baselines.quick.json \
-  build/BENCH_scale.quick.json
+echo "== perf guard: baseline-evaluation gates =="
+python3 scripts/perf_guard.py build/BENCH_baselines.quick.json
 
 echo "== check.sh: all gates passed =="

@@ -1,40 +1,19 @@
 #!/usr/bin/env python3
 """Performance gate over a BENCH json file.
 
-    scripts/perf_guard.py BENCH_solvers.json [BENCH_offline.json ...]
+    scripts/perf_guard.py BENCH_baselines.json [prop_summary.json ...]
 
 Dispatches on the file's "schema" field and fails (exit 1) when it shows a
 regression the repo has promised not to reintroduce.
-
-eca.bench_solvers.v3 (slot sweep):
-
-  * any point where the pool actually engaged (pool_engaged=true under the
-    adaptive granularity floor) with a multi-thread speedup below 0.95 —
-    the floor exists precisely so parallelism is never a slowdown, and
-    points it collapses to serial report speedup 1.0 by construction;
-  * any bit_identical=false — thread count must never change results.
-
-eca.bench_offline.v1 (parallel PDHG horizon-LP sweep):
-
-  * any bit_identical=false — the partitioned solve must be bit-identical
-    to serial for every LP thread count;
-  * any pool-engaged point with speedup below 0.95 (same granularity-floor
-    contract as above);
-  * the largest pool-engaged point must beat serial outright (speedup
-    > 1.0) — that scale is the reason the parallel path exists. Where no
-    point engages the pool the gate prints a note naming the cause the
-    points show (every point under two workers' nonzeros-per-worker floor,
-    or the hardware-concurrency cap of a small host) instead;
-    bit-identity is still enforced via the oversubscribed determinism
-    tests.
 
 eca.bench_baselines.v1 (baseline-evaluation sweep):
 
   * any bit_identical=false — the slot fan-out must reproduce the serial
     trajectory bit for bit for every separable baseline;
-  * any pool-engaged point with fan-out speedup below 0.95 (work-volume
-    floor contract, same as above; where no point engages, a note names
-    the causes the points show);
+  * any pool-engaged point with fan-out speedup below 0.95 — the
+    work-volume floor exists so that the fan-out is never a slowdown, and
+    points it collapses to serial report speedup 1.0 by construction
+    (where no point engages, a note names the causes the points show);
   * wherever the algorithm's default path chains warm starts
     (warm_enabled=true) and the point carries IPM iteration counts
     (iters_rebuild_cold > 0), the warm leg must not cost IPM iterations:
@@ -50,25 +29,6 @@ eca.bench_baselines.v1 (baseline-evaluation sweep):
     optimal vertex, but the evaluated cost must stay in the same ballpark;
   * max_violation above 1e-5 — the optimized path must stay feasible.
 
-eca.bench_scale.v1 (user-class aggregation sweep):
-
-  * any streaming-parity cross-check failure — the streaming class-space
-    driver must match the materializing simulator running the same
-    aggregated algorithm to summation order (they perform bitwise-identical
-    solves);
-  * cost_delta_rel above 1e-5 wherever the per-user leg ran — P2 is
-    strictly convex, so the collapsed and per-user paths share a unique
-    optimum and may differ only by solver tolerance;
-  * max_violation above 1e-5 on any point or the long run;
-  * at J >= 100000 where the per-user leg ran: collapse_ratio >= 10 and
-    aggregated speedup >= 2.0 (wall-gated only when the per-user leg is
-    above the noise floor). On quick-mode runs with no such point a note
-    is printed; the committed BENCH_scale.json carries the full-scale
-    evidence;
-  * the long run (when present) must stay under the 16 GB peak-RSS budget
-    — the streaming representation is the reason a 10^6-user, 60-slot
-    trajectory fits.
-
 eca.prop_summary.v1 (property-harness run summary, written by
 examples/prop_fuzz --summary):
 
@@ -76,9 +36,9 @@ examples/prop_fuzz --summary):
     failure is printed with its seed and shrunk replay path so the witness
     can be re-run with `examples/prop_fuzz --replay FILE`.
 
-All BENCH schemas additionally carry an "events_overhead" block (best-of-N
+The BENCH schema additionally carries an "events_overhead" block (best-of-N
 wall time for a representative simulation with event streaming off vs. on,
-buffer-only) and a provenance "meta" block; the shared gate requires the
+buffer-only) and a provenance "meta" block; the events gate requires the
 events-on leg within 2% of events-off. Quick-mode timings below 10 ms are
 too noisy to gate and print a note instead. The meta block's "checks"
 entry records the prop-harness smoke run against the same binary at bench
@@ -94,11 +54,9 @@ AT_SCALE_USERS = 1024
 MIN_POOL_SPEEDUP = 0.95
 MAX_EVENTS_OVERHEAD = 1.02
 MIN_GATEABLE_SECONDS = 0.01
-# The work floors the emitters' engagement flags mirror: PDHG's
-# min_nnz_per_thread (bench_offline) and ThreadPool::kDefaultBaselineMinWork
-# in slot-LP cells (bench_baselines). A point under two workers' worth
-# resolves to one worker on any host.
-OFFLINE_MIN_NNZ_PER_WORKER = 32768
+# The work floor bench_baselines' engagement flag mirrors:
+# ThreadPool::kDefaultBaselineMinWork in slot-LP cells. A point under two
+# workers' worth resolves to one worker on any host.
 BASELINE_MIN_WORK = 4096
 
 
@@ -108,7 +66,7 @@ def fail(message):
 
 
 def check_events_overhead(path, bench):
-    """Shared events-on-vs-off gate; every BENCH schema carries the block."""
+    """Events-on-vs-off gate over the BENCH file's events_overhead block."""
     block = bench.get("events_overhead")
     if block is None:
         print(f"perf_guard: note: {path}: no events_overhead block "
@@ -130,9 +88,9 @@ def check_events_overhead(path, bench):
 
 
 def check_meta_checks(path, bench):
-    """Verification-gate provenance shared by every BENCH schema: the meta
-    block records a prop-harness smoke run against the same binary that
-    produced the perf numbers. A recorded failure poisons the perf point; a
+    """Verification-gate provenance of a BENCH file: the meta block records
+    a prop-harness smoke run against the same binary that produced the
+    perf numbers. A recorded failure poisons the perf point; a
     recorded skip (ECA_BENCH_PROP_SMOKE=0) and a pre-checks bench json are
     informational."""
     block = bench.get("meta", {}).get("checks", {}).get("prop_smoke")
@@ -162,59 +120,6 @@ def unengaged_cause(causes):
         return causes[0]
     return ", ".join(f"{cause} on {n} of {len(causes)} points"
                      for cause, n in counts.most_common())
-
-
-def check_solvers(path, bench):
-    points = bench.get("slot_sweep", {}).get("points", [])
-    if not points:
-        fail(f"{path}: slot_sweep has no points")
-    for point in points:
-        where = f"{path}: J={point['users']}"
-        if not point["bit_identical"]:
-            fail(f"{where}: bit_identical=false — thread count changed "
-                 "the trajectory")
-        if point["pool_engaged"] and point["speedup"] < MIN_POOL_SPEEDUP:
-            fail(f"{where}: multi-thread speedup {point['speedup']:.3f} < "
-                 f"{MIN_POOL_SPEEDUP} with the pool engaged; the adaptive "
-                 "granularity floor should have kept this point serial")
-    print(f"perf_guard: OK: {path}: {len(points)} sweep points")
-
-
-def check_offline(path, bench):
-    points = bench.get("points", [])
-    if not points:
-        fail(f"{path}: no sweep points")
-    engaged = [p for p in points if p["pool_engaged"]]
-    for point in points:
-        where = f"{path}: J={point['users']} T={point['slots']}"
-        if not point["bit_identical"]:
-            fail(f"{where}: bit_identical=false — LP thread count changed "
-                 "the solve")
-        if point["pool_engaged"] and point["speedup"] < MIN_POOL_SPEEDUP:
-            fail(f"{where}: multi-thread speedup {point['speedup']:.3f} < "
-                 f"{MIN_POOL_SPEEDUP} with the pool engaged; the "
-                 "nonzeros-per-worker floor should have kept this point "
-                 "serial")
-    if engaged:
-        largest = max(engaged, key=lambda p: p["nnz"])
-        if largest["speedup"] <= 1.0:
-            fail(f"{path}: J={largest['users']} T={largest['slots']} "
-                 f"(largest engaged point, {largest['nnz']} nnz): speedup "
-                 f"{largest['speedup']:.3f} <= 1.0 — the parallel PDHG path "
-                 "must beat serial at scale")
-    else:
-        def cause(point):
-            if bench.get("threads", 2) <= 1:
-                return "one worker requested"
-            if point["nnz"] < 2 * OFFLINE_MIN_NNZ_PER_WORKER:
-                return (f"nonzeros-per-worker floor: nnz < 2 x "
-                        f"{OFFLINE_MIN_NNZ_PER_WORKER}")
-            return "hardware-concurrency cap"
-        print(f"perf_guard: note: {path}: no point engaged the pool "
-              f"({unengaged_cause([cause(p) for p in points])}); speedup "
-              "gates not exercised")
-    print(f"perf_guard: OK: {path}: {len(points)} offline points "
-          f"({len(engaged)} pool-engaged)")
 
 
 MAX_COST_DRIFT = 0.05
@@ -288,70 +193,6 @@ def check_baselines(path, bench):
           f"gate, {scale_gated} under the at-scale parity gate)")
 
 
-SCALE_GATE_USERS = 100000
-MIN_SCALE_COLLAPSE = 10.0
-MIN_SCALE_SPEEDUP = 2.0
-MAX_SCALE_COST_DELTA = 1e-5
-MAX_SCALE_RSS_MB = 16384.0
-
-
-def check_scale(path, bench):
-    points = bench.get("points", [])
-    if not points:
-        fail(f"{path}: no sweep points")
-    parity_checked = exact_checked = scale_gated = 0
-    for point in points:
-        where = f"{path}: J={point['users']} T={point['slots']}"
-        if point["max_violation"] > MAX_VIOLATION:
-            fail(f"{where}: max_violation {point['max_violation']:.3e} > "
-                 f"{MAX_VIOLATION} — the aggregated path left feasibility")
-        if point["parity_checked"]:
-            parity_checked += 1
-            if not point["streaming_parity"]:
-                fail(f"{where}: streaming_parity=false — the streaming "
-                     "driver diverged from the materializing simulator "
-                     "beyond summation-order tolerance")
-        if point["has_per_user"]:
-            exact_checked += 1
-            if point["cost_delta_rel"] > MAX_SCALE_COST_DELTA:
-                fail(f"{where}: cost_delta_rel "
-                     f"{point['cost_delta_rel']:.3e} > "
-                     f"{MAX_SCALE_COST_DELTA} — collapsed and per-user "
-                     "solves must share P2's unique optimum")
-            if point["users"] >= SCALE_GATE_USERS:
-                scale_gated += 1
-                if point["collapse_ratio"] < MIN_SCALE_COLLAPSE:
-                    fail(f"{where}: collapse_ratio "
-                         f"{point['collapse_ratio']:.2f} < "
-                         f"{MIN_SCALE_COLLAPSE} — class aggregation "
-                         "stopped collapsing at the scale it exists for")
-                if (point["seconds_per_user"] >= MIN_GATEABLE_SECONDS
-                        and point["speedup"] < MIN_SCALE_SPEEDUP):
-                    fail(f"{where}: aggregated speedup "
-                         f"{point['speedup']:.2f} < {MIN_SCALE_SPEEDUP} "
-                         "over the per-user path at gate scale")
-    long_run = bench.get("long_run")
-    if long_run is not None:
-        where = f"{path}: long run J={long_run['users']} T={long_run['slots']}"
-        if long_run["max_violation"] > MAX_VIOLATION:
-            fail(f"{where}: max_violation {long_run['max_violation']:.3e} > "
-                 f"{MAX_VIOLATION}")
-        if long_run["peak_rss_mb"] > MAX_SCALE_RSS_MB:
-            fail(f"{where}: peak RSS {long_run['peak_rss_mb']:.0f} MB > "
-                 f"{MAX_SCALE_RSS_MB:.0f} MB — the streaming representation "
-                 "must keep the long trajectory in budget")
-    else:
-        print(f"perf_guard: note: {path}: no long run (disabled); "
-              "memory-budget gate not exercised")
-    if scale_gated == 0:
-        print(f"perf_guard: note: {path}: no per-user point with J >= "
-              f"{SCALE_GATE_USERS} (quick-mode scale); speedup/collapse "
-              "gates not exercised")
-    print(f"perf_guard: OK: {path}: {len(points)} scale points "
-          f"({exact_checked} cross-checked, {parity_checked} parity-checked, "
-          f"{scale_gated} under the at-scale gate)")
-
-
 def check_prop_summary(path, summary):
     """Property-harness run summary (eca.prop_summary.v1): any oracle
     violation fails the gate exactly like a perf regression — the harness
@@ -380,10 +221,7 @@ def check_prop_summary(path, summary):
 
 
 CHECKS = {
-    "eca.bench_solvers.v3": check_solvers,
-    "eca.bench_offline.v1": check_offline,
     "eca.bench_baselines.v1": check_baselines,
-    "eca.bench_scale.v1": check_scale,
 }
 
 
@@ -398,7 +236,7 @@ def main():
             fail(f"{path}: {err}")
         schema = bench.get("schema")
         if schema == "eca.prop_summary.v1":
-            # Harness summaries carry no benchmark timings, so the shared
+            # Harness summaries carry no benchmark timings, so the
             # events-overhead gate does not apply.
             check_prop_summary(path, bench)
             continue

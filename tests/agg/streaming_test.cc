@@ -108,5 +108,34 @@ TEST(StreamingAggregated, RunsPositionFreeAtLargerScale) {
   EXPECT_GT(result.max_classes, 0u);
 }
 
+TEST(StreamingAggregated, CollapsesTenfoldAtOneHundredThousandUsers) {
+  // Class aggregation exists for large J: on the default random-walk
+  // scenario at J = 10^5 over T = 6 slots (seed 1 + J, positions dropped)
+  // the mean per-slot class count must stay at least ten times below J.
+  // This seed collapses 12.72x; DESIGN.md §12 explains why classes
+  // fragment as T grows.
+  ScenarioOptions scenario;
+  scenario.num_users = 100000;
+  scenario.num_slots = 6;
+  scenario.seed = 1 + scenario.num_users;
+  scenario.retain_positions = false;
+  const Instance instance = make_random_walk_instance(scenario);
+  algo::OnlineApproxOptions options;
+  options.aggregate_users = true;
+  const AggregatedRunResult result =
+      run_aggregated_online_approx(instance, options);
+
+  ASSERT_EQ(result.classes_per_slot.size(), instance.num_slots);
+  double class_sum = 0.0;
+  for (const std::size_t c : result.classes_per_slot) {
+    class_sum += static_cast<double>(c);
+  }
+  const double mean_classes =
+      class_sum / static_cast<double>(instance.num_slots);
+  EXPECT_GE(static_cast<double>(instance.num_users) / mean_classes, 10.0)
+      << "mean classes per slot " << mean_classes;
+  EXPECT_LT(result.max_violation, 1e-5);
+}
+
 }  // namespace
 }  // namespace eca::sim

@@ -1,6 +1,6 @@
 """Shared fixtures for the script golden tests: minimal-but-valid
 observability artifacts (eca.events.v3 streams) and gate inputs
-(eca.prop_summary.v1, eca.bench_solvers.v3) built in memory, plus a helper
+(eca.prop_summary.v1, eca.bench_baselines.v1) built in memory, plus a helper
 that runs a repo script as a subprocess the way check.sh does."""
 import json
 import pathlib
@@ -113,19 +113,22 @@ def make_prop_summary(failures=0):
     }
 
 
-def make_bench_solvers(bit_identical=True, prop_smoke=None):
-    """A minimal eca.bench_solvers.v3 payload; pass prop_smoke (a dict like
-    the one bench_common's write_meta_json emits) to attach the
+def make_bench_baselines(points=(("perf-opt", True, 16, 8),), clouds=15,
+                         threads=8, bit_identical=True, prop_smoke=None):
+    """A minimal eca.bench_baselines.v1 payload; points are (algorithm,
+    separable, users, slots) tuples, all unengaged. Pass prop_smoke (a dict
+    like the one bench_common's write_meta_json emits) to attach the
     verification-gate provenance block."""
     bench = {
-        "schema": "eca.bench_solvers.v3",
-        "slot_sweep": {"points": [{
-            "users": 32,
-            "bit_identical": bit_identical,
-            "pool_engaged": False,
-            "speedup": 1.0,
-            "slot_ms_1_thread": 0.4,
-        }]},
+        "schema": "eca.bench_baselines.v1",
+        "clouds": clouds,
+        "threads": threads,
+        "points": [{
+            "algorithm": algorithm, "separable": separable, "users": users,
+            "slots": slots, "warm_enabled": False, "pool_engaged": False,
+            "speedup": 1.0, "bit_identical": bit_identical,
+            "cost_drift": 0.0, "max_violation": 0.0, "warm_speedup": 1.0,
+        } for algorithm, separable, users, slots in points],
     }
     if prop_smoke is not None:
         bench["meta"] = {
@@ -135,35 +138,6 @@ def make_bench_solvers(bit_identical=True, prop_smoke=None):
             "checks": {"prop_smoke": prop_smoke},
         }
     return bench
-
-
-def make_bench_offline(nnz_values, threads=8):
-    """A minimal eca.bench_offline.v1 payload with one unengaged point per
-    entry of nnz_values."""
-    return {
-        "schema": "eca.bench_offline.v1",
-        "threads": threads,
-        "points": [{
-            "users": 8 * (k + 1), "slots": 8, "nnz": nnz,
-            "pool_engaged": False, "speedup": 1.0, "bit_identical": True,
-        } for k, nnz in enumerate(nnz_values)],
-    }
-
-
-def make_bench_baselines(points, clouds=15, threads=8):
-    """A minimal eca.bench_baselines.v1 payload; points are (algorithm,
-    separable, users, slots) tuples, all unengaged."""
-    return {
-        "schema": "eca.bench_baselines.v1",
-        "clouds": clouds,
-        "threads": threads,
-        "points": [{
-            "algorithm": algorithm, "separable": separable, "users": users,
-            "slots": slots, "warm_enabled": False, "pool_engaged": False,
-            "speedup": 1.0, "bit_identical": True, "cost_drift": 0.0,
-            "max_violation": 0.0, "warm_speedup": 1.0,
-        } for algorithm, separable, users, slots in points],
-    }
 
 
 def write_json(path, payload):

@@ -1,6 +1,7 @@
 """Golden tests for scripts/perf_guard.py: the property-harness summary
-gate (eca.prop_summary.v1) and the shared dispatch — valid inputs pass,
-corrupted JSON, unknown schemas and regressions fail with exit 1."""
+gate (eca.prop_summary.v1), the baseline-evaluation gate
+(eca.bench_baselines.v1) and the dispatch — valid inputs pass, corrupted
+JSON, unknown or retired schemas and regressions fail with exit 1."""
 import pathlib
 import sys
 import tempfile
@@ -57,17 +58,22 @@ class PerfGuardTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("unknown schema", proc.stderr)
 
-    def test_bench_solvers_still_dispatches(self):
-        path = fixtures.write_json(self.dir / "bench.json",
-                                   fixtures.make_bench_solvers())
-        proc = fixtures.run_script("perf_guard.py", path)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("sweep points", proc.stdout)
+    def test_retired_bench_schemas_fail(self):
+        # No gate reads these schemas any more, so a stale file must fail
+        # rather than pass unchecked.
+        for schema in ("eca.bench_solvers.v3", "eca.bench_offline.v1",
+                       "eca.bench_scale.v1"):
+            with self.subTest(schema=schema):
+                path = fixtures.write_json(self.dir / "bench.json",
+                                           {"schema": schema, "points": []})
+                proc = fixtures.run_script("perf_guard.py", path)
+                self.assertEqual(proc.returncode, 1)
+                self.assertIn("unknown schema", proc.stderr)
 
     def test_bench_meta_checks_ok_passes(self):
         path = fixtures.write_json(
             self.dir / "bench.json",
-            fixtures.make_bench_solvers(prop_smoke={
+            fixtures.make_bench_baselines(prop_smoke={
                 "ok": True, "scenarios": 5, "failures": 0,
                 "wall_seconds": 0.07}))
         proc = fixtures.run_script("perf_guard.py", path)
@@ -77,7 +83,7 @@ class PerfGuardTest(unittest.TestCase):
     def test_bench_meta_checks_failure_fails(self):
         path = fixtures.write_json(
             self.dir / "bench.json",
-            fixtures.make_bench_solvers(prop_smoke={
+            fixtures.make_bench_baselines(prop_smoke={
                 "ok": False, "scenarios": 5, "failures": 1,
                 "wall_seconds": 0.07}))
         proc = fixtures.run_script("perf_guard.py", path)
@@ -87,7 +93,7 @@ class PerfGuardTest(unittest.TestCase):
     def test_bench_meta_checks_skip_is_note(self):
         path = fixtures.write_json(
             self.dir / "bench.json",
-            fixtures.make_bench_solvers(prop_smoke={"skipped": True}))
+            fixtures.make_bench_baselines(prop_smoke={"skipped": True}))
         proc = fixtures.run_script("perf_guard.py", path)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("prop smoke skipped", proc.stdout)
@@ -95,7 +101,7 @@ class PerfGuardTest(unittest.TestCase):
     def test_bench_bit_identity_regression_fails(self):
         path = fixtures.write_json(
             self.dir / "bench.json",
-            fixtures.make_bench_solvers(bit_identical=False))
+            fixtures.make_bench_baselines(bit_identical=False))
         proc = fixtures.run_script("perf_guard.py", path)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("bit_identical=false", proc.stderr)
@@ -105,23 +111,6 @@ class PerfGuardTest(unittest.TestCase):
         proc = fixtures.run_script("perf_guard.py", path)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         return proc.stdout
-
-    def test_unengaged_offline_points_under_the_floor_name_it(self):
-        # The quick sweep's points: every one under two workers' nonzeros.
-        out = self.run_guard(fixtures.make_bench_offline([3000, 12000]))
-        self.assertIn("nonzeros-per-worker floor", out)
-        self.assertNotIn("hardware-concurrency cap", out)
-
-    def test_unengaged_offline_points_over_the_floor_name_the_cap(self):
-        out = self.run_guard(fixtures.make_bench_offline([70000, 150000]))
-        self.assertIn("no point engaged the pool (hardware-concurrency cap)",
-                      out)
-
-    def test_unengaged_offline_points_count_each_cause(self):
-        out = self.run_guard(fixtures.make_bench_offline([3000, 150000]))
-        self.assertIn("nonzeros-per-worker floor: nnz < 2 x 32768 on 1 of 2 "
-                      "points", out)
-        self.assertIn("hardware-concurrency cap on 1 of 2 points", out)
 
     def test_unengaged_baseline_points_under_the_floor_name_it(self):
         # 15 clouds x 16 users x 8 slots = 1920 cells < 2 x 4096.
