@@ -16,10 +16,10 @@
 //   2. skeleton+warm   — each algorithm's default path, serial: skeleton
 //                        refresh + workspace-reused IPM, block-chain warm
 //                        starts where the algorithm enables them
-//                        (warm_enabled per point; online-greedy defaults
-//                        warm off — its feasible set changes every slot —
-//                        and the warm_max_users cap turns hints off at
-//                        scale, where they cost iterations);
+//                        (warm_enabled per point; online-greedy never
+//                        warm-starts — its feasible set changes every
+//                        slot — and the kBaselineWarmMaxUsers cap turns
+//                        hints off at scale, where they cost iterations);
 //   3. N-thread        — leg 2 dispatched over the simulator's slot fan-out
 //                        (slot-separable algorithms only), cross-checked
 //                        bitwise against leg 2.
@@ -178,9 +178,9 @@ BaselinePerf time_baseline_sweep(const bench::BenchScale& scale) {
       point.algorithm = entry.name;
       point.separable = entry.separable;
       // Warm starts engage only under the size cap (see
-      // BaselineOptions::warm_max_users — hints stop paying at scale).
+      // algo::kBaselineWarmMaxUsers — hints stop paying at scale).
       point.warm_enabled =
-          entry.warm_enabled && users <= algo::BaselineOptions{}.warm_max_users;
+          entry.warm_enabled && users <= algo::kBaselineWarmMaxUsers;
       point.users = users;
       point.slots = slots;
 
@@ -273,7 +273,7 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
   std::fprintf(out, "  \"threads\": %zu,\n", perf.threads);
   std::fprintf(out, "  \"warm_block\": %zu,\n", algo::kBaselineWarmBlock);
   std::fprintf(out, "  \"warm_max_users\": %zu,\n",
-               algo::BaselineOptions{}.warm_max_users);
+               algo::kBaselineWarmMaxUsers);
   std::fprintf(out, "  \"points\": [\n");
   for (std::size_t i = 0; i < perf.points.size(); ++i) {
     const BaselinePoint& p = perf.points[i];

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, ThreadSanitizer smoke of the
 # parallel code paths, AddressSanitizer + UBSan smoke of the envelope
-# factor and the runner, the property-harness smoke sweep, and a
-# quick-mode baseline-evaluation sweep through the perf guard.
+# factor and the runner, the property-harness smoke sweep, a tiny
+# extensions run, and a quick-mode baseline-evaluation sweep through the
+# perf guard.
 #
 #   scripts/check.sh                 # everything
 #   scripts/check.sh fuzz [N] [SEC]  # extended property-harness soak only:
@@ -116,6 +117,12 @@ python3 scripts/report_run.py \
   --events "$obs_dir/taxi_day.events.jsonl" --algorithm online-approx \
   --out "$obs_dir/report.md"
 grep -q "## Worst" "$obs_dir/report.md"
+
+echo "== bench: extensions at tiny scale =="
+# Lookahead (the anchored horizon LP through solve_offline's solver
+# choice), lazy-greedy and the self-certification demo, end to end.
+ECA_USERS=6 ECA_SLOTS=6 ECA_REPS=1 ./build/bench/bench_extensions \
+  > build/bench_extensions.log
 
 echo "== bench: baseline-evaluation sweep (quick mode) =="
 # Small points only: exercises the three-leg emitter (rebuild+cold vs

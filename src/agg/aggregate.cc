@@ -127,175 +127,6 @@ solve::RegularizedSolution expand_solution(
   return sol;
 }
 
-solve::LpProblem build_collapsed_static_lp(const model::Instance& instance,
-                                           std::size_t t,
-                                           const ClassPartition& part,
-                                           bool include_operation,
-                                           bool include_service_quality) {
-  ECA_CHECK(t < instance.num_slots);
-  check_partition(part, instance.num_users);
-  const std::size_t kI = instance.num_clouds;
-  const std::size_t kC = part.num_classes;
-  const double ws = instance.weights.static_weight;
-  solve::LpProblem lp;
-  for (std::size_t i = 0; i < kI; ++i) {
-    for (std::size_t c = 0; c < kC; ++c) {
-      double cost = 0.0;
-      if (include_operation) cost += instance.operation_price[t][i];
-      if (include_service_quality) {
-        cost += instance.service_coefficient(t, i, part.representative[c]);
-      }
-      lp.add_variable(ws * cost);
-    }
-  }
-  for (std::size_t c = 0; c < kC; ++c) {
-    const auto row = lp.add_row_geq(part.weight(c) *
-                                    instance.demand[part.representative[c]]);
-    for (std::size_t i = 0; i < kI; ++i) {
-      lp.set_coefficient(row, i * kC + c, 1.0);
-    }
-  }
-  for (std::size_t i = 0; i < kI; ++i) {
-    const auto row = lp.add_row_leq(instance.clouds[i].capacity);
-    for (std::size_t c = 0; c < kC; ++c) {
-      lp.set_coefficient(row, i * kC + c, 1.0);
-    }
-  }
-  return lp;
-}
-
-model::Allocation expand_static(const model::Instance& instance,
-                                const ClassPartition& part,
-                                const Vec& solution) {
-  check_partition(part, instance.num_users);
-  const std::size_t kI = instance.num_clouds;
-  const std::size_t kC = part.num_classes;
-  const std::size_t kJ = instance.num_users;
-  ECA_CHECK(solution.size() >= kI * kC);
-  model::Allocation alloc(kI, kJ);
-  for (std::size_t j = 0; j < kJ; ++j) {
-    const std::uint32_t c = part.class_of[j];
-    const double w = part.weight(c);
-    for (std::size_t i = 0; i < kI; ++i) {
-      alloc.x[i * kJ + j] = std::max(solution[i * kC + c], 0.0) / w;
-    }
-  }
-  return alloc;
-}
-
-solve::LpProblem build_collapsed_offline_lp(const model::Instance& instance,
-                                            const ClassPartition& part) {
-  check_partition(part, instance.num_users);
-  const std::size_t kI = instance.num_clouds;
-  const std::size_t kC = part.num_classes;
-  const std::size_t kT = instance.num_slots;
-  const double ws = instance.weights.static_weight;
-  const double wd = instance.weights.dynamic_weight;
-  const std::size_t u0 = kT * kI * kC;
-  const std::size_t v0 = u0 + kT * kI;
-  const auto xv = [&](std::size_t t, std::size_t i, std::size_t c) {
-    return t * kI * kC + i * kC + c;
-  };
-
-  solve::LpProblem lp;
-  // y variables: per-unit static cost of the representative; the last slot
-  // gets the telescoped out-migration refund, exactly as build_offline_lp.
-  for (std::size_t t = 0; t < kT; ++t) {
-    for (std::size_t i = 0; i < kI; ++i) {
-      for (std::size_t c = 0; c < kC; ++c) {
-        double cost =
-            ws * (instance.operation_price[t][i] +
-                  instance.service_coefficient(t, i, part.representative[c]));
-        if (t + 1 == kT) {
-          cost -= wd * instance.clouds[i].migration_out_price;
-        }
-        lp.add_variable(cost);
-      }
-    }
-  }
-  for (std::size_t t = 0; t < kT; ++t) {
-    for (std::size_t i = 0; i < kI; ++i) {
-      lp.add_variable(wd * instance.clouds[i].reconfiguration_price);
-    }
-  }
-  for (std::size_t t = 0; t < kT; ++t) {
-    for (std::size_t i = 0; i < kI; ++i) {
-      const double price = wd * instance.clouds[i].migration_price();
-      for (std::size_t c = 0; c < kC; ++c) lp.add_variable(price);
-    }
-  }
-
-  // Rows cloud-major, demand last: for each cloud i and slot t, the
-  // migration rows (i, ·, t), the reconfiguration row and the capacity row;
-  // then every demand row. Cloud i's rows touch only its own y/u/v columns
-  // and clouds couple only through the demand rows, so the interior-point
-  // normal matrix has a narrow per-cloud staircase envelope plus TC full
-  // rows (linalg/envelope_cholesky.h).
-  lp.row_block_starts.reserve(kI + 1);
-  for (std::size_t i = 0; i < kI; ++i) {
-    lp.row_block_starts.push_back(lp.num_rows);
-    for (std::size_t t = 0; t < kT; ++t) {
-      // Migration: v_{i,c,t} - y_{i,c,t} + y_{i,c,t-1} >= 0. Exact in class
-      // space because members of a horizon class share the whole
-      // trajectory, so the per-user positive parts sum to the class
-      // positive part.
-      for (std::size_t c = 0; c < kC; ++c) {
-        const auto row = lp.add_row_geq(0.0);
-        lp.set_coefficient(row, v0 + t * kI * kC + i * kC + c, 1.0);
-        lp.set_coefficient(row, xv(t, i, c), -1.0);
-        if (t > 0) lp.set_coefficient(row, xv(t - 1, i, c), 1.0);
-      }
-      // Reconfiguration: u_{i,t} - Σ_c y_{i,c,t} + Σ_c y_{i,c,t-1} >= 0.
-      const auto reconf = lp.add_row_geq(0.0);
-      lp.set_coefficient(reconf, u0 + t * kI + i, 1.0);
-      for (std::size_t c = 0; c < kC; ++c) {
-        lp.set_coefficient(reconf, xv(t, i, c), -1.0);
-        if (t > 0) lp.set_coefficient(reconf, xv(t - 1, i, c), 1.0);
-      }
-      // Capacity.
-      const auto cap = lp.add_row_leq(instance.clouds[i].capacity);
-      for (std::size_t c = 0; c < kC; ++c) {
-        lp.set_coefficient(cap, xv(t, i, c), 1.0);
-      }
-    }
-  }
-  lp.row_block_starts.push_back(lp.num_rows);
-  for (std::size_t t = 0; t < kT; ++t) {
-    // Demand: Σ_i y_{i,c,t} >= w_c λ_c.
-    for (std::size_t c = 0; c < kC; ++c) {
-      const auto row = lp.add_row_geq(part.weight(c) *
-                                      instance.demand[part.representative[c]]);
-      for (std::size_t i = 0; i < kI; ++i) {
-        lp.set_coefficient(row, xv(t, i, c), 1.0);
-      }
-    }
-  }
-  return lp;
-}
-
-model::AllocationSequence expand_offline(const model::Instance& instance,
-                                         const ClassPartition& part,
-                                         const Vec& solution) {
-  check_partition(part, instance.num_users);
-  const std::size_t kI = instance.num_clouds;
-  const std::size_t kC = part.num_classes;
-  const std::size_t kJ = instance.num_users;
-  ECA_CHECK(solution.size() >= instance.num_slots * kI * kC);
-  model::AllocationSequence seq;
-  seq.assign(instance.num_slots, model::Allocation(kI, kJ));
-  for (std::size_t t = 0; t < instance.num_slots; ++t) {
-    for (std::size_t j = 0; j < kJ; ++j) {
-      const std::uint32_t c = part.class_of[j];
-      const double w = part.weight(c);
-      for (std::size_t i = 0; i < kI; ++i) {
-        seq[t].x[i * kJ + j] =
-            std::max(solution[t * kI * kC + i * kC + c], 0.0) / w;
-      }
-    }
-  }
-  return seq;
-}
-
 model::CostBreakdown class_slot_cost(const model::Instance& instance,
                                      std::size_t t, const ClassPartition& part,
                                      const Vec& member_x,

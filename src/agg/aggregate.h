@@ -24,7 +24,6 @@
 #include "agg/user_classes.h"
 #include "model/costs.h"
 #include "model/instance.h"
-#include "solve/lp_problem.h"
 #include "solve/regularized_solver.h"
 
 namespace eca::agg {
@@ -65,42 +64,6 @@ solve::RegularizedProblem build_collapsed_subproblem(
 solve::RegularizedSolution expand_solution(
     const solve::RegularizedSolution& collapsed, const ClassPartition& part,
     std::size_t num_clouds);
-
-// --- Static slot LP ---------------------------------------------------------
-
-// Collapsed build_static_slot_lp: one y column per class (variable index
-// i·C + c), demand rows w_c λ_c, capacity rows unchanged. Use with
-// build_static_classes, whose class count is bounded by I·Λ.
-solve::LpProblem build_collapsed_static_lp(const model::Instance& instance,
-                                           std::size_t t,
-                                           const ClassPartition& part,
-                                           bool include_operation,
-                                           bool include_service_quality);
-
-// Expands a collapsed static LP solution: x_{i,j} = max(y_{i,c(j)}, 0) / w_c.
-// Members of one class receive bitwise-identical allocations.
-model::Allocation expand_static(const model::Instance& instance,
-                                const ClassPartition& part,
-                                const Vec& solution);
-
-// --- Offline horizon LP -----------------------------------------------------
-
-// Collapsed offline horizon LP over horizon classes: the x/u/v variable
-// layout with J replaced by C (x_{i,c,t} at t·I·C + i·C + c, then u, then
-// v), demand rows w_c λ_c, per-unit costs from the representative, rows in
-// algo/offline.h's cloud-major order (row_block_starts: one block per
-// cloud, then the demand block). With singleton_classes it is
-// algo::build_offline_lp. A dedicated builder (rather than a collapsed
-// Instance) because service_coefficient must keep the per-member λ under
-// the y = w·x substitution.
-solve::LpProblem build_collapsed_offline_lp(const model::Instance& instance,
-                                            const ClassPartition& part);
-
-// Expands a collapsed offline solution into the per-user allocation
-// sequence (mirrors solve_offline's max(·, 0) extraction).
-model::AllocationSequence expand_offline(const model::Instance& instance,
-                                         const ClassPartition& part,
-                                         const Vec& solution);
 
 // --- Class-weighted scoring -------------------------------------------------
 

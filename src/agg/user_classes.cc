@@ -7,22 +7,6 @@ namespace eca::agg {
 using detail::bits_of;
 using detail::hash_combine;
 
-ClassPartition build_static_classes(const model::Instance& instance,
-                                    std::size_t t) {
-  ECA_CHECK(t < instance.num_slots);
-  const std::vector<std::size_t>& attachment = instance.attachment[t];
-  const model::Vec& demand = instance.demand;
-  return group_users(
-      instance.num_users,
-      [&](std::size_t j) {
-        return hash_combine(bits_of(demand[j]), attachment[j]);
-      },
-      [&](std::size_t a, std::size_t b) {
-        return bits_of(demand[a]) == bits_of(demand[b]) &&
-               attachment[a] == attachment[b];
-      });
-}
-
 ClassPartition build_slot_classes(const model::Instance& instance,
                                   std::size_t t,
                                   const model::Allocation& previous) {
@@ -56,43 +40,6 @@ ClassPartition build_slot_classes(const model::Instance& instance,
             if (bits_of(previous.at(i, a)) != bits_of(previous.at(i, b))) {
               return false;
             }
-          }
-        }
-        return true;
-      });
-}
-
-ClassPartition singleton_classes(std::size_t num_users) {
-  ClassPartition part;
-  part.num_users = num_users;
-  part.num_classes = num_users;
-  part.class_of.resize(num_users);
-  part.representative.resize(num_users);
-  for (std::size_t j = 0; j < num_users; ++j) {
-    part.class_of[j] = static_cast<std::uint32_t>(j);
-    part.representative[j] = j;
-  }
-  part.count.assign(num_users, 1);
-  return part;
-}
-
-ClassPartition build_horizon_classes(const model::Instance& instance) {
-  const std::size_t kT = instance.num_slots;
-  const model::Vec& demand = instance.demand;
-  return group_users(
-      instance.num_users,
-      [&](std::size_t j) {
-        std::uint64_t h = bits_of(demand[j]);
-        for (std::size_t t = 0; t < kT; ++t) {
-          h = hash_combine(h, instance.attachment[t][j]);
-        }
-        return h;
-      },
-      [&](std::size_t a, std::size_t b) {
-        if (bits_of(demand[a]) != bits_of(demand[b])) return false;
-        for (std::size_t t = 0; t < kT; ++t) {
-          if (instance.attachment[t][a] != instance.attachment[t][b]) {
-            return false;
           }
         }
         return true;

@@ -3,18 +3,14 @@
 // The paper's inputs make users massively interchangeable: demands are
 // small integers and attachments come from ~15 metro stations, so a slot
 // with a million users has only a few hundred distinct user *types*. Two
-// users are equivalent for a given solve when every coefficient the solve
-// reads off them is equal:
-//
-//   * static slot LP (perf/oper/stat-opt, static-once):    (λ_j, l_{j,t})
-//   * per-slot P2 / greedy-style programs:  (λ_j, l_{j,t}, x*_{·,j,t-1})
-//   * offline horizon LP:                   (λ_j, l_{j,0}, …, l_{j,T-1})
+// users are equivalent for online-approx's per-slot P2 when every
+// coefficient it reads off them is equal: (λ_j, l_{j,t}, x*_{·,j,t-1}).
 //
 // Equivalent users can be collapsed into one class variable with a
 // multiplicity weight, solved once, and expanded back — exactly, because
-// every solver in this repo produces symmetric optima for symmetric users
-// (see DESIGN.md §12 for the argument). The builders below construct these
-// partitions.
+// the P2 solver produces symmetric optima for symmetric users (see
+// DESIGN.md §12 for the argument). build_slot_classes constructs the
+// partition.
 //
 // Determinism contract: class ids are assigned in first-occurrence order of
 // the user index (user 0's class is class 0), construction is serial, and
@@ -121,25 +117,12 @@ ClassPartition group_users(std::size_t num_users, TagFn&& tag,
   return part;
 }
 
-// Every user its own class: the collapsed builders then reproduce the
-// per-user program bitwise (w = 1).
-ClassPartition singleton_classes(std::size_t num_users);
-
-// Static slot classes: key (λ_j bits, l_{j,t}). Bounded by I·Λ distinct
-// (station, demand) pairs for the whole run, independent of J.
-ClassPartition build_static_classes(const model::Instance& instance,
-                                    std::size_t t);
-
-// Per-slot P2 classes: the static key refined by the user's previous
-// allocation column x*_{·,j,t-1}, compared bitwise. `previous` may be empty
-// (slot 0), which reads as the all-zero column.
+// Per-slot P2 classes: key (λ_j bits, l_{j,t}) refined by the user's
+// previous allocation column x*_{·,j,t-1}, compared bitwise. `previous` may
+// be empty (slot 0), which reads as the all-zero column.
 ClassPartition build_slot_classes(const model::Instance& instance,
                                   std::size_t t,
                                   const model::Allocation& previous);
-
-// Horizon classes for the offline LP: key (λ_j bits, full attachment
-// trajectory l_{j,0..T-1}).
-ClassPartition build_horizon_classes(const model::Instance& instance);
 
 // Structural validation of a partition: sizes consistent, every class id
 // in range, counts matching class_of, representatives first-occurrence

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "agg/aggregate.h"
 #include "algo/slot_lp.h"
 #include "common/check.h"
 #include "common/fault.h"
@@ -72,7 +71,7 @@ solve::LpSolution solve_or_recover(const solve::LpProblem& lp,
 void AtomisticAlgorithm::reset(const Instance& instance) {
   last_t_ = -1;
   has_anchor_ = false;
-  if (options_.reuse_skeleton && !options_.aggregate_users) {
+  if (options_.reuse_skeleton) {
     skeleton_.emplace(instance, include_operation_, include_service_quality_);
   } else {
     skeleton_.reset();
@@ -81,16 +80,6 @@ void AtomisticAlgorithm::reset(const Instance& instance) {
 
 Allocation AtomisticAlgorithm::decide(const Instance& instance, std::size_t t,
                                       const Allocation& /*previous*/) {
-  if (options_.aggregate_users) {
-    // Class-collapsed slot LP over (λ, l_{j,t}) classes: from-scratch build
-    // and cold solve — the LP has at most I·Λ columns, so skeletons and
-    // warm chains have nothing left to amortize (see BaselineOptions).
-    const agg::ClassPartition part = agg::build_static_classes(instance, t);
-    const solve::LpProblem lp = agg::build_collapsed_static_lp(
-        instance, t, part, include_operation_, include_service_quality_);
-    const solve::LpSolution sol = solve_or_recover(lp, name_.c_str(), t);
-    return agg::expand_static(instance, part, sol.x);
-  }
   if (!options_.reuse_skeleton) {
     // Legacy path: from-scratch build, cold solve. The baseline bench uses
     // this as its rebuild+cold reference leg.
@@ -108,7 +97,7 @@ Allocation AtomisticAlgorithm::decide(const Instance& instance, std::size_t t,
   const StaticSlotLp& built = skeleton_->refresh(instance, t);
   solve::IpmWarmStart warm;
   if (options_.warm_start && has_anchor_ &&
-      instance.num_users <= options_.warm_max_users) {
+      instance.num_users <= kBaselineWarmMaxUsers) {
     // Block-chained warm source: chain from the previous slot inside a
     // block, restart from the slot-0 anchor at block heads. The chain
     // never crosses a block boundary, so parallel block-wise evaluation
@@ -155,7 +144,6 @@ AlgorithmPtr AtomisticAlgorithm::clone_for_slots() const {
 }
 
 void OnlineGreedy::reset(const Instance& instance) {
-  last_t_ = -1;
   if (options_.reuse_skeleton) {
     skeleton_.emplace(instance);
   } else {
@@ -172,37 +160,17 @@ Allocation OnlineGreedy::decide(const Instance& instance, std::size_t t,
   }
   if (!skeleton_) skeleton_.emplace(instance);
   const GreedySlotLp& built = skeleton_->refresh(instance, t, previous);
-  solve::IpmWarmStart warm;
-  // The greedy chain is inherently sequential (decide() consumes the
-  // previous decision), so the warm source is simply the previous slot's
-  // solution — no block structure needed.
-  if (options_.warm_start && last_t_ >= 0 &&
-      instance.num_users <= options_.warm_max_users &&
-      t == static_cast<std::size_t>(last_t_) + 1) {
-    warm.x = &last_.x;
-    warm.row_duals = &last_.row_duals;
-    BaselineMetrics::get().warm_chained.add(1);
-  }
-  solve::InteriorPointLp().solve_into(built.lp, workspace_, warm, scratch_);
+  solve::InteriorPointLp().solve_into(built.lp, workspace_,
+                                      solve::IpmWarmStart{}, scratch_);
   if (!lp_check(scratch_, "online-greedy", t)) [[unlikely]] {
     // Same skeleton→rebuild fallback as the static baselines.
     const GreedySlotLp rebuilt = build_greedy_slot_lp(instance, t, previous);
     scratch_ = solve_or_recover(rebuilt.lp, "online-greedy", t);
   }
-  std::swap(last_, scratch_);
-  last_t_ = static_cast<std::ptrdiff_t>(t);
-  return built.extract(instance, last_.x);
+  return built.extract(instance, scratch_.x);
 }
 
 void StaticOnce::reset(const Instance& instance) {
-  if (options_.aggregate_users) {
-    const agg::ClassPartition part = agg::build_static_classes(instance, 0);
-    const solve::LpProblem lp =
-        agg::build_collapsed_static_lp(instance, 0, part, true, true);
-    const solve::LpSolution sol = solve_or_recover(lp, "static-once", 0);
-    fixed_ = agg::expand_static(instance, part, sol.x);
-    return;
-  }
   const StaticSlotLp built = build_static_slot_lp(instance, 0, true, true);
   const solve::LpSolution sol = solve_or_recover(built.lp, "static-once", 0);
   fixed_ = extract_static(instance, sol.x);
@@ -217,7 +185,7 @@ Allocation StaticOnce::decide(const Instance& instance, std::size_t /*t*/,
 }
 
 AlgorithmPtr StaticOnce::clone_for_slots() const {
-  auto clone = std::make_unique<StaticOnce>(options_);
+  auto clone = std::make_unique<StaticOnce>();
   clone->fixed_ = fixed_;
   return clone;
 }

@@ -28,6 +28,16 @@
 
 namespace eca::algo {
 
+// Warm-start engagement cap: chain warm starts only when the instance has
+// at most this many users. Measured iteration crossover (stat-opt slot LPs,
+// random-walk mobility): previous-slot hints save ~2-4% IPM iterations at
+// J=128..512 but COST ~5-15% at J=1024 — with all users moving every slot,
+// the optimum shifts further per slot as J grows while the cold start stays
+// a flat ~17 iterations. Like every other engagement policy here, the cap
+// depends only on the instance shape, so thread count never changes
+// results.
+inline constexpr std::size_t kBaselineWarmMaxUsers = 512;
+
 // Per-slot evaluation knobs shared by the baseline algorithms.
 struct BaselineOptions {
   // Build each slot's LP by refreshing a cached skeleton instead of from
@@ -35,30 +45,10 @@ struct BaselineOptions {
   bool reuse_skeleton = true;
   // Warm-start each slot's IPM solve from the block-chained previous
   // solution (slot-0 anchor at block heads). Requires reuse_skeleton.
-  // Only sensible when consecutive slot LPs share their feasible set (the
-  // atomistic group); OnlineGreedy defaults it off — see its class comment.
+  // Only sensible when consecutive slot LPs share their feasible set: the
+  // atomistic group reads it, OnlineGreedy never warm-starts (see its class
+  // comment).
   bool warm_start = true;
-  // Warm-start engagement cap: chain warm starts only when the instance
-  // has at most this many users. Measured iteration crossover (stat-opt
-  // slot LPs, random-walk mobility): previous-slot hints save ~2-4% IPM
-  // iterations at J=128..512 but COST ~5-15% at J=1024 — with all users
-  // moving every slot, the optimum shifts further per slot as J grows
-  // while the cold start stays a flat ~17 iterations. Like every other
-  // engagement policy here, the cap depends only on the instance shape,
-  // so thread count never changes results. 0 disables warm starts.
-  std::size_t warm_max_users = 512;
-  // Solve the static slot LPs over (λ_j, l_{j,t}) user classes instead of
-  // users (agg/aggregate.h): the class count is bounded by I·Λ for the
-  // whole run regardless of J, so the LP shrinks from I·J to I·C columns.
-  // Members of a class receive bitwise-identical expanded allocations and
-  // the cost matches the per-user path to solver tolerance. The collapsed
-  // LP's shape varies per slot (classes come and go with the attachments),
-  // so this path builds from scratch and solves cold — the skeleton/warm
-  // machinery above is per-user-shape-bound and is bypassed; at class
-  // scale the solve is too small for it to matter. OnlineGreedy stays
-  // per-user: its s/w split depends on the previous decision per user and
-  // is already covered by the P2 aggregation story.
-  bool aggregate_users = false;
 };
 
 // Shared implementation for the three atomistic baselines. Slot-separable:
@@ -121,17 +111,15 @@ class StatOpt final : public AtomisticAlgorithm {
 };
 
 // Chains through the previous slot's decision, hence NOT slot-separable;
-// still benefits from the cached skeleton in the serial loop. Warm starts
-// default OFF here: the greedy LP's feasible set changes every slot (the
+// still benefits from the cached skeleton in the serial loop. It solves
+// every slot cold: the greedy LP's feasible set changes every slot (the
 // reconfiguration variables' upper bounds are the previous decision), so
 // the previous optimum is a structurally poor hint — measured at J=512 it
-// costs ~1.5x wall clock and occasionally diverges into the solver's cold
-// retry. Opt back in with {.warm_start = true} for small instances.
+// cost ~1.5x wall clock and occasionally diverged into the solver's cold
+// retry. Only BaselineOptions::reuse_skeleton is consulted.
 class OnlineGreedy final : public OnlineAlgorithm {
  public:
-  explicit OnlineGreedy(
-      BaselineOptions options = {.reuse_skeleton = true, .warm_start = false})
-      : options_(options) {}
+  explicit OnlineGreedy(BaselineOptions options = {}) : options_(options) {}
 
   [[nodiscard]] std::string name() const override { return "online-greedy"; }
   void reset(const Instance& instance) override;
@@ -142,17 +130,13 @@ class OnlineGreedy final : public OnlineAlgorithm {
   BaselineOptions options_;
   std::optional<GreedySlotLpSkeleton> skeleton_;
   solve::IpmWorkspace workspace_;
-  solve::LpSolution last_;
   solve::LpSolution scratch_;
-  std::ptrdiff_t last_t_ = -1;
 };
 
+// Solves one LP per run, so it takes no BaselineOptions: the skeleton and
+// warm-start knobs have nothing to optimize.
 class StaticOnce final : public OnlineAlgorithm {
  public:
-  // Only BaselineOptions::aggregate_users is consulted — static-once solves
-  // one LP per run, so the skeleton/warm knobs have nothing to optimize.
-  explicit StaticOnce(BaselineOptions options = {}) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "static-once"; }
   void reset(const Instance& instance) override;
   [[nodiscard]] Allocation decide(const Instance& instance, std::size_t t,
@@ -162,7 +146,6 @@ class StaticOnce final : public OnlineAlgorithm {
   [[nodiscard]] AlgorithmPtr clone_for_slots() const override;
 
  private:
-  BaselineOptions options_;
   Allocation fixed_;
 };
 

@@ -2,116 +2,18 @@
 
 #include <algorithm>
 
+#include "algo/offline.h"
 #include "algo/slot_lp.h"
 #include "common/check.h"
 #include "model/costs.h"
 #include "solve/ipm_lp.h"
-#include "solve/pdhg_lp.h"
 
 namespace eca::algo {
 
-solve::LpProblem LookaheadOpt::build_window_lp(const Instance& instance,
-                                               std::size_t t,
-                                               std::size_t window,
-                                               const Allocation& previous) {
-  ECA_CHECK(t < instance.num_slots && window >= 1);
-  const std::size_t kI = instance.num_clouds;
-  const std::size_t kJ = instance.num_users;
-  const std::size_t kW = std::min(window, instance.num_slots - t);
-  const double ws = instance.weights.static_weight;
-  const double wd = instance.weights.dynamic_weight;
-
-  // Layout mirrors build_offline_lp over the window: x, then u, then v.
-  const std::size_t u0 = kW * kI * kJ;
-  const std::size_t v0 = u0 + kW * kI;
-  auto x_idx = [&](std::size_t w, std::size_t i, std::size_t j) {
-    return w * kI * kJ + i * kJ + j;
-  };
-  auto u_idx = [&](std::size_t w, std::size_t i) { return u0 + w * kI + i; };
-  auto v_idx = [&](std::size_t w, std::size_t i, std::size_t j) {
-    return v0 + w * kI * kJ + i * kJ + j;
-  };
-
-  solve::LpProblem lp;
-  for (std::size_t w = 0; w < kW; ++w) {
-    const std::size_t slot = t + w;
-    for (std::size_t i = 0; i < kI; ++i) {
-      for (std::size_t j = 0; j < kJ; ++j) {
-        double cost = ws * (instance.operation_price[slot][i] +
-                            instance.service_coefficient(slot, i, j));
-        if (w + 1 == kW) {
-          cost -= wd * instance.clouds[i].migration_out_price;
-        }
-        lp.add_variable(cost);
-      }
-    }
-  }
-  for (std::size_t w = 0; w < kW; ++w) {
-    for (std::size_t i = 0; i < kI; ++i) {
-      lp.add_variable(wd * instance.clouds[i].reconfiguration_price);
-    }
-  }
-  for (std::size_t w = 0; w < kW; ++w) {
-    for (std::size_t i = 0; i < kI; ++i) {
-      const double price = wd * instance.clouds[i].migration_price();
-      for (std::size_t j = 0; j < kJ; ++j) lp.add_variable(price);
-    }
-  }
-
-  const model::Vec prev_totals = previous.x.empty()
-                                     ? model::Vec(kI, 0.0)
-                                     : previous.cloud_totals();
-  for (std::size_t w = 0; w < kW; ++w) {
-    const std::size_t slot = t + w;
-    for (std::size_t j = 0; j < kJ; ++j) {
-      const auto row = lp.add_row_geq(instance.demand[j]);
-      for (std::size_t i = 0; i < kI; ++i) {
-        lp.set_coefficient(row, x_idx(w, i, j), 1.0);
-      }
-      (void)slot;
-    }
-    for (std::size_t i = 0; i < kI; ++i) {
-      const auto row = lp.add_row_leq(instance.clouds[i].capacity);
-      for (std::size_t j = 0; j < kJ; ++j) {
-        lp.set_coefficient(row, x_idx(w, i, j), 1.0);
-      }
-    }
-    for (std::size_t i = 0; i < kI; ++i) {
-      const double anchor = w == 0 ? prev_totals[i] : 0.0;
-      const auto row = lp.add_row_geq(-anchor);
-      lp.set_coefficient(row, u_idx(w, i), 1.0);
-      for (std::size_t j = 0; j < kJ; ++j) {
-        lp.set_coefficient(row, x_idx(w, i, j), -1.0);
-        if (w > 0) lp.set_coefficient(row, x_idx(w - 1, i, j), 1.0);
-      }
-    }
-    for (std::size_t i = 0; i < kI; ++i) {
-      for (std::size_t j = 0; j < kJ; ++j) {
-        const double anchor =
-            w == 0 ? (previous.x.empty() ? 0.0 : previous.at(i, j)) : 0.0;
-        const auto row = lp.add_row_geq(-anchor);
-        lp.set_coefficient(row, v_idx(w, i, j), 1.0);
-        lp.set_coefficient(row, x_idx(w, i, j), -1.0);
-        if (w > 0) lp.set_coefficient(row, x_idx(w - 1, i, j), 1.0);
-      }
-    }
-  }
-  return lp;
-}
-
 Allocation LookaheadOpt::decide(const Instance& instance, std::size_t t,
                                 const Allocation& previous) {
-  const solve::LpProblem lp =
-      build_window_lp(instance, t, options_.window, previous);
-  solve::LpSolution sol;
-  if (lp.num_rows <= 900) {
-    sol = solve::InteriorPointLp().solve(lp);
-  } else {
-    solve::PdhgOptions options;
-    options.tolerance = 1e-4;
-    options.gate_on_dual_residual = false;
-    sol = solve::PdhgLp(options).solve(lp);
-  }
+  const solve::LpSolution sol = solve_horizon_lp(
+      build_horizon_lp(instance, t, options_.window, previous));
   ECA_CHECK(sol.status == solve::SolveStatus::kOptimal,
             "lookahead window LP failed at slot ", t, ": ",
             solve::to_string(sol.status));

@@ -2,11 +2,13 @@
 //
 // * LookaheadOpt(k) — a model-predictive oracle: each slot it sees the next
 //   k slots of prices and attachments (which a real system would have to
-//   predict), solves the windowed LP anchored at its previous decision and
-//   commits only the first slot. k = 1 coincides with online-greedy;
-//   k = T is the offline optimum. The paper's related work ([15]) builds on
-//   exactly this kind of predicted-future-cost scheme, so it makes a useful
-//   upper-envelope comparison for the prediction-free online-approx.
+//   predict), solves the offline LP over those slots anchored at its
+//   previous decision (algo::build_horizon_lp, with solve_offline's solver
+//   choice) and commits only the first slot. k = 1 coincides with
+//   online-greedy; k = T is the offline optimum. The paper's related work
+//   ([15]) builds on exactly this kind of predicted-future-cost scheme, so
+//   it makes a useful upper-envelope comparison for the prediction-free
+//   online-approx.
 //
 // * LazyGreedy(threshold) — hysteresis: keep the previous allocation as
 //   long as its slot cost is within (1 + threshold) of the re-optimized
@@ -15,7 +17,6 @@
 #pragma once
 
 #include "algo/algorithm.h"
-#include "solve/lp_problem.h"
 
 namespace eca::algo {
 
@@ -33,13 +34,6 @@ class LookaheadOpt final : public OnlineAlgorithm {
 
   [[nodiscard]] Allocation decide(const Instance& instance, std::size_t t,
                                   const Allocation& previous) override;
-
-  // Windowed LP over slots [t, t + window), anchored at `previous`
-  // (exposed for tests). Variable layout matches build_offline_lp with the
-  // window's slots re-indexed from 0.
-  [[nodiscard]] static solve::LpProblem build_window_lp(
-      const Instance& instance, std::size_t t, std::size_t window,
-      const Allocation& previous);
 
  private:
   LookaheadOptions options_;

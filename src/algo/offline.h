@@ -14,6 +14,10 @@
 // (TJ)² · TI(J+2) / 2 multiply-adds (3.2M per iteration at I=15, J=8,
 // T=8) instead of a dense (T(IJ+J+2I))³ / 6 (337M).
 //
+// The same LP over a window of slots anchored at a previous decision is
+// LookaheadOpt's model-predictive step (algo/extensions.h), so one builder
+// and one solver choice serve both.
+//
 // The auto solver choice solves the LP exactly with that IPM (gap ≤ 1e-8)
 // while one factor costs at most a measured crossover of multiply-adds, and
 // with the first-order PDHG solver (PDLP-lite) above it. PDHG's answer is
@@ -36,7 +40,6 @@ struct OfflineOptions {
   // the objective error, since the dual is not required to converge (see
   // the header comment for the error it left on the Fig-2 instances).
   double pdhg_tolerance = 5e-4;
-  int pdhg_max_iterations = 400000;
   // Worker threads for the PDHG path (0 = resolve from ECA_LP_THREADS,
   // default serial). The solve is bit-identical for every thread count.
   int lp_threads = 0;
@@ -45,16 +48,6 @@ struct OfflineOptions {
   // small LPs / small machines. Leave at defaults in production.
   bool lp_oversubscribe = false;
   std::size_t lp_min_nnz_per_thread = 32768;
-  // Aggregate users into horizon classes (λ_j, full attachment trajectory)
-  // and solve the column-collapsed LP (agg/aggregate.h) before expanding
-  // back to per-user allocations. Exact: members of a horizon class share
-  // every coefficient across all T slots, so the collapsed optimum is the
-  // symmetric per-user optimum with y = w·x. The LP shrinks from
-  // T·(I·J + J + 2·I) rows to T·(I·C + C + 2·I), which moves the IPM/PDHG
-  // crossover and large-J tractability by orders of magnitude when
-  // mobility traces revisit (demand, trajectory) types.
-  bool aggregate_users = false;
-  bool verbose = false;
 };
 
 struct OfflineResult {
@@ -64,8 +57,22 @@ struct OfflineResult {
   int iterations = 0;
 };
 
-// Builds the time-expanded LP (exposed for tests).
-solve::LpProblem build_offline_lp(const model::Instance& instance);
+// Builds the horizon LP over slots [t0, t0 + window), clamped at the
+// horizon, with the window's slots re-indexed from 0: x_{i,j,w} at
+// w·I·J + i·J + j, then u_{i,w}, then v_{i,j,w}. `previous` anchors the
+// first window slot's migration and reconfiguration rows; an empty
+// allocation anchors at zero, as before slot 0. The last window slot
+// carries the out-migration refund. build_horizon_lp(instance, 0, T, {}) is
+// the offline LP of P0.
+solve::LpProblem build_horizon_lp(const model::Instance& instance,
+                                  std::size_t t0, std::size_t window,
+                                  const model::Allocation& previous);
+
+// Solves a horizon LP with options.solver's choice (see the header comment).
+// A PDHG iterate within 20× of its tolerance at the iteration limit is
+// accepted as optimal.
+solve::LpSolution solve_horizon_lp(const solve::LpProblem& lp,
+                                   const OfflineOptions& options = {});
 
 OfflineResult solve_offline(const model::Instance& instance,
                             const OfflineOptions& options = {});

@@ -198,12 +198,6 @@ OracleReport run_oracle(const Scenario& scenario,
     if (!part_problem.empty()) {
       violate(report, "slot-0 partition malformed: %s", part_problem.c_str());
     }
-    const std::string horizon_problem =
-        agg::validate_partition(agg::build_horizon_classes(instance));
-    if (!horizon_problem.empty()) {
-      violate(report, "horizon partition malformed: %s",
-              horizon_problem.c_str());
-    }
     algo::OnlineApproxOptions o = base;
     o.aggregate_users = true;
     const sim::SimulationResult aggregated = run_leg(instance, o);
@@ -306,18 +300,6 @@ OracleReport run_oracle(const Scenario& scenario,
       } else {
         check_agreement(report, "offline-pdhg", off_pdhg.objective_value,
                         off_ipm.objective_value, opts.pdhg_rel_tol);
-      }
-
-      algo::OfflineOptions aggregated = ipm;
-      aggregated.aggregate_users = true;
-      const algo::OfflineResult off_agg =
-          algo::solve_offline(instance, aggregated);
-      if (off_agg.status != solve::SolveStatus::kOptimal) {
-        violate(report, "offline aggregated IPM did not converge: %s",
-                solve::to_string(off_agg.status));
-      } else {
-        check_agreement(report, "offline-aggregated", off_agg.objective_value,
-                        off_ipm.objective_value, opts.rel_tol);
       }
     }
   }

@@ -13,8 +13,8 @@
 //   ECA_LOG_WARN("offline LP needed %d iterations", iters);
 //   if (eca::log::enabled(eca::log::Level::kDebug)) { ... }
 //
-// Callers holding their own verbosity flag (RegularizedOptions::verbose
-// etc.) can force emission regardless of the threshold with log::emit().
+// log::emit() writes regardless of the threshold; the solvers' per-iteration
+// traces call it under log::enabled(kDebug).
 #pragma once
 
 #include <cstdarg>

@@ -130,7 +130,7 @@ ExperimentResult run_experiment(
     // The offline-opt run first: the reference the report's ratio and
     // regret attribution is derived against.
     obs::emit_run(events, rep_states[rep].offline_telemetry);
-    if (options.verbose || log::enabled(log::Level::kInfo)) {
+    if (log::enabled(log::Level::kInfo)) {
       log::emit(log::Level::kInfo, "rep %zu: offline-opt cost %.4f", rep,
                 denominator);
     }
@@ -140,7 +140,7 @@ ExperimentResult run_experiment(
       obs::emit_run(events, sim.telemetry);
       obs::emit_result(events, sim.algorithm, rep, sim.weighted_total,
                        sim.weighted_total / denominator);
-      if (options.verbose || log::enabled(log::Level::kInfo)) {
+      if (log::enabled(log::Level::kInfo)) {
         log::emit(log::Level::kInfo,
                   "rep %zu: %-14s cost %.4f ratio %.4f (%.2fs)", rep,
                   sim.algorithm.c_str(), sim.weighted_total,
@@ -154,7 +154,7 @@ ExperimentResult run_experiment(
   // counters that previously vanished silently at process exit. threads_seen
   // depends on resolved worker counts, so it belongs here (a log line) and
   // never in the deterministic artifacts.
-  if (options.verbose || log::enabled(log::Level::kInfo)) {
+  if (log::enabled(log::Level::kInfo)) {
     obs::TraceSession* const trace = obs::global_trace();
     log::emit(log::Level::kInfo,
               "obs: threads_seen=%zu metric_shards=%zu trace_dropped=%zu "

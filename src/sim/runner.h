@@ -33,7 +33,6 @@ struct ExperimentOptions {
   int repetitions = 3;
   std::uint64_t base_seed = 1;
   algo::OfflineOptions offline;
-  bool verbose = false;
   // Worker threads for the (repetition × algorithm) fan-out. 0 = resolve
   // from the ECA_THREADS environment variable (default: hardware
   // concurrency); 1 = every task inline on the calling thread. Results are

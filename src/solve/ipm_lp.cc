@@ -16,6 +16,8 @@ namespace eca::solve {
 namespace {
 
 constexpr double kFixedTol = 1e-12;
+// Added to the normal matrix diagonal, scaled by (1 + μ).
+constexpr double kRegularization = 1e-10;
 
 // Cached handles into the global metrics registry (same contract as the
 // Newton solver's SolverMetrics: acquisition locks once, updates are sharded
@@ -592,7 +594,7 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
     for (std::size_t j : upper_set) dual_obj -= sf.upper[j] * v[j];
     const double rel_gap = std::abs(primal_obj - dual_obj) /
                            (1.0 + std::abs(primal_obj) + std::abs(dual_obj));
-    if (options_.verbose || log::enabled(log::Level::kDebug)) {
+    if (log::enabled(log::Level::kDebug)) {
       log::emit(log::Level::kDebug,
                 "ipm iter %3d: mu=%.3e rb=%.3e rc=%.3e gap=%.3e", iter, mu,
                 rel_rb, rel_rc, rel_gap);
@@ -648,7 +650,7 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
 
     // Normal matrix A Theta A' with diagonal regularization; factor once per
     // iteration, reuse for predictor and corrector.
-    double reg = options_.regularization * (1.0 + mu);
+    double reg = kRegularization * (1.0 + mu);
     bool factorization_failed = false;
     for (;;) {
       normal.assemble(sf.columns, n, theta, reg);

@@ -48,8 +48,6 @@ namespace eca::solve {
 struct IpmOptions {
   int max_iterations = 200;
   double tolerance = 1e-8;        // relative primal/dual/gap tolerance
-  double regularization = 1e-10;  // added to the normal matrix diagonal
-  bool verbose = false;
 };
 
 // Warm-start hint: primal/dual point of a previously solved LP with the same

@@ -21,6 +21,9 @@ using linalg::PartitionBounds;
 using linalg::SparseMatrix;
 using linalg::Triplet;
 
+constexpr int kCheckEvery = 64;     // KKT evaluation / restart cadence
+constexpr int kRuizIterations = 10;
+
 // Internal form: min c'x  s.t.  K x {>=,=} q,  lb <= x <= ub.
 struct Internal {
   std::size_t n = 0;
@@ -172,7 +175,7 @@ LpSolution PdhgLp::solve(const LpProblem& lp) const {
   {
     obs::TraceSpan scale_span(obs::global_trace(), "lp_pdhg_scale");
     Vec rn(m), cn(n), dr(m), dc(n);
-    for (int it = 0; it < options_.ruiz_iterations; ++it) {
+    for (int it = 0; it < kRuizIterations; ++it) {
       k.row_inf_norms(rn, pool, row_bounds);
       k.col_inf_norms(cn, pool, col_bounds);
       for (std::size_t r = 0; r < m; ++r) {
@@ -365,7 +368,7 @@ LpSolution PdhgLp::solve(const LpProblem& lp) const {
     iterations_run = iter + 1;
     kernel_seconds += seconds_since(iter_start);
 
-    if ((iter + 1) % options_.check_every != 0) continue;
+    if ((iter + 1) % kCheckEvery != 0) continue;
 
     const auto kkt_start = std::chrono::steady_clock::now();
     const KktScore cur = evaluate(x, y);
@@ -380,7 +383,7 @@ LpSolution PdhgLp::solve(const LpProblem& lp) const {
     const Vec& cand_x = avg_better ? x_avg : x;
     const Vec& cand_y = avg_better ? y_avg : y;
 
-    if (options_.verbose || log::enabled(log::Level::kDebug)) {
+    if (log::enabled(log::Level::kDebug)) {
       log::emit(log::Level::kDebug,
                 "pdhg iter %7d: primal=%.3e dual=%.3e gap=%.3e omega=%.2e",
                 iter + 1, cand_score.primal, cand_score.dual, cand_score.gap,

@@ -32,8 +32,6 @@ namespace eca::solve {
 struct PdhgOptions {
   int max_iterations = 200000;
   double tolerance = 1e-6;
-  int check_every = 64;        // KKT evaluation / restart cadence
-  int ruiz_iterations = 10;
   // When false, termination requires only the primal residual and the
   // duality gap to reach `tolerance`; the dual residual is still reported.
   // PDHG's dual certificate converges much more slowly than the primal on
@@ -54,7 +52,6 @@ struct PdhgOptions {
   // Lifts the hardware-concurrency cap (bit-identity determinism tests
   // deliberately oversubscribe small machines to stress interleavings).
   bool lp_oversubscribe = false;
-  bool verbose = false;
 };
 
 class PdhgLp {

@@ -213,6 +213,15 @@ namespace {
 
 using linalg::DenseMatrix;
 
+// Barrier schedule: the cold start's μ (scaled by the cost magnitude) and
+// the per-iteration shrink toward the average complementarity.
+constexpr double kInitialMu = 1.0;
+constexpr double kMuShrink = 0.2;
+// Blend weight toward the cold interior point during warm-point repair
+// (x_warm = (1-w)·prev + w·cold). Pulls boundary-hugging previous optima
+// far enough inside for the barrier to be finite.
+constexpr double kWarmBlend = 0.1;
+
 // Strictly feasible starting point. Without capacity enforcement P2 is
 // always strictly feasible for I >= 2 (scale allocations up); with it we
 // spread demand proportionally to capacity and inflate by a factor strictly
@@ -482,7 +491,7 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
   };
 
   const double cost_scale = 1.0 + linalg::norm_inf(p.linear_cost);
-  double mu = options_.initial_mu * cost_scale;
+  double mu = kInitialMu * cost_scale;
 
   // --- Primal/dual start: warm (previous slot) or cold ---------------------
   bool warm = false;
@@ -493,9 +502,8 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
     // restores an interior margin even when the previous optimum sits on
     // the boundary (binding demand rows, x_ij = 0 entries).
     feasible_start(p, ws.dx);
-    const double blend = std::clamp(options_.warm_blend, 1e-3, 1.0);
     for (std::size_t idx = 0; idx < n; ++idx) {
-      ws.x[idx] = (1.0 - blend) * p.prev[idx] + blend * ws.dx[idx];
+      ws.x[idx] = (1.0 - kWarmBlend) * p.prev[idx] + kWarmBlend * ws.dx[idx];
     }
     recompute_slacks();
     if (warm_point_usable(p, ws, has_comp, has_cap, lambda_total) &&
@@ -504,7 +512,7 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
       // complementarity pair stays interior. The barrier continuation is
       // implicit: the loop below re-derives μ from the current average
       // complementarity each iteration, so the first target is
-      // mu_shrink × (warm duality-gap estimate) instead of initial_mu.
+      // kMuShrink × (warm duality-gap estimate) instead of kInitialMu.
       const double floor_v = 1e-12 * cost_scale;
       for (std::size_t idx = 0; idx < n; ++idx) {
         ws.delta[idx] = std::max(ws.warm_delta[idx], floor_v);
@@ -830,7 +838,7 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
     exit_comp_avg = comp_avg / cost_scale;
     exit_dual_resid = dual_resid_norm / cost_scale;
 
-    if (options_.verbose || log::enabled(log::Level::kDebug)) {
+    if (log::enabled(log::Level::kDebug)) {
       log::emit(log::Level::kDebug,
                 "pd iter %3d: mu=%.3e comp=%.3e rdual=%.3e", iter, mu,
                 comp_avg, dual_resid_norm / cost_scale);
@@ -862,8 +870,8 @@ RegularizedSolution RegularizedSolver::solve(const RegularizedProblem& p,
 
     // Target barrier parameter: aggressive but safeguarded decrease. (This
     // is also the warm start's μ-continuation: on a warm start comp_avg is
-    // the carried point's duality-gap estimate, not initial_mu.)
-    const double mu_next = std::max(options_.mu_shrink * comp_avg,
+    // the carried point's duality-gap estimate, not kInitialMu.)
+    const double mu_next = std::max(kMuShrink * comp_avg,
                                     0.1 * options_.final_mu * cost_scale);
     if (mu_next < mu) ++mu_steps;
     mu = mu_next;

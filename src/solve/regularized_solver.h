@@ -111,22 +111,15 @@ struct RegularizedOptions {
   // Target barrier parameter: average complementarity at termination. The
   // duality gap at exit is roughly (IJ + I + J) * final_mu.
   double final_mu = 1e-9;
-  double initial_mu = 1.0;
-  double mu_shrink = 0.2;
-  bool verbose = false;
   // Cross-slot warm starting: start the path-following loop from a
   // feasibility-repaired blend of x*_{t-1} (the problem's `prev`) and the
   // cold analytic-center start, with the duals carried over from the last
   // successful solve on this workspace. The barrier parameter then
   // continues from the warm point's duality-gap estimate (its average
-  // complementarity) instead of restarting at initial_mu — see
+  // complementarity) instead of restarting at the cold initial μ — see
   // DESIGN.md §7. Falls back to the cold start whenever the repaired warm
   // point is not strictly interior or no previous duals are available.
   bool warm_start = true;
-  // Blend weight toward the cold interior point during warm-point repair
-  // (x_warm = (1-w)·prev + w·cold). Pulls boundary-hugging previous optima
-  // far enough inside for the barrier to be finite.
-  double warm_blend = 0.1;
   // Intra-slot worker threads for the chunked assembly passes: > 0 wins,
   // 0 defers to ECA_SLOT_THREADS, else 1 (serial). Results are
   // bit-identical for every value.

@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "algo/baselines.h"
-#include "algo/offline.h"
 #include "algo/online_approx.h"
 #include "model/costs.h"
 #include "sim/scenario.h"
@@ -150,122 +149,11 @@ TEST(AggregatedOnlineApprox, AllSingletonsDegradeBitwise) {
   EXPECT_EQ(a.weighted_total, b.weighted_total);
 }
 
-// The static slot LPs have massively degenerate optima (many clouds tie),
-// so the per-user and collapsed solves may pick different optimal vertices.
-// What the two paths must agree on is the objective each LP optimizes —
-// total P0 cost (which includes the dynamic terms neither LP sees) may
-// differ between alternate optima.
-TEST(AggregatedBaselines, AtomisticGroupMatchesOptimizedObjective) {
-  const Instance instance = collapse_instance(13);
-  algo::BaselineOptions agg_options;
-  agg_options.aggregate_users = true;
-  const auto slot_static = [&](const model::Allocation& alloc, std::size_t t,
-                               bool op, bool sq) {
-    const model::CostBreakdown c =
-        model::slot_cost(instance, t, alloc, nullptr);
-    return (op ? c.operation : 0.0) + (sq ? c.service_quality : 0.0);
-  };
-  const struct {
-    const char* name;
-    bool op, sq;
-    algo::AlgorithmPtr per_user;
-    algo::AlgorithmPtr aggregated;
-  } cases[] = {
-      {"stat-opt", true, true, std::make_unique<algo::StatOpt>(),
-       std::make_unique<algo::StatOpt>(agg_options)},
-      {"perf-opt", false, true, std::make_unique<algo::PerfOpt>(),
-       std::make_unique<algo::PerfOpt>(agg_options)},
-      {"oper-opt", true, false, std::make_unique<algo::OperOpt>(),
-       std::make_unique<algo::OperOpt>(agg_options)},
-  };
-  for (const auto& c : cases) {
-    const sim::SimulationResult a = Simulator::run(instance, *c.per_user);
-    const sim::SimulationResult b = Simulator::run(instance, *c.aggregated);
-    EXPECT_LT(b.max_violation, 1e-5) << c.name;
-    for (std::size_t t = 0; t < instance.num_slots; ++t) {
-      expect_rel_near(slot_static(a.allocations[t], t, c.op, c.sq),
-                      slot_static(b.allocations[t], t, c.op, c.sq), 1e-6,
-                      c.name);
-    }
-    // Static classes key only (λ, l_{j,t}): class members must hold
-    // bitwise-identical allocations in the aggregated run.
-    for (std::size_t t = 0; t < instance.num_slots; ++t) {
-      const ClassPartition part = build_static_classes(instance, t);
-      for (std::size_t j = 0; j < instance.num_users; ++j) {
-        const std::size_t rep = part.representative[part.class_of[j]];
-        for (std::size_t i = 0; i < instance.num_clouds; ++i) {
-          EXPECT_EQ(b.allocations[t].at(i, j), b.allocations[t].at(i, rep))
-              << c.name;
-        }
-      }
-    }
-  }
-}
-
-TEST(AggregatedBaselines, StaticOnceMatchesSlotZeroObjective) {
-  const Instance instance = collapse_instance(13);
-  algo::BaselineOptions agg_options;
-  agg_options.aggregate_users = true;
-  algo::StaticOnce per_user;
-  algo::StaticOnce aggregated(agg_options);
-  const sim::SimulationResult a = Simulator::run(instance, per_user);
-  const sim::SimulationResult b = Simulator::run(instance, aggregated);
-  EXPECT_LT(b.max_violation, 1e-5);
-  // static-once optimizes the slot-0 static LP only (the fixed allocation's
-  // costs in later slots are not optimized by either path).
-  const model::CostBreakdown ca =
-      model::slot_cost(instance, 0, a.allocations[0], nullptr);
-  const model::CostBreakdown cb =
-      model::slot_cost(instance, 0, b.allocations[0], nullptr);
-  expect_rel_near(ca.operation + ca.service_quality,
-                  cb.operation + cb.service_quality, 1e-6, "static-once");
-  // The fixed allocation was solved over slot-0 classes, so class members
-  // are bitwise-identical in every slot under the slot-0 partition.
-  const ClassPartition part = build_static_classes(instance, 0);
-  for (std::size_t t = 0; t < instance.num_slots; ++t) {
-    for (std::size_t j = 0; j < instance.num_users; ++j) {
-      const std::size_t rep = part.representative[part.class_of[j]];
-      for (std::size_t i = 0; i < instance.num_clouds; ++i) {
-        EXPECT_EQ(b.allocations[t].at(i, j), b.allocations[t].at(i, rep));
-      }
-    }
-  }
-}
-
-TEST(AggregatedOffline, HorizonCollapseMatchesPerUserLp) {
-  // Small enough that both paths take the exact IPM; duplicate user 0's
-  // (demand, trajectory) onto user 1 so the horizon partition collapses.
-  Instance instance = collapse_instance(17, /*num_users=*/8, /*num_slots=*/3);
-  instance.demand[1] = instance.demand[0];
-  for (std::size_t t = 0; t < instance.num_slots; ++t) {
-    instance.attachment[t][1] = instance.attachment[t][0];
-    instance.access_delay[t][1] = instance.access_delay[t][0];
-  }
-  const ClassPartition part = build_horizon_classes(instance);
-  EXPECT_LT(part.num_classes, instance.num_users);
-
-  algo::OfflineOptions options;
-  const algo::OfflineResult a = algo::solve_offline(instance, options);
-  options.aggregate_users = true;
-  const algo::OfflineResult b = algo::solve_offline(instance, options);
-  ASSERT_EQ(a.status, solve::SolveStatus::kOptimal);
-  ASSERT_EQ(b.status, solve::SolveStatus::kOptimal);
-  expect_rel_near(a.objective_value, b.objective_value, 1e-6, "objective");
-
-  // The expanded sequence scores like the per-user one under the true P0.
-  const sim::SimulationResult sa =
-      Simulator::score(instance, "offline", a.allocations);
-  const sim::SimulationResult sb =
-      Simulator::score(instance, "offline", b.allocations);
-  expect_rel_near(sa.weighted_total, sb.weighted_total, 1e-5, "scored cost");
-  EXPECT_LT(sb.max_violation, 1e-5);
-}
-
 TEST(ClassScoring, MatchesPerUserSlotCostAndViolation) {
   const Instance instance = collapse_instance(21);
   const std::size_t kI = instance.num_clouds;
   const std::size_t t = 1;
-  const ClassPartition part = build_static_classes(instance, t);
+  const ClassPartition part = build_slot_classes(instance, t, Allocation{});
   const std::size_t kC = part.num_classes;
   ASSERT_LT(kC, instance.num_users);
 

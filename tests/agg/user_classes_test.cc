@@ -59,10 +59,10 @@ void check_invariants(const ClassPartition& part, std::size_t num_users) {
   }
 }
 
-TEST(StaticClasses, GroupExactlyByDemandAndStation) {
+TEST(SlotClasses, EmptyPreviousGroupsExactlyByDemandAndStation) {
   const Instance instance = collapse_instance(7);
   for (std::size_t t : {std::size_t{0}, instance.num_slots - 1}) {
-    const ClassPartition part = build_static_classes(instance, t);
+    const ClassPartition part = build_slot_classes(instance, t, Allocation{});
     check_invariants(part, instance.num_users);
     EXPECT_GT(part.collapse_ratio(), 1.0);  // the coarse alphabet collapses
     for (std::size_t a = 0; a < instance.num_users; ++a) {
@@ -87,9 +87,6 @@ TEST(SlotClasses, EmptyPreviousMatchesZeroFilled) {
   EXPECT_EQ(from_empty.class_of, from_zeros.class_of);
   EXPECT_EQ(from_empty.representative, from_zeros.representative);
   EXPECT_EQ(from_empty.count, from_zeros.count);
-  // And both coincide with the static partition: an all-zero previous
-  // column refines nothing.
-  EXPECT_EQ(from_empty.class_of, build_static_classes(instance, 0).class_of);
 }
 
 TEST(SlotClasses, SplitOnPreviousColumnAndRemerge) {
@@ -126,18 +123,6 @@ TEST(SlotClasses, AttachmentAndDemandStillSplit) {
   const ClassPartition by_both =
       build_slot_classes(instance, 1, Allocation{});
   EXPECT_EQ(by_both.num_classes, 4u);
-}
-
-TEST(HorizonClasses, KeyOnFullTrajectory) {
-  Instance instance = tiny_instance();
-  EXPECT_EQ(build_horizon_classes(instance).num_classes, 1u);
-  // A divergence in any slot separates the users for the whole horizon.
-  instance.attachment[1] = {0, 0, 0, 1};
-  const ClassPartition part = build_horizon_classes(instance);
-  check_invariants(part, 4);
-  EXPECT_EQ(part.num_classes, 2u);
-  EXPECT_EQ(part.count[part.class_of[0]], 3u);
-  EXPECT_EQ(part.count[part.class_of[3]], 1u);
 }
 
 TEST(GroupUsers, EqualityArbitratesTagCollisions) {

@@ -169,7 +169,8 @@ TEST(Baselines, SkeletonPathWithoutWarmStartMatchesLegacyBitwise) {
 TEST(Baselines, WarmStartedPathStaysAtTheSlotOptimum) {
   // Warm starts change the solver trajectory, not the optimum: the default
   // path must land on the same per-slot costs as the legacy one up to
-  // solver tolerance.
+  // solver tolerance. Online-greedy never warm-starts, so its variant
+  // checks the cold skeleton path.
   const Instance instance = small_instance(22);
   BaselineOptions legacy;
   legacy.reuse_skeleton = false;

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algo/baselines.h"
 #include "algo/offline.h"
 #include "sim/paper_examples.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
+#include "solve/ipm_lp.h"
 
 namespace eca::algo {
 namespace {
@@ -48,8 +51,12 @@ TEST(Lookahead, FullWindowMatchesOffline) {
           .weighted_total;
   // Full lookahead re-solves the remaining horizon each slot; committing
   // the first slot of an optimal plan keeps the plan optimal, so the total
-  // matches the offline optimum.
-  EXPECT_NEAR(lookahead_cost, opt, 5e-3 * (1.0 + opt));
+  // matches the offline optimum. Both solve build_horizon_lp with the same
+  // IPM (slot 0's LP is the offline LP bit for bit), and each of the T = 6
+  // solves stops at a relative gap of 1e-8 over |primal| + |dual|, i.e.
+  // within 2e-8 of its objective: 6 × 2e-8 rounds up to 2e-7. Seeds 1–12
+  // agreed to 3.3e-9 or better.
+  EXPECT_NEAR(lookahead_cost, opt, 2e-7 * (1.0 + opt));
 }
 
 TEST(Lookahead, SolvesTheAggressiveExampleOptimally) {
@@ -126,12 +133,40 @@ TEST(LazyGreedy, HugeThresholdFreezesAllocation) {
 TEST(LookaheadLp, WindowClampsAtHorizon) {
   const Instance instance = small_instance(9);
   model::Allocation previous(instance.num_clouds, instance.num_users);
-  const solve::LpProblem lp = LookaheadOpt::build_window_lp(
-      instance, instance.num_slots - 1, 5, previous);
+  const solve::LpProblem lp =
+      build_horizon_lp(instance, instance.num_slots - 1, 5, previous);
   const std::size_t kIJ = instance.num_clouds * instance.num_users;
   // Only one slot remains: x + u + v for a single slot.
   EXPECT_EQ(lp.num_vars, kIJ + instance.num_clouds + kIJ);
   EXPECT_TRUE(lp.validate().empty());
+}
+
+// bench_extensions' default shape: I=15, J=15 and a 4-slot window give 1080
+// rows, over the 900-row limit that once sent every lookahead slot to PDHG.
+// Its envelope factor is far below the crossover, so each slot is the
+// exact IPM optimum of the anchored window LP, bit for bit.
+TEST(LookaheadLp, DefaultBenchShapeTakesTheExactIpm) {
+  sim::ScenarioOptions options;
+  options.num_users = 15;
+  options.num_slots = 6;
+  options.seed = 1;
+  const Instance instance = sim::make_rome_taxi_instance(options, 0);
+  ASSERT_EQ(instance.num_clouds, 15u);
+  LookaheadOptions lookahead_options;
+  lookahead_options.window = 4;
+  LookaheadOpt lookahead(lookahead_options);
+  model::Allocation previous(instance.num_clouds, instance.num_users);
+  for (std::size_t t = 0; t < 2; ++t) {
+    const solve::LpProblem lp = build_horizon_lp(instance, t, 4, previous);
+    EXPECT_EQ(lp.num_rows, 1080u);
+    const solve::LpSolution exact = solve::InteriorPointLp().solve(lp);
+    ASSERT_EQ(exact.status, solve::SolveStatus::kOptimal);
+    const model::Allocation decided = lookahead.decide(instance, t, previous);
+    for (std::size_t k = 0; k < decided.x.size(); ++k) {
+      EXPECT_EQ(decided.x[k], std::max(exact.x[k], 0.0)) << "slot " << t;
+    }
+    previous = decided;
+  }
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(SlotLpNormalMatrix, DemandRowsFormTheDiagonalBlock) {
   }
 }
 
-// build_offline_lp's rows re-sorted slot-major — per slot t: demand (t, j),
+// The offline LP's rows re-sorted slot-major — per slot t: demand (t, j),
 // capacity (t, i), reconfiguration (t, i), migration (t, i, j) — a second
 // staircase shape, with every envelope spanning about two slots.
 linalg::SparseColumns slot_major(const linalg::SparseColumns& columns,
@@ -108,7 +108,8 @@ TEST(OfflineLpNormalMatrix, StaircaseMatchesDenseInBothRowOrders) {
     options.num_slots = slots;
     options.seed = 5;
     const model::Instance instance = sim::make_random_walk_instance(options);
-    const solve::LpProblem lp = build_offline_lp(instance);
+    const solve::LpProblem lp =
+        build_horizon_lp(instance, 0, instance.num_slots, {});
     const linalg::SparseColumns columns = standard_form_columns(lp);
     const std::size_t m = lp.num_rows;
     expect_matches_dense_on_random_theta(columns, m, 300 + users);
@@ -126,7 +127,8 @@ TEST(OfflineLpNormalMatrix, CloudMajorOrderShrinksTheFactorAtFigure2Scale) {
   options.num_users = 8;
   options.num_slots = 8;
   const model::Instance instance = sim::make_rome_taxi_instance(options, 3);
-  const solve::LpProblem lp = build_offline_lp(instance);
+  const solve::LpProblem lp =
+      build_horizon_lp(instance, 0, instance.num_slots, {});
   ASSERT_EQ(lp.num_rows, 1264U);
   const linalg::SparseColumns columns = standard_form_columns(lp);
   const auto work = [&](const linalg::SparseColumns& cols) {
@@ -152,7 +154,8 @@ TEST(OfflineLpNormalMatrix, Figure2StaircaseMatchesDense) {
   options.num_users = 8;
   options.num_slots = 8;
   const model::Instance instance = sim::make_rome_taxi_instance(options, 3);
-  const solve::LpProblem lp = build_offline_lp(instance);
+  const solve::LpProblem lp =
+      build_horizon_lp(instance, 0, instance.num_slots, {});
   ASSERT_EQ(lp.num_rows, 1264U);
   expect_matches_dense_on_random_theta(standard_form_columns(lp),
                                        lp.num_rows, 500);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "algo/baselines.h"
 #include "algo/online_approx.h"
 #include "sim/paper_examples.h"
@@ -96,7 +99,8 @@ TEST(Offline, ParallelPdhgMatchesSerialObjective) {
 // touch only that cloud's x/u/v columns, and the demand rows come last.
 TEST(OfflineLp, RecordsCloudMajorRowBlocks) {
   const Instance instance = small_instance(71, 4, 3);
-  const solve::LpProblem lp = build_offline_lp(instance);
+  const solve::LpProblem lp =
+      build_horizon_lp(instance, 0, instance.num_slots, {});
   const std::size_t kI = instance.num_clouds;
   const std::size_t kJ = instance.num_users;
   const std::size_t kT = instance.num_slots;
@@ -136,15 +140,58 @@ TEST(OfflineLp, RecordsCloudMajorRowBlocks) {
 }
 
 // Fig-2 table instance rep 21 (hour 3, scenario seed 3001, J=8, T=8, power
-// demand), where a PDHG denominator at 5e-4 landed 0.56% above the optimum
-// with 1.2e-3 violation: the default path now solves it exactly.
-TEST(Offline, Figure2Rep21SolvesToTheExactOptimum) {
+// demand).
+Instance figure2_rep21_instance() {
   sim::ScenarioOptions options;
   options.num_users = 8;
   options.num_slots = 8;
   options.workload.distribution = workload::Distribution::kPower;
   options.seed = 3001;
-  const Instance instance = sim::make_rome_taxi_instance(options, 3);
+  return sim::make_rome_taxi_instance(options, 3);
+}
+
+// FNV-1a over the little-endian bytes of `bits`.
+void fnv1a(std::uint64_t& hash, std::uint64_t bits) {
+  for (int k = 0; k < 8; ++k) {
+    hash ^= (bits >> (8 * k)) & 0xffU;
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+// Every bit of an LP: shape, costs, variable and row bounds, each
+// coefficient in emission order, and the row blocks.
+std::uint64_t lp_fingerprint(const solve::LpProblem& lp) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  fnv1a(hash, lp.num_vars);
+  fnv1a(hash, lp.num_rows);
+  for (const linalg::Vec* v : {&lp.objective, &lp.var_lower, &lp.var_upper,
+                               &lp.row_lower, &lp.row_upper}) {
+    for (const double d : *v) fnv1a(hash, std::bit_cast<std::uint64_t>(d));
+  }
+  for (const auto& e : lp.elements) {
+    fnv1a(hash, e.row);
+    fnv1a(hash, e.col);
+    fnv1a(hash, std::bit_cast<std::uint64_t>(e.value));
+  }
+  fnv1a(hash, lp.row_block_starts.size());
+  for (const std::size_t r : lp.row_block_starts) fnv1a(hash, r);
+  return hash;
+}
+
+// The offline LP that every Fig-2 denominator solves, pinned bit for bit:
+// a zero right-hand side must stay +0.0, and a reordered row or coefficient
+// changes the IPM's roundoff and with it every offline cost.
+TEST(OfflineLp, Figure2Rep21IsPinnedBitwise) {
+  const Instance instance = figure2_rep21_instance();
+  const solve::LpProblem lp =
+      build_horizon_lp(instance, 0, instance.num_slots, {});
+  EXPECT_EQ(lp_fingerprint(lp), 0xcb4541747aeec20eULL);
+}
+
+// Rep 21 is where a PDHG denominator at 5e-4 landed 0.56% above the
+// optimum with 1.2e-3 violation: the default path now solves it exactly.
+TEST(Offline, Figure2Rep21SolvesToTheExactOptimum) {
+  const Instance instance = figure2_rep21_instance();
   const OfflineResult result = solve_offline(instance);
   ASSERT_EQ(result.status, solve::SolveStatus::kOptimal);
   EXPECT_NEAR(result.objective_value, 90.529064910, 1e-8 * 90.529064910);
@@ -197,7 +244,8 @@ TEST(Offline, ObjectiveMatchesCostModel) {
 
 TEST(OfflineLp, HasExpectedShape) {
   const Instance instance = small_instance(51, 4, 3);
-  const solve::LpProblem lp = build_offline_lp(instance);
+  const solve::LpProblem lp =
+      build_horizon_lp(instance, 0, instance.num_slots, {});
   const std::size_t kI = instance.num_clouds;
   const std::size_t kJ = instance.num_users;
   const std::size_t kT = instance.num_slots;
