@@ -327,9 +327,8 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
 
 int main() {
   const eca::bench::BenchScale scale = eca::bench::read_scale();
-  eca::bench::print_header("baselines",
-                           "cached-skeleton / warm-start / slot fan-out sweep",
-                           scale);
+  std::printf(
+      "=== baselines: cached-skeleton / warm-start / slot fan-out sweep ===\n");
   const BaselinePerf perf = time_baseline_sweep(scale);
   const eca::bench::EventsOverhead events =
       eca::bench::measure_default_events_overhead(scale);

@@ -8,19 +8,23 @@
 //   ECA_SLOTS (default 48)   slots T (paper: 60 one-minute slots)
 //   ECA_REPS  (default 2)    repetitions per configuration
 //   ECA_SEED  (default 1)    base seed
-//   ECA_CSV   (default 0)    additionally dump CSV rows
+//
+// The figure drivers label each run_experiment call (an hour, a workload
+// distribution, a mu, a user count) and print no table of their own: the
+// figure table is a view of the ECA_EVENTS record, rendered by
+//   scripts/report_run.py --events <path>
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <iostream>
+#include <string>
+#include <utility>
 
 #include "algo/online_approx.h"
 #include "check/harness.h"
 #include "common/env.h"
-#include "common/table.h"
 #include "obs/events.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
@@ -41,7 +45,6 @@ struct BenchScale {
   std::size_t slots;
   int repetitions;
   std::uint64_t seed;
-  bool csv;
 };
 
 inline BenchScale read_scale() {
@@ -56,7 +59,6 @@ inline BenchScale read_scale() {
   scale.slots = static_cast<std::size_t>(env_int("ECA_SLOTS", 48, 1));
   scale.repetitions = static_cast<int>(env_int("ECA_REPS", 2, 1));
   scale.seed = static_cast<std::uint64_t>(env_int("ECA_SEED", 1, 0));
-  scale.csv = env_bool("ECA_CSV", false);
   return scale;
 }
 
@@ -76,24 +78,34 @@ inline sim::ScenarioOptions scenario_from_scale(const BenchScale& scale) {
   return options;
 }
 
+// The scenario of repetition `rep`: repetitions are seeded 1000 apart.
+inline sim::ScenarioOptions rep_scenario(const BenchScale& scale, int rep) {
+  sim::ScenarioOptions options = scenario_from_scale(scale);
+  options.seed = scale.seed + 1000 * static_cast<std::uint64_t>(rep);
+  return options;
+}
+
+// One labelled experiment of `repetitions` repetitions.
+inline sim::ExperimentOptions labelled(std::string label, int repetitions) {
+  sim::ExperimentOptions options;
+  options.label = std::move(label);
+  options.repetitions = repetitions;
+  return options;
+}
+
+// The figure drivers' header; it warns up front when no record is kept,
+// because the figure table is rendered from the record alone.
 inline void print_header(const char* figure, const char* what,
                          const BenchScale& scale) {
   std::printf("=== %s: %s ===\n", figure, what);
   std::printf("scale: %zu users, %zu slots, %d repetitions, seed %llu\n",
               scale.users, scale.slots, scale.repetitions,
               static_cast<unsigned long long>(scale.seed));
-}
-
-// Formats "mean ± stddev".
-inline std::string ratio_cell(const RunningStats& stats) {
-  return Table::num(stats.mean(), 3) + " ± " + Table::num(stats.stddev(), 3);
-}
-
-inline void emit(const Table& table, bool csv) {
-  table.print(std::cout);
-  if (csv) {
-    std::printf("--- csv ---\n");
-    table.print_csv(std::cout);
+  if (obs::global_events() == nullptr) {
+    std::fprintf(stderr,
+                 "note: ECA_EVENTS is unset, so this run records no figure "
+                 "table; set ECA_EVENTS=<path> and render it with "
+                 "scripts/report_run.py --events <path>\n");
   }
 }
 
@@ -177,7 +189,7 @@ struct EventsOverhead {
 // env-configured global event log; the benches own their process, so
 // nothing of value is lost.
 template <typename Fn>
-EventsOverhead measure_events_overhead(Fn&& workload, int rounds = 5) {
+EventsOverhead measure_events_overhead(Fn&& workload, int rounds = 21) {
   const auto timed = [&](bool with_events) {
     if (with_events) {
       obs::EventLogOptions options;  // path stays empty: buffer-only

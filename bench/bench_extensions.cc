@@ -4,8 +4,9 @@
 //  * lazy hysteresis: the practical "don't move unless it pays" policy.
 //  * self-certification: the dual certificate of Section IV computed during
 //    the online run (paper-pure mode), versus the measured ratio.
+// scripts/report_run.py renders the ratios from the ECA_EVENTS record; the
+// self-certification lines print here.
 #include <cstdio>
-#include <iostream>
 #include <memory>
 
 #include "algo/baselines.h"
@@ -41,21 +42,12 @@ int main() {
                          }});
   }
 
-  sim::ExperimentOptions experiment;
-  experiment.repetitions = scale.repetitions;
-  const sim::ExperimentResult result = sim::run_experiment(
+  sim::run_experiment(
       [&](int rep) {
-        sim::ScenarioOptions options = scenario_from_scale(scale);
-        options.seed = scale.seed + 1000 * static_cast<std::uint64_t>(rep);
-        return sim::make_rome_taxi_instance(options, rep % 6);
+        return sim::make_rome_taxi_instance(rep_scenario(scale, rep),
+                                            rep % 6);
       },
-      factories, experiment);
-
-  Table table({"algorithm", "ratio vs offline"});
-  for (const auto& summary : result.algorithms) {
-    table.add_row({summary.name, ratio_cell(summary.ratio)});
-  }
-  emit(table, scale.csv);
+      factories, labelled("extensions", scale.repetitions));
 
   // Self-certification demo: one paper-pure run certifying its own ratio.
   {

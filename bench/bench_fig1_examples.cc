@@ -3,12 +3,10 @@
 // Reproduces the paper's exact cost arithmetic and contrasts it with the
 // LP offline optimum and the paper's online algorithm.
 #include <cstdio>
-#include <iostream>
 
 #include "algo/baselines.h"
 #include "algo/offline.h"
 #include "algo/online_approx.h"
-#include "common/table.h"
 #include "sim/paper_examples.h"
 #include "sim/simulator.h"
 
@@ -36,18 +34,15 @@ void run_example(const char* label, const model::Instance& instance,
       sim::Simulator::score(instance, "offline", offline.allocations)
           .weighted_total;
 
-  Table table({"strategy", "total cost", "minus provisioning",
-               "paper reports"});
-  table.add_row({"online-greedy", Table::num(greedy_cost, 3),
-                 Table::num(greedy_cost - provisioning, 3),
-                 Table::num(paper_greedy, 1)});
-  table.add_row({"offline-opt (LP)", Table::num(offline_cost, 3),
-                 Table::num(offline_cost - provisioning, 3),
-                 Table::num(paper_optimal, 1)});
-  table.add_row({"online-approx", Table::num(approx_cost, 3),
-                 Table::num(approx_cost - provisioning, 3), "-"});
   std::printf("--- %s ---\n", label);
-  table.print(std::cout);
+  std::printf("%-16s %10s %18s %13s\n", "strategy", "total cost",
+              "minus provisioning", "paper reports");
+  std::printf("%-16s %10.3f %18.3f %13.1f\n", "online-greedy", greedy_cost,
+              greedy_cost - provisioning, paper_greedy);
+  std::printf("%-16s %10.3f %18.3f %13.1f\n", "offline-opt (LP)",
+              offline_cost, offline_cost - provisioning, paper_optimal);
+  std::printf("%-16s %10.3f %18.3f %13s\n", "online-approx", approx_cost,
+              approx_cost - provisioning, "-");
 }
 
 }  // namespace

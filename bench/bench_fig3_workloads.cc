@@ -2,8 +2,11 @@
 // uniformly and normally distributed user workloads. The paper's finding:
 // online-approx stays near-optimal (~1.1) under every distribution and
 // improves on online-greedy by up to 70%.
+//
+// One labelled experiment per distribution; scripts/report_run.py renders
+// the table from the ECA_EVENTS record, with the excess-cost reduction of
+// online-approx over online-greedy as a column.
 #include <cstdio>
-#include <iostream>
 
 #include "bench_common.h"
 
@@ -15,38 +18,18 @@ int main() {
   print_header("Figure 3", "uniform and normal workload distributions",
                scale);
 
-  Table table({"workload", "perf-opt", "oper-opt", "stat-opt",
-               "online-greedy", "online-approx", "greedy/approx gain"});
   for (const workload::Distribution dist :
        {workload::Distribution::kUniform, workload::Distribution::kNormal,
         workload::Distribution::kPower}) {
-    sim::ExperimentOptions experiment;
-    experiment.repetitions = scale.repetitions;
-    const sim::ExperimentResult result = sim::run_experiment(
+    sim::run_experiment(
         [&](int rep) {
-          sim::ScenarioOptions options = scenario_from_scale(scale);
+          sim::ScenarioOptions options = rep_scenario(scale, rep);
           options.workload.distribution = dist;
-          options.seed = scale.seed + 1000 * static_cast<std::uint64_t>(rep);
           return sim::make_rome_taxi_instance(options, rep % 6);
         },
-        sim::paper_algorithms(), experiment);
-
-    std::vector<std::string> row = {workload::to_string(dist)};
-    for (const char* name : {"perf-opt", "oper-opt", "stat-opt",
-                             "online-greedy", "online-approx"}) {
-      row.push_back(ratio_cell(result.find(name)->ratio));
-    }
-    // Excess-cost reduction of approx over greedy ((greedy-approx)/greedy
-    // overhead), the paper's "up to 70%" metric.
-    const double greedy = result.find("online-greedy")->ratio.mean();
-    const double approx = result.find("online-approx")->ratio.mean();
-    row.push_back(
-        Table::num(100.0 * (greedy - approx) / std::max(greedy - 1.0, 1e-9),
-                   1) +
-        "%");
-    table.add_row(std::move(row));
+        sim::paper_algorithms(),
+        labelled(workload::to_string(dist), scale.repetitions));
   }
-  emit(table, scale.csv);
   std::printf(
       "\nexpected shape: online-approx near-optimal under all three "
       "distributions,\nslightly better under uniform workloads (paper, "

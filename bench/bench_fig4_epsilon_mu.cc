@@ -5,10 +5,15 @@
 // stable level as ε grows; for small μ the algorithm is near-optimal, for
 // large μ it remains stable and reasonable. We also print Theorem 2's
 // theoretical bound r = 1 + γ|I| next to each ε.
+//
+// (a) is one experiment whose roster is the seven ε variants of
+// online-approx (the instance, and so the offline optimum, is fixed per
+// repetition); (b) is one labelled experiment per μ, because the weights
+// enter the objective and the offline optimum is re-solved per μ.
+// scripts/report_run.py renders both tables from the ECA_EVENTS record.
 #include <cstdio>
-#include <iostream>
-
 #include <memory>
+#include <string>
 
 #include "algo/baselines.h"
 #include "algo/online_approx.h"
@@ -22,73 +27,50 @@ int main() {
   const BenchScale scale = read_scale();
   print_header("Figure 4", "impact of epsilon and mu", scale);
 
-  const std::vector<double> sweep = {1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3};
+  const double sweep[] = {1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3};
+  const auto label = [](const char* name, double value) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%s=%g", name, value);
+    return std::string(text);
+  };
 
-  // --- (a) epsilon sweep: the instance (and thus the offline optimum) is
-  // fixed per repetition; only the online algorithm changes. -------------
-  {
-    Table table({"epsilon", "online-approx ratio", "theoretical bound r"});
-    std::vector<RunningStats> ratios(sweep.size());
-    std::string bound_text;
-    for (int rep = 0; rep < scale.repetitions; ++rep) {
-      sim::ScenarioOptions options = scenario_from_scale(scale);
-      options.seed = scale.seed + 1000 * static_cast<std::uint64_t>(rep);
-      const model::Instance instance =
-          sim::make_rome_taxi_instance(options, rep % 6);
-      const algo::OfflineResult offline = algo::solve_offline(instance);
-      const double denominator =
-          sim::Simulator::score(instance, "offline", offline.allocations)
-              .weighted_total;
-      for (std::size_t e = 0; e < sweep.size(); ++e) {
-        algo::OnlineApproxOptions approx_options;
-        approx_options.eps1 = sweep[e];
-        approx_options.eps2 = sweep[e];
-        algo::OnlineApprox approx(approx_options);
-        const double cost =
-            sim::Simulator::run(instance, approx).weighted_total;
-        ratios[e].add(cost / denominator);
-      }
-    }
-    // The bound only depends on capacities; report it for the last rep.
-    sim::ScenarioOptions options = scenario_from_scale(scale);
-    const model::Instance bound_instance =
-        sim::make_rome_taxi_instance(options, 0);
-    for (std::size_t e = 0; e < sweep.size(); ++e) {
-      table.add_row({Table::num(sweep[e], 3), ratio_cell(ratios[e]),
-                     Table::num(model::competitive_ratio_bound(
-                                    bound_instance, sweep[e], sweep[e]),
-                                1)});
-    }
-    std::printf("--- (a) epsilon sweep ---\n");
-    emit(table, scale.csv);
+  // (a) epsilon sweep.
+  std::vector<sim::NamedFactory> variants;
+  for (const double eps : sweep) {
+    variants.push_back({label("eps", eps), [eps] {
+                          algo::OnlineApproxOptions options;
+                          options.eps1 = eps;
+                          options.eps2 = eps;
+                          return std::make_unique<algo::OnlineApprox>(options);
+                        }});
+  }
+  sim::run_experiment(
+      [&](int rep) {
+        return sim::make_rome_taxi_instance(rep_scenario(scale, rep),
+                                            rep % 6);
+      },
+      variants, labelled("(a) epsilon", scale.repetitions));
+  // The bound depends only on the capacities: report it for hour 0.
+  const model::Instance bound_instance =
+      sim::make_rome_taxi_instance(scenario_from_scale(scale), 0);
+  for (const double eps : sweep) {
+    std::printf("theorem-2 bound r at %s: %.1f\n", label("eps", eps).c_str(),
+                model::competitive_ratio_bound(bound_instance, eps, eps));
   }
 
-  // --- (b) mu sweep: weights enter the objective, so the offline optimum
-  // is re-solved per mu. ---------------------------------------------------
-  {
-    Table table({"mu", "online-approx ratio", "online-greedy ratio"});
-    for (double mu : sweep) {
-      sim::ExperimentOptions experiment;
-      experiment.repetitions = std::max(1, scale.repetitions - 1);
-      const sim::ExperimentResult result = sim::run_experiment(
-          [&](int rep) {
-            sim::ScenarioOptions options = scenario_from_scale(scale);
-            options.mu = mu;
-            options.seed =
-                scale.seed + 1000 * static_cast<std::uint64_t>(rep);
-            return sim::make_rome_taxi_instance(options, rep % 6);
-          },
-          {{"online-greedy",
-            [] { return std::make_unique<algo::OnlineGreedy>(); }},
-           {"online-approx",
-            [] { return std::make_unique<algo::OnlineApprox>(); }}},
-          experiment);
-      table.add_row({Table::num(mu, 3),
-                     ratio_cell(result.find("online-approx")->ratio),
-                     ratio_cell(result.find("online-greedy")->ratio)});
-    }
-    std::printf("--- (b) mu sweep ---\n");
-    emit(table, scale.csv);
+  // (b) mu sweep.
+  for (const double mu : sweep) {
+    sim::run_experiment(
+        [&](int rep) {
+          sim::ScenarioOptions options = rep_scenario(scale, rep);
+          options.mu = mu;
+          return sim::make_rome_taxi_instance(options, rep % 6);
+        },
+        {{"online-greedy",
+          [] { return std::make_unique<algo::OnlineGreedy>(); }},
+         {"online-approx",
+          [] { return std::make_unique<algo::OnlineApprox>(); }}},
+        labelled(label("mu", mu), std::max(1, scale.repetitions - 1)));
   }
   std::printf(
       "\nexpected shape: (a) slight dip then stable level as epsilon grows;\n"

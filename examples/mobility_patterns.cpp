@@ -4,11 +4,9 @@
 //
 //   $ ./examples/mobility_patterns
 #include <cstdio>
-#include <iostream>
 #include <memory>
 
 #include "algo/online_approx.h"
-#include "common/table.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 
@@ -35,8 +33,8 @@ int main() {
   options.num_slots = 24;
   options.seed = 17;
 
-  Table table({"mobility", "handover rate", "busiest station",
-               "online-approx cost", "dynamic share"});
+  std::printf("%-10s %13s %-16s %18s %13s\n", "mobility", "handover rate",
+              "busiest station", "online-approx cost", "dynamic share");
   for (const auto& entry : models) {
     Rng rng(options.seed);
     const mobility::MobilityTrace trace =
@@ -51,14 +49,11 @@ int main() {
     algo::OnlineApprox approx;
     const sim::SimulationResult result =
         sim::Simulator::run(instance, approx);
-    table.add_row({entry.name, Table::num(trace.handover_rate(), 3),
-                   metro.station(busiest).name,
-                   Table::num(result.weighted_total, 1),
-                   Table::num(result.cost.dynamic_cost() /
-                                  result.weighted_total,
-                              3)});
+    std::printf("%-10s %13.3f %-16s %18.1f %13.3f\n", entry.name,
+                trace.handover_rate(), metro.station(busiest).name.c_str(),
+                result.weighted_total,
+                result.cost.dynamic_cost() / result.weighted_total);
   }
-  table.print(std::cout);
   std::printf(
       "\nmore movement -> more dynamic (reconfiguration + migration) cost.\n"
       "ping-pong is the adversarial pattern: every period forces a "

@@ -11,11 +11,9 @@
 // only as much as the price gap justifies — the Figure-1 story, driven by
 // prices instead of mobility.
 #include <cstdio>
-#include <iostream>
 
 #include "algo/baselines.h"
 #include "algo/online_approx.h"
-#include "common/table.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 
@@ -44,17 +42,15 @@ int main() {
   const sim::SimulationResult approx_result =
       sim::Simulator::run(instance, approx);
 
-  Table table({"slot", "price(cloud 0)", "greedy slot cost",
-               "approx slot cost", "greedy@0", "approx@0"});
+  std::printf("%4s %14s %16s %16s %8s %8s\n", "slot", "price(cloud 0)",
+              "greedy slot cost", "approx slot cost", "greedy@0", "approx@0");
   for (std::size_t t = 0; t < instance.num_slots; ++t) {
-    table.add_row(
-        {std::to_string(t), Table::num(instance.operation_price[t][0], 1),
-         Table::num(greedy_result.per_slot[t], 1),
-         Table::num(approx_result.per_slot[t], 1),
-         Table::num(greedy_result.allocations[t].cloud_totals()[0], 1),
-         Table::num(approx_result.allocations[t].cloud_totals()[0], 1)});
+    std::printf("%4zu %14.1f %16.1f %16.1f %8.1f %8.1f\n", t,
+                instance.operation_price[t][0], greedy_result.per_slot[t],
+                approx_result.per_slot[t],
+                greedy_result.allocations[t].cloud_totals()[0],
+                approx_result.allocations[t].cloud_totals()[0]);
   }
-  table.print(std::cout);
   std::printf("\ntotals: greedy %.1f vs online-approx %.1f\n",
               greedy_result.weighted_total, approx_result.weighted_total);
   std::printf(

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "check/harness.h"
+#include "common/env.h"
 
 namespace {
 
@@ -50,14 +51,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--seed") == 0) {
-      options.seed = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+      options.seed = static_cast<std::uint64_t>(
+          eca::parse_int("--seed", arg_value(argc, argv, i), 0));
     } else if (std::strcmp(arg, "--scenarios") == 0) {
-      options.num_scenarios =
-          static_cast<int>(std::strtol(arg_value(argc, argv, i), nullptr, 10));
-      if (options.num_scenarios < 1) usage(argv[0]);
+      options.num_scenarios = static_cast<int>(
+          eca::parse_int("--scenarios", arg_value(argc, argv, i), 1));
     } else if (std::strcmp(arg, "--time-budget") == 0) {
       options.time_budget_seconds =
-          std::strtod(arg_value(argc, argv, i), nullptr);
+          eca::parse_double("--time-budget", arg_value(argc, argv, i));
     } else if (std::strcmp(arg, "--replay") == 0) {
       replay_file = arg_value(argc, argv, i);
     } else if (std::strcmp(arg, "--replay-dir") == 0) {

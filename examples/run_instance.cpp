@@ -11,7 +11,7 @@
 // be fed through every algorithm in the library without writing C++.
 //
 // Observability: set ECA_EVENTS=<path> to record the finished run in the
-// eca.events.v3 JSONL stream (per-slot cost split + solver convergence;
+// eca.events.v4 JSONL stream (per-slot cost split + solver convergence;
 // render it with scripts/report_run.py) and ECA_TRACE=<path> for a
 // Chrome-trace span file that ends with the metrics counters' run totals.
 // See README.md §Observability.
@@ -25,6 +25,7 @@
 #include "algo/extensions.h"
 #include "algo/offline.h"
 #include "algo/online_approx.h"
+#include "common/env.h"
 #include "io/serialize.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -46,14 +47,24 @@ std::unique_ptr<algo::OnlineAlgorithm> make_algorithm(const std::string& name) {
   if (name == "static-once") return std::make_unique<algo::StaticOnce>();
   if (name.rfind("lookahead-", 0) == 0) {
     algo::LookaheadOptions options;
-    options.window = std::strtoul(name.c_str() + 10, nullptr, 10);
-    if (options.window == 0) options.window = 2;
+    options.window = static_cast<std::size_t>(
+        parse_int("lookahead window", name.c_str() + 10, 1));
     return std::make_unique<algo::LookaheadOpt>(options);
   }
   return nullptr;
 }
 
 int run(const std::string& path, const std::string& algorithm_name) {
+  // The name is checked before the instance loads: a typo fails fast.
+  std::unique_ptr<algo::OnlineAlgorithm> algorithm;
+  if (algorithm_name != "offline") {
+    algorithm = make_algorithm(algorithm_name);
+    if (algorithm == nullptr) {
+      std::fprintf(stderr, "unknown algorithm '%s'\n",
+                   algorithm_name.c_str());
+      return 1;
+    }
+  }
   std::string error;
   const auto instance = io::load_instance(path, &error);
   if (!instance) {
@@ -78,11 +89,6 @@ int run(const std::string& path, const std::string& algorithm_name) {
     return 0;
   }
 
-  auto algorithm = make_algorithm(algorithm_name);
-  if (algorithm == nullptr) {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", algorithm_name.c_str());
-    return 1;
-  }
   const sim::SimulationResult result =
       sim::Simulator::run(*instance, *algorithm);
   obs::EventLog* const events = obs::global_events();

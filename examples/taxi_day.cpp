@@ -7,10 +7,8 @@
 // frequency; operation prices fluctuate each minute. Runs the full
 // algorithm roster and prints a Figure-2-style comparison for one hour.
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
 
-#include "common/table.h"
+#include "common/env.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
 
@@ -18,8 +16,10 @@ int main(int argc, char** argv) {
   using namespace eca;
 
   sim::ScenarioOptions options;
-  options.num_users = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 25;
-  options.num_slots = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 30;
+  options.num_users =
+      argc > 1 ? static_cast<std::size_t>(parse_int("users", argv[1], 1)) : 25;
+  options.num_slots =
+      argc > 2 ? static_cast<std::size_t>(parse_int("slots", argv[2], 1)) : 30;
   options.seed = 2026;
 
   // Peek at the mobility the instance is built from.
@@ -44,15 +44,15 @@ int main(int argc, char** argv) {
       [&](int) { return sim::make_rome_taxi_instance(options, 0); },
       sim::paper_algorithms(/*include_static_once=*/true), experiment);
 
-  Table table({"algorithm", "cost", "vs offline", "wall s"});
+  std::printf("%-14s %10s %10s %7s\n", "algorithm", "cost", "vs offline",
+              "wall s");
   for (const auto& summary : result.algorithms) {
-    table.add_row({summary.name, Table::num(summary.absolute_cost.mean(), 1),
-                   Table::num(summary.ratio.mean(), 3),
-                   Table::num(summary.wall_seconds.mean(), 2)});
+    std::printf("%-14s %10.1f %10.3f %7.2f\n", summary.name.c_str(),
+                summary.absolute_cost.mean(), summary.ratio.mean(),
+                summary.wall_seconds.mean());
   }
-  table.add_row({"offline-opt", Table::num(result.offline_cost.mean(), 1),
-                 "1.000", "-"});
-  table.print(std::cout);
+  std::printf("%-14s %10.1f %10.3f %7s\n", "offline-opt",
+              result.offline_cost.mean(), 1.0, "-");
   std::printf(
       "\nthe holistic algorithms (online-greedy, online-approx) track the\n"
       "offline optimum; online-approx should be the closest.\n");

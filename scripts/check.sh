@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, ThreadSanitizer smoke of the
 # parallel code paths, AddressSanitizer + UBSan smoke of the envelope
-# factor and the runner, the property-harness smoke sweep, a tiny
-# extensions run, and a quick-mode baseline-evaluation sweep through the
-# perf guard.
+# factor and the runner, the property-harness smoke sweep, a tiny Fig-3
+# table rendered from its event record, a tiny extensions run, and a
+# quick-mode baseline-evaluation sweep through the perf guard.
 #
 #   scripts/check.sh                 # everything
 #   scripts/check.sh fuzz [N] [SEC]  # extended property-harness soak only:
@@ -117,6 +117,16 @@ python3 scripts/report_run.py \
   --events "$obs_dir/taxi_day.events.jsonl" --algorithm online-approx \
   --out "$obs_dir/report.md"
 grep -q "## Worst" "$obs_dir/report.md"
+
+echo "== bench: a figure table from its record =="
+# The Fig-3 driver records three labelled experiments; the report renders
+# them as the figure table EXPERIMENTS.md quotes at full scale.
+ECA_USERS=6 ECA_SLOTS=6 ECA_REPS=2 ECA_EVENTS="$obs_dir/fig3.events.jsonl" \
+  ./build/bench/bench_fig3_workloads > "$obs_dir/fig3.log"
+python3 scripts/validate_telemetry.py --events "$obs_dir/fig3.events.jsonl"
+python3 scripts/report_run.py --events "$obs_dir/fig3.events.jsonl" \
+  --out "$obs_dir/fig3.md"
+grep -q "^| uniform | " "$obs_dir/fig3.md"
 
 echo "== bench: extensions at tiny scale =="
 # Lookahead (the anchored horizon LP through solve_offline's solver

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Markdown run report, derived from an eca.events.v3 stream alone.
+"""Markdown run report, derived from an eca.events.v4 stream alone.
 
     scripts/report_run.py --events run.events.jsonl [--algorithm NAME] \
                           [--rep N] [--out report.md] [--top 5]
@@ -19,18 +19,26 @@ renders:
     show up as migration regret, price spikes as operation regret);
   * solver health — Newton iteration stats, KKT residuals at exit and every
     warm-start fallback slot (a regression of the cross-slot warm start);
-  * experiment results — the per-repetition result records, when present.
+  * experiment table — when the stream holds experiments, the paper's
+    figure table: one row per experiment (its label, or its index when the
+    label is empty), each roster algorithm's competitive ratio as mean ±
+    stddev (RunningStats' Welford order, n-1), the offline-opt mean cost,
+    and the headline columns whose roster pair is present
+    (static-once/online-approx cost, online-approx's excess-cost cut vs
+    online-greedy). Consecutive experiments sharing a roster share a table.
 
 The runner (sim::run_experiment) records the offline-opt run of every
 repetition before the algorithms' runs, so ratio and regret attribution
 need nothing beyond the stream. Writes markdown to --out (default: stdout).
-Exits 1 on malformed input or when no run matches.
+Exits 1 on malformed input, when no run matches, or when a stream holding
+experiments dropped events (the table would silently miss repetitions).
 """
 import argparse
 import json
+import math
 import sys
 
-SCHEMA = "eca.events.v3"
+SCHEMA = "eca.events.v4"
 OFFLINE = "offline-opt"
 COMPONENTS = ("operation", "service_quality", "reconfiguration", "migration")
 BAR_WIDTH = 40
@@ -264,17 +272,96 @@ def solver_section(out, run):
     out.append("")
 
 
-def results_section(out, events):
-    results = [e for e in events if e["kind"] == "result"]
-    if not results:
+def welford(xs):
+    """Mean and n-1 standard deviation in RunningStats' order (Welford), so
+    the table's digits are the ones the runner's own statistics give."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for x in xs:
+        n += 1
+        delta = x - mean
+        mean += delta / n
+        m2 += delta * (x - mean)
+    return mean, math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
+
+
+def experiments(events):
+    """One dict per experiment_begin: its row label (its index when the
+    label is empty), the offline-opt costs of its repetitions and, per
+    roster algorithm in first-record order, its result ratios and costs."""
+    out = []
+    for event in events:
+        kind = event["kind"]
+        if kind == "experiment_begin":
+            out.append({"label": event["label"] or str(len(out)),
+                        "offline": [], "ratios": {}, "costs": {}})
+        elif kind == "rep_begin" and out:
+            out[-1]["offline"].append(event["offline_cost"])
+        elif kind == "result" and out:
+            name = event["algorithm"]
+            out[-1]["ratios"].setdefault(name, []).append(event["ratio"])
+            out[-1]["costs"].setdefault(name, []).append(event["cost"])
+    return out
+
+
+def mean_of(exp, field, name):
+    return welford(exp[field][name])[0]
+
+
+# The paper's two headline columns, each shown only when both roster
+# members are present: the static-once/online-approx mean-cost factor
+# (Section I, "up to 4x") and online-approx's excess-cost reduction against
+# online-greedy (Figs. 2/3, "up to 60/70%").
+def static_factor(exp):
+    factor = (mean_of(exp, "costs", "static-once")
+              / mean_of(exp, "costs", "online-approx"))
+    return f"{factor:.2f}x"
+
+
+def greedy_gain(exp):
+    greedy = mean_of(exp, "ratios", "online-greedy")
+    approx = mean_of(exp, "ratios", "online-approx")
+    return f"{100.0 * (greedy - approx) / max(greedy - 1.0, 1e-9):.1f}%"
+
+
+HEADLINES = (
+    ("static-once/online-approx cost", {"static-once", "online-approx"},
+     static_factor),
+    ("excess-cost cut vs greedy",
+     {"online-greedy", "online-approx"}, greedy_gain),
+)
+
+
+def experiment_table(out, header, events):
+    """One row per experiment, one table per run of consecutive experiments
+    sharing a roster: ratio mean ± stddev per algorithm, the offline-opt
+    mean cost and the headline columns whose roster pair is present."""
+    exps = experiments(events)
+    if not exps:
         return
-    out.append("## Experiment results")
+    if header["dropped"]:
+        fail(f"{header['dropped']} events dropped: the experiment table "
+             "needs the whole record (raise ECA_EVENTS_CAP)")
+    out.append("## Experiment table")
     out.append("")
-    out.append("| rep | algorithm | cost | ratio |")
-    out.append("|----:|:----------|-----:|------:|")
-    for event in results:
-        out.append(f"| {event['rep']} | {event['algorithm']} | "
-                   f"{event['cost']:.4f} | {event['ratio']:.4f} |")
+    out.append("Empirical competitive ratio (online cost / offline-opt "
+               "cost), mean ± stddev over repetitions.")
+    roster = None
+    for exp in exps:
+        if list(exp["ratios"]) != roster:
+            out.append("")
+            roster = list(exp["ratios"])
+            headlines = [h for h in HEADLINES if h[1] <= set(roster)]
+            columns = (["experiment"] + roster + ["offline-opt cost"]
+                       + [h[0] for h in headlines])
+            out.append("| " + " | ".join(columns) + " |")
+            out.append("|:--|" + "--:|" * (len(columns) - 1))
+        cells = [exp["label"]]
+        for name in roster:
+            mean, stddev = welford(exp["ratios"][name])
+            cells.append(f"{mean:.3f} ± {stddev:.3f}")
+        cells.append(f"{welford(exp['offline'])[0]:.1f}")
+        cells += [h[2](exp) for h in headlines]
+        out.append("| " + " | ".join(cells) + " |")
     out.append("")
 
 
@@ -286,14 +373,14 @@ def render(header, events, name=None, rep=None, top=5):
     ratio_section(out, rows, max_rows=20)
     regret_section(out, rows, top)
     solver_section(out, run)
-    results_section(out, events)
+    experiment_table(out, header, events)
     return "\n".join(out) + "\n"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--events", required=True,
-                        help="eca.events.v3 JSONL stream")
+                        help="eca.events.v4 JSONL stream")
     parser.add_argument("--algorithm", default=None,
                         help="run to report (default: the first run that "
                              "is not offline-opt)")

@@ -9,7 +9,7 @@ Validates:
     complete-event record ("ph":"X") with numeric ts/dur or a counter
     record ("ph":"C") with a numeric args.value — i.e. loadable by
     chrome://tracing and Perfetto;
-  * the eca.events.v3 JSONL stream: a header line with matching
+  * the eca.events.v4 JSONL stream: a header line with matching
     schema/count, contiguous sequence numbers, known event kinds with the
     right payload fields, and per run (run_begin .. run_end) slot and solve
     records in ascending slot order plus the accounting invariant: the
@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 
-EVENTS_SCHEMA = "eca.events.v3"
+EVENTS_SCHEMA = "eca.events.v4"
 REL_TOL = 1e-9
 
 
@@ -102,7 +102,8 @@ NUMBER = (int, float)
 # kind -> required payload fields (past seq/kind). Matches the writer in
 # src/obs/events.cc.
 EVENT_KINDS = {
-    "experiment_begin": {"repetitions": int, "algorithms": int},
+    "experiment_begin": {"label": str, "repetitions": int,
+                         "algorithms": int},
     "rep_begin": {"rep": int, "offline_cost": NUMBER},
     "run_begin": {"algorithm": str, "clouds": int, "users": int,
                   "slots": int},
@@ -249,7 +250,7 @@ def main():
     parser.add_argument("--trace", default=None,
                         help="Chrome-trace JSON file")
     parser.add_argument("--events", default=None,
-                        help="eca.events.v3 JSONL stream")
+                        help="eca.events.v4 JSONL stream")
     args = parser.parse_args()
     if not args.trace and not args.events:
         parser.error("nothing to validate: pass --trace and/or --events")

@@ -16,41 +16,46 @@ const char* raw(const char* name) {
 
 [[noreturn]] void invalid(const char* name, const char* value,
                           const char* expected) {
-  std::fprintf(stderr,
-               "error: %s='%s' is invalid (must be %s; unset it for the "
-               "default)\n",
-               name, value, expected);
+  std::fprintf(stderr, "error: %s='%s' is invalid (must be %s)\n", name,
+               value, expected);
   std::exit(2);
 }
 
 }  // namespace
 
-std::int64_t env_int(const char* name, std::int64_t fallback,
-                     std::int64_t minimum) {
-  const char* value = raw(name);
-  if (value == nullptr) return fallback;
+std::int64_t parse_int(const char* what, const char* text,
+                       std::int64_t minimum) {
   char* end = nullptr;
   errno = 0;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || parsed < minimum) {
+  const long long parsed = std::strtoll(text, &end, 10);
+  if (errno != 0 || end == text || *end != '\0' || parsed < minimum) {
     char expected[64];
     std::snprintf(expected, sizeof(expected), "an integer >= %lld",
                   static_cast<long long>(minimum));
-    invalid(name, value, expected);
+    invalid(what, text, expected);
+  }
+  return parsed;
+}
+
+std::int64_t env_int(const char* name, std::int64_t fallback,
+                     std::int64_t minimum) {
+  const char* value = raw(name);
+  return value != nullptr ? parse_int(name, value, minimum) : fallback;
+}
+
+double parse_double(const char* what, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text, &end);
+  if (errno != 0 || end == text || *end != '\0') {
+    invalid(what, text, "a number");
   }
   return parsed;
 }
 
 double env_double(const char* name, double fallback) {
   const char* value = raw(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  if (errno != 0 || end == value || *end != '\0') {
-    invalid(name, value, "a number");
-  }
-  return parsed;
+  return value != nullptr ? parse_double(name, value) : fallback;
 }
 
 std::string env_string(const char* name, const std::string& fallback) {

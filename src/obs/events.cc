@@ -105,6 +105,7 @@ void write_event(std::ostream& os, std::size_t seq, const EventRecord& ev) {
   };
   switch (ev.kind) {
     case EventKind::kExperimentBegin:
+      label("label");
       num("repetitions", ev.a);
       num("algorithms", ev.b);
       break;

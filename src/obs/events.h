@@ -1,4 +1,4 @@
-// Run-level streaming event log (`eca.events.v3`) — the one serialization
+// Run-level streaming event log (`eca.events.v4`) — the one serialization
 // of a run.
 //
 // An EventLog owns a bounded, lock-free buffer of fixed-size EventRecords.
@@ -44,10 +44,10 @@
 
 namespace eca::obs {
 
-inline constexpr const char* kEventsSchema = "eca.events.v3";
+inline constexpr const char* kEventsSchema = "eca.events.v4";
 
 enum class EventKind : std::uint8_t {
-  kExperimentBegin,  // label="", a=repetitions, b=roster size
+  kExperimentBegin,  // label=experiment label, a=repetitions, b=roster size
   kRepBegin,         // a=rep, x=offline-opt cost (the ratio denominator)
   kRunBegin,         // label=algorithm, a=clouds, b=users, c=slots
   kSlot,             // a=slot, x/y/z/w = weighted op/sq/rc/mg cost split
@@ -110,7 +110,7 @@ class EventLog {
   [[nodiscard]] std::size_t recorded() const;
   [[nodiscard]] std::size_t dropped() const;
 
-  // Serializes the buffered events as `eca.events.v3` JSONL. flush() opens
+  // Serializes the buffered events as `eca.events.v4` JSONL. flush() opens
   // options.path ("" => no-op, returns false). Flush at quiescent points;
   // events recorded concurrently may or may not be included.
   bool flush();
@@ -143,11 +143,13 @@ void drop_global_events();
 // All no-op on a null log and never allocate; payloads carry only
 // deterministic values (see file comment).
 
-inline void emit_experiment_begin(EventLog* log, int repetitions,
+inline void emit_experiment_begin(EventLog* log, std::string_view label,
+                                  int repetitions,
                                   std::size_t num_algorithms) {
   if (log == nullptr) return;
   EventRecord ev;
   ev.kind = EventKind::kExperimentBegin;
+  ev.set_label(label);
   ev.a = repetitions;
   ev.b = static_cast<std::int64_t>(num_algorithms);
   log->record(ev);

@@ -1,6 +1,6 @@
 // Run-level telemetry: the per-slot cost and convergence record of one
 // finished run. obs::emit_run (obs/events.h) serializes it into the
-// eca.events.v3 stream, the only serialization of a run; competitive-ratio
+// eca.events.v4 stream, the only serialization of a run; competitive-ratio
 // and regret attribution are derived from that stream
 // (scripts/report_run.py), not stored here.
 //

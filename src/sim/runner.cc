@@ -110,14 +110,20 @@ ExperimentResult run_experiment(
     const std::size_t rep = (task - reps) / num_algos;
     const std::size_t a = (task - reps) % num_algos;
     algo::AlgorithmPtr algorithm = algorithms[a].make();
-    sims[task - reps] = Simulator::run(rep_states[rep].instance, *algorithm);
+    SimulationResult& sim = sims[task - reps];
+    sim = Simulator::run(rep_states[rep].instance, *algorithm);
+    // The roster name labels the run in the record, so variants of one
+    // algorithm (Fig 4(a)'s epsilons, the ablation) stay apart.
+    sim.algorithm = algorithms[a].name;
+    sim.telemetry.algorithm = algorithms[a].name;
   });
 
   // Deterministic merge in rep-major, roster order on the calling thread.
   // The statistics and the event stream are recorded only here, so both
   // are bit-identical for every thread count.
   obs::EventLog* const events = obs::global_events();
-  obs::emit_experiment_begin(events, options.repetitions, num_algos);
+  obs::emit_experiment_begin(events, options.label, options.repetitions,
+                             num_algos);
   ExperimentResult result;
   result.algorithms.resize(num_algos);
   for (std::size_t a = 0; a < num_algos; ++a) {

@@ -30,6 +30,10 @@ struct NamedFactory {
 std::vector<NamedFactory> paper_algorithms(bool include_static_once = false);
 
 struct ExperimentOptions {
+  // Names the experiment in the event stream's experiment_begin record
+  // (a figure's hour, distribution, mu or user count); scripts/report_run.py
+  // renders one figure-table row per experiment under it. Up to 39 bytes.
+  std::string label;
   int repetitions = 3;
   std::uint64_t base_seed = 1;
   algo::OfflineOptions offline;
@@ -62,8 +66,9 @@ struct ExperimentResult {
 // runs execute concurrently, so `make_instance` must be safe to call
 // concurrently for distinct reps (pure seeded generation qualifies).
 // With ECA_EVENTS set, the finished runs are recorded in the event stream
-// from the deterministic merge: per repetition rep_begin, the offline-opt
-// run, each algorithm's run and result, rep_end (see obs/events.h).
+// from the deterministic merge: experiment_begin with options.label, then
+// per repetition rep_begin, the offline-opt run, each algorithm's run and
+// result under its roster name, rep_end (see obs/events.h).
 ExperimentResult run_experiment(
     const std::function<model::Instance(int rep)>& make_instance,
     const std::vector<NamedFactory>& algorithms,

@@ -1,5 +1,5 @@
 // EventLog unit tests: the bounded lock-free buffer (claim order,
-// drop-and-count overflow), the eca.events.v3 JSONL serialization, label
+// drop-and-count overflow), the eca.events.v4 JSONL serialization, label
 // copying/truncation/escaping, and the null-log no-op contract of the emit
 // helpers. The Python side of the format lives in
 // scripts/validate_telemetry.py --events, which check.sh runs on real
@@ -52,7 +52,7 @@ TEST(Events, FlushToWritesHeaderAndClaimOrder) {
   std::ostringstream os;
   log.flush_to(os);
   const std::string text = os.str();
-  EXPECT_NE(text.find("{\"schema\":\"eca.events.v3\",\"events\":4,"
+  EXPECT_NE(text.find("{\"schema\":\"eca.events.v4\",\"events\":4,"
                       "\"dropped\":0}\n"),
             std::string::npos);
   // One line per event, stamped with its claim-order sequence number.
@@ -110,7 +110,7 @@ TEST(Events, LabelIsCopiedTruncatedAndEscaped) {
 
 TEST(Events, EmitHelpersNoOpOnNullLog) {
   // Disabled streaming hands out a null log; every emitter must be safe.
-  emit_experiment_begin(nullptr, 3, 5);
+  emit_experiment_begin(nullptr, "3pm", 3, 5);
   emit_rep_begin(nullptr, 0, 1.0);
   emit_run(nullptr, one_slot_run("a"));
   emit_result(nullptr, "a", 0, 1.0, 1.0);

@@ -1,8 +1,10 @@
 // Fail-fast contract of the ECA_* environment knobs: a set-but-invalid
 // value is a fatal configuration error (exit(2)), never a silently ignored
 // or defaulted one. Each parser is public exactly so these death tests can
-// drive the validation directly.
+// drive the validation directly; the examples' command-line numbers are
+// checked through their binaries.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <string>
@@ -151,18 +153,59 @@ TEST(EnvDeathTest, EnvDoubleRejectsNonNumeric) {
 }
 
 TEST(EnvDeathTest, EnvBoolRejectsUnknownSpelling) {
-  ScopedEnv csv("ECA_CSV", "maybe");
-  EXPECT_EXIT(eca::env_bool("ECA_CSV", false), ::testing::ExitedWithCode(2),
-              "ECA_CSV");
+  ScopedEnv smoke("ECA_BENCH_PROP_SMOKE", "maybe");
+  EXPECT_EXIT(eca::env_bool("ECA_BENCH_PROP_SMOKE", true),
+              ::testing::ExitedWithCode(2), "ECA_BENCH_PROP_SMOKE");
 }
 
 TEST(EnvDeathTest, EnvParsersReadValidValues) {
   ScopedEnv users("ECA_USERS", "12");
   ScopedEnv scale("ECA_BW_SCALE", "0.25");
-  ScopedEnv csv("ECA_CSV", "on");
+  ScopedEnv smoke("ECA_BENCH_PROP_SMOKE", "off");
   EXPECT_EQ(eca::env_int("ECA_USERS", 30, 1), 12);
   EXPECT_EQ(eca::env_double("ECA_BW_SCALE", 0.4), 0.25);
-  EXPECT_TRUE(eca::env_bool("ECA_CSV", false));
+  EXPECT_FALSE(eca::env_bool("ECA_BENCH_PROP_SMOKE", true));
+}
+
+// Command-line numbers keep the same contract through parse_int and
+// parse_double: each statement below execs the real binary in the death
+// test's child, so the exit status and stderr are the program's own.
+TEST(EnvDeathTest, TaxiDayRejectsNonNumericUsers) {
+  EXPECT_EXIT(::execl(ECA_TAXI_DAY, ECA_TAXI_DAY, "abc", nullptr),
+              ::testing::ExitedWithCode(2), "users='abc' is invalid");
+}
+
+TEST(EnvDeathTest, TaxiDayRejectsTrailingGarbage) {
+  EXPECT_EXIT(::execl(ECA_TAXI_DAY, ECA_TAXI_DAY, "5abc", nullptr),
+              ::testing::ExitedWithCode(2), "users='5abc' is invalid");
+}
+
+TEST(EnvDeathTest, PropFuzzRejectsMalformedNumbers) {
+  EXPECT_EXIT(::execl(ECA_PROP_FUZZ, ECA_PROP_FUZZ, "--scenarios", "2x",
+                      nullptr),
+              ::testing::ExitedWithCode(2), "--scenarios='2x' is invalid");
+  EXPECT_EXIT(::execl(ECA_PROP_FUZZ, ECA_PROP_FUZZ, "--time-budget", "abc",
+                      nullptr),
+              ::testing::ExitedWithCode(2), "--time-budget='abc' is invalid");
+  EXPECT_EXIT(::execl(ECA_PROP_FUZZ, ECA_PROP_FUZZ, "--seed", "zz", nullptr),
+              ::testing::ExitedWithCode(2), "--seed='zz' is invalid");
+}
+
+TEST(EnvDeathTest, RunInstanceRejectsMalformedLookaheadWindow) {
+  // The name is checked before the instance file is read.
+  EXPECT_EXIT(::execl(ECA_RUN_INSTANCE, ECA_RUN_INSTANCE, "missing.instance",
+                      "lookahead-abc", nullptr),
+              ::testing::ExitedWithCode(2),
+              "lookahead window='abc' is invalid");
+}
+
+TEST(EnvDeathTest, Fig5RejectsMalformedUserEntry) {
+  EXPECT_EXIT(
+      {
+        ::setenv("ECA_FIG5_USERS", "20,4O", 1);
+        ::execl(ECA_BENCH_FIG5, ECA_BENCH_FIG5, nullptr);
+      },
+      ::testing::ExitedWithCode(2), "ECA_FIG5_USERS entry='4O' is invalid");
 }
 
 TEST(EnvDeathTest, UnsetKnobsFallBack) {

@@ -1,5 +1,5 @@
 """Shared fixtures for the script golden tests: minimal-but-valid
-observability artifacts (eca.events.v3 streams) and gate inputs
+observability artifacts (eca.events.v4 streams) and gate inputs
 (eca.prop_summary.v1, eca.bench_baselines.v1) built in memory, plus a helper
 that runs a repo script as a subprocess the way check.sh does."""
 import json
@@ -60,7 +60,7 @@ def make_events(offline_slots=OFFLINE_SLOTS, online_slots=ONLINE_SLOTS):
     is empty), the online-approx run and its result, rep_end."""
     offline_total = sum(map(sum, offline_slots))
     online_total = sum(map(sum, online_slots))
-    events = [{"kind": "experiment_begin", "repetitions": 1,
+    events = [{"kind": "experiment_begin", "label": "3pm", "repetitions": 1,
                "algorithms": 1},
               {"kind": "rep_begin", "rep": 0, "offline_cost": offline_total}]
     if offline_slots:
@@ -76,9 +76,9 @@ def make_events(offline_slots=OFFLINE_SLOTS, online_slots=ONLINE_SLOTS):
 
 
 def events_lines(events, dropped=0):
-    """Serializes events as an eca.events.v3 stream: the header line, then
+    """Serializes events as an eca.events.v4 stream: the header line, then
     one record per line stamped with its sequence number."""
-    header = {"schema": "eca.events.v3", "events": len(events),
+    header = {"schema": "eca.events.v4", "events": len(events),
               "dropped": dropped}
     body = [json.dumps({"seq": seq, **event})
             for seq, event in enumerate(events)]

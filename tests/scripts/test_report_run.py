@@ -58,6 +58,83 @@ class AttributionTest(unittest.TestCase):
                          (1.875 + 2.875 + 3.875) / 3.0)
 
 
+def experiment(label, offline_costs, results):
+    """One experiment the way sim::run_experiment records it, without the
+    runs: per repetition rep_begin with its offline-opt cost, then one
+    result per roster algorithm; `results` maps each algorithm, in roster
+    order, to its per-repetition (cost, ratio) pairs."""
+    events = [{"kind": "experiment_begin", "label": label,
+               "repetitions": len(offline_costs),
+               "algorithms": len(results)}]
+    for rep, offline in enumerate(offline_costs):
+        events.append({"kind": "rep_begin", "rep": rep,
+                       "offline_cost": offline})
+        events += [{"kind": "result", "algorithm": name, "rep": rep,
+                    "cost": pairs[rep][0], "ratio": pairs[rep][1]}
+                   for name, pairs in results.items()]
+        events.append({"kind": "rep_end", "rep": rep})
+    events.append({"kind": "experiment_end",
+                   "simulations": len(offline_costs) * len(results)})
+    return events
+
+
+class ExperimentTableTest(unittest.TestCase):
+    def table(self, events, dropped=0):
+        out = []
+        report_run.experiment_table(out, {"dropped": dropped}, events)
+        return out
+
+    def test_hand_values(self):
+        # approx ratios 1.1/1.2/1.3: mean 1.2, n-1 stddev 0.1; greedy
+        # 1.4/1.5/1.9: mean 1.6, stddev sqrt(0.14 / 2) = 0.2646; offline
+        # costs 10/20/30; approx's excess cut (1.6 - 1.2) / 0.6 = 66.7%.
+        events = experiment("3pm", [10.0, 20.0, 30.0], {
+            "online-greedy": [(14.0, 1.4), (30.0, 1.5), (57.0, 1.9)],
+            "online-approx": [(11.0, 1.1), (24.0, 1.2), (39.0, 1.3)]})
+        self.assertEqual(self.table(events), [
+            "## Experiment table",
+            "",
+            "Empirical competitive ratio (online cost / offline-opt cost), "
+            "mean ± stddev over repetitions.",
+            "",
+            "| experiment | online-greedy | online-approx | offline-opt cost "
+            "| excess-cost cut vs greedy |",
+            "|:--|--:|--:|--:|--:|",
+            "| 3pm | 1.600 ± 0.265 | 1.200 ± 0.100 | 20.0 | 66.7% |",
+            ""])
+
+    def test_welford_matches_running_stats_order(self):
+        # Pinned against eca::RunningStats over the same three values: its
+        # running mean is 1.432, where sum / n gives 1.4320000000000002.
+        xs = [1.604, 1.626, 1.066]
+        self.assertNotEqual(sum(xs) / 3, 1.432)
+        self.assertEqual(report_run.welford(xs),
+                         (1.432, 0.31715611297908158))
+        self.assertEqual(report_run.welford([2.5]), (2.5, 0.0))
+
+    def test_headline_columns_need_both_members(self):
+        static = experiment("", [10.0, 10.0], {
+            "static-once": [(30.0, 3.0), (50.0, 5.0)],
+            "online-approx": [(10.0, 1.0), (15.0, 1.5)]})
+        lone = experiment("lone", [10.0], {"online-approx": [(11.0, 1.1)]})
+        lines = self.table(static + lone)
+        # One table per roster; the static factor is the ratio of mean
+        # costs (40 / 12.5), and no greedy column without online-greedy.
+        self.assertIn("| experiment | static-once | online-approx | "
+                      "offline-opt cost | static-once/online-approx cost |",
+                      lines)
+        # An empty label renders as the experiment's index.
+        self.assertIn("| 0 | 4.000 ± 1.414 | 1.250 ± 0.354 | 10.0 | 3.20x |",
+                      lines)
+        self.assertIn("| experiment | online-approx | offline-opt cost |",
+                      lines)
+        self.assertIn("| lone | 1.100 ± 0.000 | 10.0 |", lines)
+
+    def test_no_experiment_no_table(self):
+        self.assertEqual(self.table(fixtures.run_events(
+            "online-approx", fixtures.ONLINE_SLOTS)), [])
+
+
 class ReportRunTest(unittest.TestCase):
     def setUp(self):
         self._tmp = tempfile.TemporaryDirectory()
@@ -83,7 +160,7 @@ class ReportRunTest(unittest.TestCase):
         self.assertIn("## Worst 3 regret slots", text)
         self.assertIn("## Solver health", text)
         self.assertIn("1 fallback slot(s)", text)
-        self.assertIn("## Experiment results", text)
+        self.assertIn("## Experiment table", text)
         self.assertIn("no events dropped", text)
 
     def test_default_selection_skips_offline_run(self):
@@ -103,14 +180,22 @@ class ReportRunTest(unittest.TestCase):
         self.assertIn("## Solver health", proc.stdout)
 
     def test_offline_run_reports_no_solver_records(self):
+        # A lone run (no experiment): its report survives dropped events.
+        run = fixtures.run_events("offline-opt", fixtures.OFFLINE_SLOTS)
         proc = fixtures.run_script(
-            "report_run.py", "--events",
-            self.events_file(fixtures.make_events(), dropped=2),
+            "report_run.py", "--events", self.events_file(run, dropped=2),
             "--algorithm", "offline-opt")
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("# Run report: offline-opt", proc.stdout)
         self.assertIn("No solver records", proc.stdout)
         self.assertIn("events dropped 2", proc.stdout)
+
+    def test_dropped_events_fail_the_experiment_table(self):
+        proc = fixtures.run_script(
+            "report_run.py", "--events",
+            self.events_file(fixtures.make_events(), dropped=2))
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("2 events dropped", proc.stderr)
 
     def test_missing_run_fails(self):
         proc = fixtures.run_script(
@@ -128,12 +213,12 @@ class ReportRunTest(unittest.TestCase):
 
     def test_schema_version_mismatch_fails(self):
         lines = fixtures.events_lines(fixtures.make_events())
-        lines[0] = lines[0].replace("eca.events.v3", "eca.events.v2")
+        lines[0] = lines[0].replace("eca.events.v4", "eca.events.v3")
         events = self.dir / "run.events.jsonl"
         events.write_text("\n".join(lines) + "\n", encoding="utf-8")
         proc = fixtures.run_script("report_run.py", "--events", str(events))
         self.assertEqual(proc.returncode, 1)
-        self.assertIn("eca.events.v3", proc.stderr)
+        self.assertIn("expected 'eca.events.v4'", proc.stderr)
 
 
 if __name__ == "__main__":

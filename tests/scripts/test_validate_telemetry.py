@@ -141,11 +141,19 @@ class ValidateTelemetryTest(unittest.TestCase):
         self.assertIn("unknown event kind", proc.stderr)
 
     def test_schema_version_mismatch_fails(self):
+        # A v3 stream has no experiment labels: the previous schema fails.
         lines = fixtures.events_lines(fixtures.make_events())
-        lines[0] = lines[0].replace("eca.events.v3", "eca.events.v2")
+        lines[0] = lines[0].replace("eca.events.v4", "eca.events.v3")
         proc = self.validate_lines(lines)
         self.assertEqual(proc.returncode, 1)
-        self.assertIn("eca.events.v3", proc.stderr)
+        self.assertIn("expected 'eca.events.v4'", proc.stderr)
+
+    def test_unlabelled_experiment_fails(self):
+        events = fixtures.make_events()
+        del events[0]["label"]
+        proc = self.validate_events(events)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("missing field 'label'", proc.stderr)
 
     def test_corrupted_events_line_fails(self):
         lines = fixtures.events_lines(fixtures.make_events())

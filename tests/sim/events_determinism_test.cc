@@ -1,4 +1,4 @@
-// Byte-identity of the eca.events.v3 stream across worker counts. A
+// Byte-identity of the eca.events.v4 stream across worker counts. A
 // simulator run recorded with obs::emit_run must serialize identically for
 // every baseline_threads value — including counts beyond the core count
 // (oversubscribed, so the interleaving is stressed on any machine) — and a
@@ -10,6 +10,7 @@
 // races the per-worker clones and the runner's fan-out under TSan through
 // exactly this test.
 #include <cstddef>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -143,9 +144,10 @@ TEST(EventsDeterminism, StreamShapeMatchesRunLifecycle) {
 }
 
 TEST(EventsDeterminism, RunnerStreamIsByteIdenticalAcrossRunnerThreads) {
-  // The full roster plus offline-opt over two repetitions: the runner's
-  // merge records every finished run, so the stream must not depend on how
-  // the (rep x algorithm) fan-out raced.
+  // The full roster plus offline-opt over two repetitions of a labelled
+  // experiment: the runner's merge records every finished run, so the
+  // stream must not depend on how the (rep x algorithm) fan-out raced,
+  // whether the worker count is explicit or read from ECA_THREADS.
   const auto make = [](int rep) {
     return test_instance(21 + static_cast<std::uint64_t>(rep), 4);
   };
@@ -154,6 +156,7 @@ TEST(EventsDeterminism, RunnerStreamIsByteIdenticalAcrossRunnerThreads) {
   const auto stream = [&](int threads) {
     obs::EventLog* log = install_buffer_log();
     ExperimentOptions options;
+    options.label = "3pm";
     options.repetitions = 2;
     options.threads = threads;
     (void)run_experiment(make, roster, options);
@@ -161,6 +164,10 @@ TEST(EventsDeterminism, RunnerStreamIsByteIdenticalAcrossRunnerThreads) {
   };
   const std::string reference = stream(1);
   EXPECT_NE(reference.find("\"dropped\":0}"), std::string::npos);
+  EXPECT_NE(reference.find("{\"seq\":0,\"kind\":\"experiment_begin\","
+                           "\"label\":\"3pm\",\"repetitions\":2,"
+                           "\"algorithms\":6}"),
+            std::string::npos);
   // Per rep: the offline-opt reference run, then every algorithm's run and
   // result.
   EXPECT_NE(reference.find("\"kind\":\"run_begin\","
@@ -177,6 +184,47 @@ TEST(EventsDeterminism, RunnerStreamIsByteIdenticalAcrossRunnerThreads) {
     SCOPED_TRACE(std::to_string(threads) + " runner threads");
     EXPECT_EQ(reference, stream(threads));
   }
+  const char* saved = std::getenv("ECA_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("ECA_THREADS", "3", 1);
+  const std::string from_env = stream(0);
+  if (saved != nullptr) {
+    ::setenv("ECA_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("ECA_THREADS");
+  }
+  EXPECT_EQ(reference, from_env) << "ECA_THREADS=3";
+}
+
+TEST(EventsDeterminism, RunsAreRecordedUnderTheirRosterNames) {
+  // Two variants of one algorithm class stay apart in the record: the
+  // run and result records carry the roster name, not the class's name.
+  const std::vector<NamedFactory> roster = {
+      {"eps=1", [] { return std::make_unique<algo::OnlineApprox>(); }},
+      {"eps=10", [] {
+         algo::OnlineApproxOptions options;
+         options.eps1 = options.eps2 = 10.0;
+         return std::make_unique<algo::OnlineApprox>(options);
+       }}};
+  obs::EventLog* log = install_buffer_log();
+  ExperimentOptions options;
+  options.repetitions = 1;
+  (void)run_experiment([](int) { return test_instance(5, 3); }, roster,
+                       options);
+  const std::string events = flush_and_drop(log);
+  for (const char* name : {"eps=1", "eps=10"}) {
+    SCOPED_TRACE(name);
+    const std::string label = std::string("\"algorithm\":\"") + name + "\"";
+    EXPECT_NE(events.find("\"kind\":\"run_begin\"," + label),
+              std::string::npos);
+    EXPECT_NE(events.find("\"kind\":\"result\"," + label),
+              std::string::npos);
+  }
+  EXPECT_EQ(events.find("\"algorithm\":\"online-approx\""),
+            std::string::npos);
+  // An unlabelled experiment records an empty label.
+  EXPECT_NE(events.find("\"kind\":\"experiment_begin\",\"label\":\"\","),
+            std::string::npos);
 }
 
 }  // namespace

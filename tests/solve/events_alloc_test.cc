@@ -61,7 +61,7 @@ RunTelemetry one_slot_run() {
 // Drives every emitter once per round — the full payload surface,
 // including the label-copying kinds (nine records).
 void emit_round(EventLog* log, std::size_t round, const RunTelemetry& run) {
-  emit_experiment_begin(log, 3, 5);
+  emit_experiment_begin(log, "3pm", 3, 5);
   emit_rep_begin(log, round, 1.5);
   emit_run(log, run);
   emit_result(log, "online-approx", round, 4.5, 1.25);
