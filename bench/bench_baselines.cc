@@ -1,53 +1,47 @@
-// Baseline-evaluation benchmark: cached LP skeletons, warm-started IPM and
-// the simulator's slot fan-out.
+// Baseline-evaluation benchmark: cached LP skeletons, the reused IPM
+// workspace and the simulator's slot fan-out.
 //
 // Emits `BENCH_baselines.json` (path override: ECA_BENCH_BASELINES_JSON,
-// schema eca.bench_baselines.v1) so future PRs have numbers to regress
+// schema eca.bench_baselines.v2) so future PRs have numbers to regress
 // against.
 //
 // Sweep: random-walk instances with the default 15 clouds, J doubling from
 // 16 up to ECA_BASELINE_MAX_USERS (default 64) over ECA_BASELINE_SLOTS
 // slots (default 24). Each (algorithm, J) point runs three legs:
 //
-//   1. rebuild+cold    — BaselineOptions{reuse_skeleton=false}: from-scratch
-//                        LP build and a cold IPM solve per slot (the legacy
-//                        path, and the reference the perf gate holds the
-//                        optimized path against);
-//   2. skeleton+warm   — each algorithm's default path, serial: skeleton
-//                        refresh + workspace-reused IPM, block-chain warm
-//                        starts where the algorithm enables them
-//                        (warm_enabled per point; online-greedy never
-//                        warm-starts — its feasible set changes every
-//                        slot — and the kBaselineWarmMaxUsers cap turns
-//                        hints off at scale, where they cost iterations);
-//   3. N-thread        — leg 2 dispatched over the simulator's slot fan-out
-//                        (slot-separable algorithms only), cross-checked
-//                        bitwise against leg 2.
-//
-// Wall-clock on shared/virtualized CI hosts is ±10% noisy, so each point
-// also records the per-leg ipm.iterations counter delta (exact) and the
-// perf guard keys its warm-vs-cold gate on that ratio.
+//   1. rebuild+cold — the reference: per slot, the free builder
+//                     (build_static_slot_lp / build_greedy_slot_lp), a
+//                     cold IPM solve in a fresh workspace and the
+//                     extraction, called directly. static-once solves its
+//                     one LP that way in reset() already, so both of its
+//                     first legs run StaticOnce;
+//   2. skeleton     — each algorithm's own path, serial: skeleton refresh
+//                     and a cold solve in the reused workspace. It must
+//                     equal leg 1 bit for bit (allocations and cost);
+//   3. N-thread     — leg 2 dispatched over the simulator's slot fan-out
+//                     (slot-separable algorithms only), cross-checked
+//                     bitwise against leg 2.
 //
 // Points that the work-volume floor or the hardware-concurrency cap (this
 // matters on small CI machines) collapse to one worker reuse the serial
 // measurement verbatim (pool_engaged=false, speedup 1.0): the N-thread leg
-// would time the byte-identical serial path. Warm starts move the solver
-// trajectory, not the optimum, so legs 1 and 2 agree on cost only up to
-// solver tolerance; the relative drift is recorded per point and gated.
+// would time the byte-identical serial path.
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/baselines.h"
+#include "algo/slot_lp.h"
 #include "bench_common.h"
+#include "common/check.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
+#include "solve/ipm_lp.h"
 
 namespace {
 
@@ -62,23 +56,16 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 struct BaselinePoint {
   const char* algorithm = "";
   bool separable = false;
-  bool warm_enabled = false;
   std::size_t users = 0;
   std::size_t slots = 0;
   double seconds_rebuild_cold = 0.0;
-  double seconds_skeleton_warm = 0.0;
-  double warm_speedup = 0.0;  // rebuild+cold / skeleton+warm
-  // Total IPM iterations per leg (ipm.iterations counter delta).
-  // Deterministic, unlike wall-clock on noisy hosts —
-  // the perf guard's warm-vs-cold gate keys on these.
-  std::uint64_t iters_rebuild_cold = 0;
-  std::uint64_t iters_skeleton_warm = 0;
-  double warm_iter_ratio = 0.0;  // skeleton+warm / rebuild+cold iterations
+  double seconds_skeleton = 0.0;
+  double skeleton_speedup = 0.0;  // rebuild+cold / skeleton
+  bool rebuild_bit_identical = false;  // leg 1 == leg 2
   double seconds_n_threads = 0.0;
-  double speedup = 0.0;  // skeleton+warm serial / N-thread
+  double speedup = 0.0;  // skeleton serial / N-thread
   bool pool_engaged = false;
-  bool bit_identical = false;
-  double cost_drift = 0.0;  // |warm - cold| / (1 + |cold|)
+  bool bit_identical = false;  // leg 3 == leg 2
   double weighted_total = 0.0;
   double max_violation = 0.0;
 };
@@ -89,37 +76,76 @@ struct BaselinePerf {
   std::vector<BaselinePoint> points;
 };
 
+using DecideFn = std::function<model::Allocation(
+    const model::Instance&, std::size_t, const model::Allocation&)>;
+
+// Leg 1 as an online algorithm, so the simulator rounds and scores it
+// exactly as it does leg 2.
+class DirectSlotLp final : public algo::OnlineAlgorithm {
+ public:
+  DirectSlotLp(std::string name, DecideFn decide)
+      : name_(std::move(name)), decide_(std::move(decide)) {}
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] model::Allocation decide(
+      const model::Instance& instance, std::size_t t,
+      const model::Allocation& previous) override {
+    return decide_(instance, t, previous);
+  }
+
+ private:
+  std::string name_;
+  DecideFn decide_;
+};
+
+solve::Vec cold_solve(const solve::LpProblem& lp) {
+  solve::LpSolution sol = solve::InteriorPointLp().solve(lp);
+  ECA_CHECK(sol.status == solve::SolveStatus::kOptimal,
+            "reference slot LP failed: ", solve::to_string(sol.status));
+  return std::move(sol.x);
+}
+
+algo::AlgorithmPtr direct_static(const char* name, bool operation,
+                                 bool service_quality) {
+  return std::make_unique<DirectSlotLp>(
+      name, [operation, service_quality](const model::Instance& instance,
+                                         std::size_t t,
+                                         const model::Allocation&) {
+        return algo::extract_static(
+            instance, cold_solve(algo::build_static_slot_lp(
+                          instance, t, operation, service_quality)
+                                     .lp));
+      });
+}
+
+algo::AlgorithmPtr direct_greedy() {
+  return std::make_unique<DirectSlotLp>(
+      "online-greedy",
+      [](const model::Instance& instance, std::size_t t,
+         const model::Allocation& previous) {
+        const algo::GreedySlotLp built =
+            algo::build_greedy_slot_lp(instance, t, previous);
+        return built.extract(instance, cold_solve(built.lp));
+      });
+}
+
 struct AlgoEntry {
   const char* name;
   bool separable;
-  // Whether the algorithm's DEFAULT path chains warm starts (the gate only
-  // requires warm_speedup > 1 where warm starts are actually on).
-  bool warm_enabled;
-  // Legacy (rebuild+cold) construction for leg 1.
-  std::function<algo::AlgorithmPtr()> make_legacy;
-  // Default construction for legs 2 and 3 — each algorithm's own
-  // BaselineOptions default, NOT a bench-side override.
-  std::function<algo::AlgorithmPtr()> make_default;
+  std::function<algo::AlgorithmPtr()> make_reference;  // leg 1
+  std::function<algo::AlgorithmPtr()> make_default;    // legs 2 and 3
 };
 
 std::vector<AlgoEntry> roster() {
-  const algo::BaselineOptions legacy{.reuse_skeleton = false,
-                                     .warm_start = false};
   return {
-      {"perf-opt", true, true,
-       [legacy] { return std::make_unique<algo::PerfOpt>(legacy); },
+      {"perf-opt", true, [] { return direct_static("perf-opt", false, true); },
        [] { return std::make_unique<algo::PerfOpt>(); }},
-      {"oper-opt", true, true,
-       [legacy] { return std::make_unique<algo::OperOpt>(legacy); },
+      {"oper-opt", true, [] { return direct_static("oper-opt", true, false); },
        [] { return std::make_unique<algo::OperOpt>(); }},
-      {"stat-opt", true, true,
-       [legacy] { return std::make_unique<algo::StatOpt>(legacy); },
+      {"stat-opt", true, [] { return direct_static("stat-opt", true, true); },
        [] { return std::make_unique<algo::StatOpt>(); }},
-      {"static-once", true, false,
-       [] { return std::make_unique<algo::StaticOnce>(); },
+      {"static-once", true, [] { return std::make_unique<algo::StaticOnce>(); },
        [] { return std::make_unique<algo::StaticOnce>(); }},
-      {"online-greedy", false, false,
-       [legacy] { return std::make_unique<algo::OnlineGreedy>(legacy); },
+      {"online-greedy", false, direct_greedy,
        [] { return std::make_unique<algo::OnlineGreedy>(); }},
   };
 }
@@ -127,21 +153,14 @@ std::vector<AlgoEntry> roster() {
 struct Leg {
   sim::SimulationResult result;
   double seconds = 0.0;
-  std::uint64_t ipm_iterations = 0;
 };
-
-std::uint64_t ipm_iterations_now() {
-  return obs::MetricsRegistry::global().snapshot().counter("ipm.iterations");
-}
 
 Leg run_leg(const model::Instance& instance, algo::OnlineAlgorithm& algorithm,
             const sim::SimulatorOptions& options) {
   Leg leg;
-  const std::uint64_t iters_before = ipm_iterations_now();
   const auto start = std::chrono::steady_clock::now();
   leg.result = sim::Simulator::run(instance, algorithm, options);
   leg.seconds = seconds_since(start);
-  leg.ipm_iterations = ipm_iterations_now() - iters_before;
   return leg;
 }
 
@@ -177,37 +196,25 @@ BaselinePerf time_baseline_sweep(const bench::BenchScale& scale) {
       BaselinePoint point;
       point.algorithm = entry.name;
       point.separable = entry.separable;
-      // Warm starts engage only under the size cap (see
-      // algo::kBaselineWarmMaxUsers — hints stop paying at scale).
-      point.warm_enabled =
-          entry.warm_enabled && users <= algo::kBaselineWarmMaxUsers;
       point.users = users;
       point.slots = slots;
 
       sim::SimulatorOptions serial;
       serial.baseline_threads = 1;
 
-      auto cold_algorithm = entry.make_legacy();
-      const Leg cold = run_leg(instance, *cold_algorithm, serial);
-      point.seconds_rebuild_cold = cold.seconds;
+      auto reference_algorithm = entry.make_reference();
+      const Leg reference = run_leg(instance, *reference_algorithm, serial);
+      point.seconds_rebuild_cold = reference.seconds;
 
-      auto warm_algorithm = entry.make_default();
-      const Leg warm = run_leg(instance, *warm_algorithm, serial);
-      point.seconds_skeleton_warm = warm.seconds;
-      point.warm_speedup =
-          warm.seconds > 0.0 ? cold.seconds / warm.seconds : 0.0;
-      point.iters_rebuild_cold = cold.ipm_iterations;
-      point.iters_skeleton_warm = warm.ipm_iterations;
-      point.warm_iter_ratio =
-          cold.ipm_iterations > 0
-              ? static_cast<double>(warm.ipm_iterations) /
-                    static_cast<double>(cold.ipm_iterations)
-              : 0.0;
-      point.weighted_total = warm.result.weighted_total;
-      point.max_violation = warm.result.max_violation;
-      point.cost_drift =
-          std::fabs(warm.result.weighted_total - cold.result.weighted_total) /
-          (1.0 + std::fabs(cold.result.weighted_total));
+      auto skeleton_algorithm = entry.make_default();
+      const Leg skeleton = run_leg(instance, *skeleton_algorithm, serial);
+      point.seconds_skeleton = skeleton.seconds;
+      point.skeleton_speedup =
+          skeleton.seconds > 0.0 ? reference.seconds / skeleton.seconds : 0.0;
+      point.rebuild_bit_identical =
+          runs_bitwise_equal(reference.result, skeleton.result);
+      point.weighted_total = skeleton.result.weighted_total;
+      point.max_violation = skeleton.result.max_violation;
 
       // Mirror the simulator's own resolution (work-volume floor +
       // hardware cap) to decide whether the N-thread leg would actually
@@ -225,27 +232,25 @@ BaselinePerf time_baseline_sweep(const bench::BenchScale& scale) {
         const Leg parallel = run_leg(instance, *parallel_algorithm, fanout);
         point.seconds_n_threads = parallel.seconds;
         point.speedup =
-            parallel.seconds > 0.0 ? warm.seconds / parallel.seconds : 0.0;
-        point.bit_identical = runs_bitwise_equal(warm.result, parallel.result);
+            parallel.seconds > 0.0 ? skeleton.seconds / parallel.seconds : 0.0;
+        point.bit_identical =
+            runs_bitwise_equal(skeleton.result, parallel.result);
       } else {
-        point.seconds_n_threads = point.seconds_skeleton_warm;
+        point.seconds_n_threads = point.seconds_skeleton;
         point.speedup = 1.0;
         point.bit_identical = true;
       }
       perf.points.push_back(point);
       std::printf(
           "baseline %-13s J=%4zu T=%zu: %.3fs (rebuild+cold) -> %.3fs "
-          "(%s, %.2fx, iters %llu->%llu) -> %.3fs (%zu thr, pool=%s, "
-          "%.2fx), bit_identical=%s drift=%.2e\n",
+          "(skeleton, %.2fx, equal=%s) -> %.3fs (%zu thr, pool=%s, %.2fx), "
+          "bit_identical=%s\n",
           entry.name, users, slots, point.seconds_rebuild_cold,
-          point.seconds_skeleton_warm,
-          point.warm_enabled ? "skeleton+warm" : "skeleton",
-          point.warm_speedup,
-          static_cast<unsigned long long>(point.iters_rebuild_cold),
-          static_cast<unsigned long long>(point.iters_skeleton_warm),
+          point.seconds_skeleton, point.skeleton_speedup,
+          point.rebuild_bit_identical ? "true" : "false",
           point.seconds_n_threads, perf.threads,
           point.pool_engaged ? "on" : "off", point.speedup,
-          point.bit_identical ? "true" : "false", point.cost_drift);
+          point.bit_identical ? "true" : "false");
     }
   }
   return perf;
@@ -261,7 +266,7 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
     std::exit(1);
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"eca.bench_baselines.v1\",\n");
+  std::fprintf(out, "  \"schema\": \"eca.bench_baselines.v2\",\n");
   bench::write_meta_json(out);
   bench::write_events_overhead_json(out, events);
   std::fprintf(out,
@@ -271,32 +276,23 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
                static_cast<unsigned long long>(scale.seed));
   std::fprintf(out, "  \"clouds\": %zu,\n", perf.clouds);
   std::fprintf(out, "  \"threads\": %zu,\n", perf.threads);
-  std::fprintf(out, "  \"warm_block\": %zu,\n", algo::kBaselineWarmBlock);
-  std::fprintf(out, "  \"warm_max_users\": %zu,\n",
-               algo::kBaselineWarmMaxUsers);
   std::fprintf(out, "  \"points\": [\n");
   for (std::size_t i = 0; i < perf.points.size(); ++i) {
     const BaselinePoint& p = perf.points[i];
     std::fprintf(
         out,
-        "    {\"algorithm\": \"%s\", \"separable\": %s, "
-        "\"warm_enabled\": %s, \"users\": %zu, "
+        "    {\"algorithm\": \"%s\", \"separable\": %s, \"users\": %zu, "
         "\"slots\": %zu, \"seconds_rebuild_cold\": %.4f, "
-        "\"seconds_skeleton_warm\": %.4f, \"warm_speedup\": %.3f, "
-        "\"iters_rebuild_cold\": %llu, \"iters_skeleton_warm\": %llu, "
-        "\"warm_iter_ratio\": %.4f, "
+        "\"seconds_skeleton\": %.4f, \"skeleton_speedup\": %.3f, "
+        "\"rebuild_bit_identical\": %s, "
         "\"seconds_n_threads\": %.4f, \"speedup\": %.3f, "
         "\"pool_engaged\": %s, \"bit_identical\": %s, "
-        "\"cost_drift\": %.3e, \"weighted_total\": %.6f, "
-        "\"max_violation\": %.3e}%s\n",
-        p.algorithm, p.separable ? "true" : "false",
-        p.warm_enabled ? "true" : "false", p.users, p.slots,
-        p.seconds_rebuild_cold, p.seconds_skeleton_warm, p.warm_speedup,
-        static_cast<unsigned long long>(p.iters_rebuild_cold),
-        static_cast<unsigned long long>(p.iters_skeleton_warm),
-        p.warm_iter_ratio, p.seconds_n_threads, p.speedup,
-        p.pool_engaged ? "true" : "false",
-        p.bit_identical ? "true" : "false", p.cost_drift, p.weighted_total,
+        "\"weighted_total\": %.6f, \"max_violation\": %.3e}%s\n",
+        p.algorithm, p.separable ? "true" : "false", p.users, p.slots,
+        p.seconds_rebuild_cold, p.seconds_skeleton, p.skeleton_speedup,
+        p.rebuild_bit_identical ? "true" : "false", p.seconds_n_threads,
+        p.speedup, p.pool_engaged ? "true" : "false",
+        p.bit_identical ? "true" : "false", p.weighted_total,
         p.max_violation, i + 1 < perf.points.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
@@ -306,18 +302,11 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
   std::fprintf(
       out,
       "  \"telemetry\": {\"lp_solves\": %llu, \"lp_failures\": %llu, "
-      "\"warm_chained\": %llu, \"anchor_restarts\": %llu, "
-      "\"ipm_solves\": %llu, \"ipm_iterations\": %llu, "
-      "\"ipm_warm_accepted\": %llu, \"ipm_warm_fallbacks\": %llu}\n",
+      "\"ipm_solves\": %llu, \"ipm_iterations\": %llu}\n",
       static_cast<unsigned long long>(snap.counter("baseline.lp_solves")),
       static_cast<unsigned long long>(snap.counter("baseline.lp_failures")),
-      static_cast<unsigned long long>(snap.counter("baseline.warm_chained")),
-      static_cast<unsigned long long>(
-          snap.counter("baseline.anchor_restarts")),
       static_cast<unsigned long long>(snap.counter("ipm.solves")),
-      static_cast<unsigned long long>(snap.counter("ipm.iterations")),
-      static_cast<unsigned long long>(snap.counter("ipm.warm_accepted")),
-      static_cast<unsigned long long>(snap.counter("ipm.warm_fallbacks")));
+      static_cast<unsigned long long>(snap.counter("ipm.iterations")));
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", path.c_str());
@@ -327,8 +316,7 @@ void emit_json(const bench::BenchScale& scale, const BaselinePerf& perf,
 
 int main() {
   const eca::bench::BenchScale scale = eca::bench::read_scale();
-  std::printf(
-      "=== baselines: cached-skeleton / warm-start / slot fan-out sweep ===\n");
+  std::printf("=== baselines: cached-skeleton / slot fan-out sweep ===\n");
   const BaselinePerf perf = time_baseline_sweep(scale);
   const eca::bench::EventsOverhead events =
       eca::bench::measure_default_events_overhead(scale);

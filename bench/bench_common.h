@@ -15,12 +15,14 @@
 //   scripts/report_run.py --events <path>
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "algo/online_approx.h"
 #include "check/harness.h"
@@ -178,16 +180,27 @@ inline void write_meta_json(FILE* out) {
 struct EventsOverhead {
   double seconds_off = 0.0;  // best-of-N wall time, event streaming off
   double seconds_on = 0.0;   // best-of-N wall time, buffer-only event log
+  double median_seconds_off = 0.0;
+  // Each round's events-on leg over its adjacent events-off leg.
+  std::vector<double> ratios;
 };
 
+inline double median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  const std::size_t mid = values.size() / 2;
+  std::nth_element(values.begin(), values.begin() + mid, values.end());
+  return values[mid];
+}
+
 // Measures the wall-time overhead of event recording on `workload` (a
-// callable running one representative simulation): best-of-`rounds` with
-// the global log dropped vs. installed buffer-only (large capacity, no file
-// I/O — isolating record() cost from serialization). The legs alternate,
-// and so does which of them opens a round, so drift on a shared host
-// reaches both. perf_guard.py gates the on/off ratio. Replaces any
-// env-configured global event log; the benches own their process, so
-// nothing of value is lost.
+// callable running one representative simulation): `rounds` rounds, each
+// one leg with the global log dropped and one with it installed
+// buffer-only (large capacity, no file I/O — isolating record() cost from
+// serialization). The legs alternate, and so does which of them opens a
+// round, so drift on a shared host reaches both. Each round's on/off
+// ratio compares two adjacent legs; perf_guard.py gates their median.
+// Replaces any env-configured global event log; the benches own their
+// process, so nothing of value is lost.
 template <typename Fn>
 EventsOverhead measure_events_overhead(Fn&& workload, int rounds = 21) {
   const auto timed = [&](bool with_events) {
@@ -205,14 +218,20 @@ EventsOverhead measure_events_overhead(Fn&& workload, int rounds = 21) {
         .count();
   };
   EventsOverhead result;
+  std::vector<double> off_legs;
   for (int r = 0; r < rounds; ++r) {
+    double leg[2] = {0.0, 0.0};  // [off, on]
     for (const bool with_events : {r % 2 == 1, r % 2 == 0}) {
       const double s = timed(with_events);
       double& best = with_events ? result.seconds_on : result.seconds_off;
       if (r == 0 || s < best) best = s;
+      leg[with_events ? 1 : 0] = s;
     }
+    off_legs.push_back(leg[0]);
+    result.ratios.push_back(leg[1] / leg[0]);
   }
   obs::drop_global_events();
+  result.median_seconds_off = median(std::move(off_legs));
   return result;
 }
 
@@ -220,8 +239,13 @@ EventsOverhead measure_events_overhead(Fn&& workload, int rounds = 21) {
 inline void write_events_overhead_json(FILE* out, const EventsOverhead& o) {
   std::fprintf(out,
                "  \"events_overhead\": {\"seconds_off\": %.6f, "
-               "\"seconds_on\": %.6f},\n",
-               o.seconds_off, o.seconds_on);
+               "\"seconds_on\": %.6f, \"median_seconds_off\": %.6f, "
+               "\"ratios\": [",
+               o.seconds_off, o.seconds_on, o.median_seconds_off);
+  for (std::size_t r = 0; r < o.ratios.size(); ++r) {
+    std::fprintf(out, "%s%.4f", r > 0 ? ", " : "", o.ratios[r]);
+  }
+  std::fprintf(out, "]},\n");
 }
 
 // Default events-overhead workload of the BENCH file: one online-approx
@@ -231,8 +255,8 @@ inline void write_events_overhead_json(FILE* out, const EventsOverhead& o) {
 inline EventsOverhead measure_default_events_overhead(
     const BenchScale& scale) {
   // A fixed shape, independent of the scale knobs: perf_guard.py gates the
-  // ratio only when the events-off leg takes at least 10 ms, and 48 × 48
-  // runs in about 31 ms on a 4-core Xeon host (12 × 16 took 3–6 ms).
+  // ratios only when the median events-off leg takes at least 10 ms, and
+  // 48 × 48 runs in about 31 ms on a 4-core Xeon host (12 × 16 took 3–6 ms).
   sim::ScenarioOptions options = scenario_from_scale(scale);
   options.num_users = 48;
   options.num_slots = 48;
@@ -244,11 +268,11 @@ inline EventsOverhead measure_default_events_overhead(
             sim::Simulator::run(instance, algorithm);
         obs::emit_run(obs::global_events(), run.telemetry);
       });
-  std::printf("events overhead: %.4fs off -> %.4fs on (%+.2f%%)\n",
-              overhead.seconds_off, overhead.seconds_on,
-              overhead.seconds_off > 0.0
-                  ? 100.0 * (overhead.seconds_on / overhead.seconds_off - 1.0)
-                  : 0.0);
+  std::printf(
+      "events overhead: median %+.2f%% over %zu rounds (median off leg "
+      "%.4fs; best %.4fs off -> %.4fs on)\n",
+      100.0 * (median(overhead.ratios) - 1.0), overhead.ratios.size(),
+      overhead.median_seconds_off, overhead.seconds_off, overhead.seconds_on);
   return overhead;
 }
 

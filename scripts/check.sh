@@ -136,10 +136,10 @@ ECA_USERS=6 ECA_SLOTS=6 ECA_REPS=1 ./build/bench/bench_extensions \
 
 echo "== bench: baseline-evaluation sweep (quick mode) =="
 # Small points only: exercises the three-leg emitter (rebuild+cold vs
-# skeleton+warm vs slot fan-out) and the bitwise cross-check end to end
-# (the committed BENCH file is regenerated separately at full scale).
-# Per-leg ipm.iterations deltas feed perf_guard's deterministic
-# warm-iteration gate, which exercises even on noisy hosts.
+# skeleton vs slot fan-out) and both bitwise cross-checks end to end (the
+# committed BENCH file is regenerated separately at full scale). The
+# bitwise gates and the events-overhead gate (median of per-round on/off
+# ratios) decide even on noisy hosts.
 ECA_BASELINE_MAX_USERS=32 ECA_BASELINE_SLOTS=8 \
   ECA_BENCH_BASELINES_JSON=build/BENCH_baselines.quick.json \
   ./build/bench/bench_baselines

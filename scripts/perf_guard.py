@@ -6,28 +6,22 @@
 Dispatches on the file's "schema" field and fails (exit 1) when it shows a
 regression the repo has promised not to reintroduce.
 
-eca.bench_baselines.v1 (baseline-evaluation sweep):
+eca.bench_baselines.v2 (baseline-evaluation sweep):
 
   * any bit_identical=false — the slot fan-out must reproduce the serial
     trajectory bit for bit for every separable baseline;
+  * any rebuild_bit_identical=false — the skeleton path (skeleton refresh,
+    reused workspace) must reproduce the rebuild+cold reference (free
+    builders, cold IPM solve in a fresh workspace) bit for bit, in
+    allocations and cost;
   * any pool-engaged point with fan-out speedup below 0.95 — the
     work-volume floor exists so that the fan-out is never a slowdown, and
     points it collapses to serial report speedup 1.0 by construction
     (where no point engages, a note names the causes the points show);
-  * wherever the algorithm's default path chains warm starts
-    (warm_enabled=true) and the point carries IPM iteration counts
-    (iters_rebuild_cold > 0), the warm leg must not cost IPM iterations:
-    warm_iter_ratio <= 1.02. Iteration counts are deterministic, so this
-    gate is immune to the +/-10% wall-clock noise of shared CI hosts —
-    warm_max_users exists precisely because hints that stop paying in
-    iterations must disengage (with no such point a note is printed);
-  * at J >= 1024, the default path must stay within 10% of wall parity
-    with rebuild+cold (warm_speedup >= 0.9) — caching must never be a
+  * at J >= 1024, the skeleton path must stay within 10% of wall parity
+    with rebuild+cold (skeleton_speedup >= 0.9) — caching must never be a
     slowdown at the scale it exists for;
-  * cost_drift above 0.05 — warm starts move the solver trajectory, and
-    degenerate objectives (perf-opt/oper-opt) may land on a different
-    optimal vertex, but the evaluated cost must stay in the same ballpark;
-  * max_violation above 1e-5 — the optimized path must stay feasible.
+  * max_violation above 1e-5 — the skeleton path must stay feasible.
 
 eca.prop_summary.v1 (property-harness run summary, written by
 examples/prop_fuzz --summary):
@@ -36,11 +30,12 @@ examples/prop_fuzz --summary):
     failure is printed with its seed and shrunk replay path so the witness
     can be re-run with `examples/prop_fuzz --replay FILE`.
 
-The BENCH schema additionally carries an "events_overhead" block (best-of-N
-wall time for a representative simulation with event streaming off vs. on,
-buffer-only) and a provenance "meta" block; the events gate requires the
-events-on leg within 2% of events-off. Quick-mode timings below 10 ms are
-too noisy to gate and print a note instead. The meta block's "checks"
+The BENCH schema additionally carries an "events_overhead" block (a
+representative simulation timed in alternating rounds with event streaming
+off and on, buffer-only; each round's on/off ratio compares two adjacent
+legs) and a provenance "meta" block; the events gate requires the median
+ratio within 2%. A median events-off leg below 10 ms is too noisy to gate
+and prints a note instead. The meta block's "checks"
 entry records the prop-harness smoke run against the same binary at bench
 time; a recorded ok=false fails the gate, a recorded skip is a note.
 
@@ -48,6 +43,7 @@ Exits 0 with a summary line per file when every check passes.
 """
 import collections
 import json
+import statistics
 import sys
 
 AT_SCALE_USERS = 1024
@@ -72,19 +68,21 @@ def check_events_overhead(path, bench):
         print(f"perf_guard: note: {path}: no events_overhead block "
               "(pre-events bench json); overhead gate not exercised")
         return
-    off, on = block["seconds_off"], block["seconds_on"]
+    off = block["median_seconds_off"]
     if off < MIN_GATEABLE_SECONDS:
-        print(f"perf_guard: note: {path}: events-off leg {off * 1e3:.2f} ms "
-              "is below the gateable floor (quick-mode scale); overhead "
+        print(f"perf_guard: note: {path}: median events-off leg "
+              f"{off * 1e3:.2f} ms is below the gateable floor; overhead "
               "gate not exercised")
         return
-    if on > off * MAX_EVENTS_OVERHEAD:
-        fail(f"{path}: events-on wall time {on:.4f}s exceeds "
-             f"{MAX_EVENTS_OVERHEAD:.2f}x the events-off leg {off:.4f}s — "
+    ratios = block["ratios"]
+    ratio = statistics.median(ratios)
+    if ratio > MAX_EVENTS_OVERHEAD:
+        fail(f"{path}: median events-on/off ratio {ratio:.4f} over "
+             f"{len(ratios)} rounds exceeds {MAX_EVENTS_OVERHEAD:.2f} — "
              "event recording must stay off the critical path")
     print(f"perf_guard: OK: {path}: events overhead "
-          f"{100.0 * (on / off - 1.0):+.2f}% "
-          f"(on {on:.4f}s vs off {off:.4f}s)")
+          f"{100.0 * (ratio - 1.0):+.2f}% (median of {len(ratios)} rounds, "
+          f"median off leg {off:.4f}s)")
 
 
 def check_meta_checks(path, bench):
@@ -122,17 +120,15 @@ def unengaged_cause(causes):
                      for cause, n in counts.most_common())
 
 
-MAX_COST_DRIFT = 0.05
 MAX_VIOLATION = 1e-5
 MIN_SKELETON_SPEEDUP = 0.9
-MAX_WARM_ITER_RATIO = 1.02
 
 
 def check_baselines(path, bench):
     points = bench.get("points", [])
     if not points:
         fail(f"{path}: no sweep points")
-    engaged = warm_gated = scale_gated = 0
+    engaged = scale_gated = 0
     for point in points:
         where = f"{path}: {point['algorithm']} J={point['users']}"
         if not point["bit_identical"]:
@@ -144,31 +140,19 @@ def check_baselines(path, bench):
                 fail(f"{where}: fan-out speedup {point['speedup']:.3f} < "
                      f"{MIN_POOL_SPEEDUP} with the pool engaged; the "
                      "work-volume floor should have kept this point serial")
-        if point["cost_drift"] > MAX_COST_DRIFT:
-            fail(f"{where}: cost_drift {point['cost_drift']:.3e} > "
-                 f"{MAX_COST_DRIFT} — skeleton+warm landed far from the "
-                 "legacy path's cost")
+        if not point["rebuild_bit_identical"]:
+            fail(f"{where}: rebuild_bit_identical=false — the skeleton path "
+                 "left the rebuild+cold reference's allocations or cost")
         if point["max_violation"] > MAX_VIOLATION:
             fail(f"{where}: max_violation {point['max_violation']:.3e} > "
-                 f"{MAX_VIOLATION} — the optimized path left feasibility")
-        if point["warm_enabled"] and point.get("iters_rebuild_cold", 0) > 0:
-            warm_gated += 1
-            if point["warm_iter_ratio"] > MAX_WARM_ITER_RATIO:
-                fail(f"{where}: warm_iter_ratio "
-                     f"{point['warm_iter_ratio']:.4f} > "
-                     f"{MAX_WARM_ITER_RATIO} — warm hints cost IPM "
-                     "iterations here; lower warm_max_users so the chain "
-                     "disengages at this scale")
+                 f"{MAX_VIOLATION} — the skeleton path left feasibility")
         if point["users"] >= AT_SCALE_USERS:
             scale_gated += 1
-            if point["warm_speedup"] < MIN_SKELETON_SPEEDUP:
-                fail(f"{where}: default-path speedup "
-                     f"{point['warm_speedup']:.3f} < {MIN_SKELETON_SPEEDUP} "
-                     "over rebuild+cold — caching must not be a slowdown "
-                     "at scale")
-    if warm_gated == 0:
-        print(f"perf_guard: note: {path}: no warm-enabled point with "
-              "IPM iteration counts; warm-iteration gate not exercised")
+            if point["skeleton_speedup"] < MIN_SKELETON_SPEEDUP:
+                fail(f"{where}: skeleton-path speedup "
+                     f"{point['skeleton_speedup']:.3f} < "
+                     f"{MIN_SKELETON_SPEEDUP} over rebuild+cold — caching "
+                     "must not be a slowdown at scale")
     if scale_gated == 0:
         print(f"perf_guard: note: {path}: no point with J >= "
               f"{AT_SCALE_USERS}; at-scale parity gate not exercised")
@@ -189,8 +173,8 @@ def check_baselines(path, bench):
               f"({unengaged_cause([cause(p) for p in points])}); fan-out "
               "speedup gate not exercised")
     print(f"perf_guard: OK: {path}: {len(points)} baseline points "
-          f"({engaged} pool-engaged, {warm_gated} under the warm-iteration "
-          f"gate, {scale_gated} under the at-scale parity gate)")
+          f"({engaged} pool-engaged, {scale_gated} under the at-scale "
+          "parity gate)")
 
 
 def check_prop_summary(path, summary):
@@ -221,7 +205,7 @@ def check_prop_summary(path, summary):
 
 
 CHECKS = {
-    "eca.bench_baselines.v1": check_baselines,
+    "eca.bench_baselines.v2": check_baselines,
 }
 
 

@@ -317,10 +317,19 @@ def static_factor(exp):
     return f"{factor:.2f}x"
 
 
+# Online-greedy's excess ratio must exceed this for the cut to mean
+# anything: twice the 5e-4 relative tolerance of the PDHG offline-opt
+# solve behind the denominator. Below it, greedy's excess is within the
+# denominator's error and the quotient is noise.
+MIN_GREEDY_EXCESS = 1e-3
+
+
 def greedy_gain(exp):
     greedy = mean_of(exp, "ratios", "online-greedy")
     approx = mean_of(exp, "ratios", "online-approx")
-    return f"{100.0 * (greedy - approx) / max(greedy - 1.0, 1e-9):.1f}%"
+    if greedy - 1.0 <= MIN_GREEDY_EXCESS:
+        return "n/a"
+    return f"{100.0 * (greedy - approx) / (greedy - 1.0):.1f}%"
 
 
 HEADLINES = (

@@ -20,15 +20,6 @@ using model::Allocation;
 using model::AllocationSequence;
 using model::Instance;
 
-// Warm-start block length for slot-separable baselines. Slots are grouped
-// into blocks of this many consecutive slots; within a block each solve
-// warm-starts from the previous slot's solution, and every block head
-// (t % kBaselineWarmBlock == 0, plus t = 1 after the cold slot 0) restarts
-// from the slot-0 anchor solution. The chain therefore never crosses a
-// block boundary, so a parallel simulator that hands whole blocks to
-// workers reproduces the serial trajectory bit for bit.
-inline constexpr std::size_t kBaselineWarmBlock = 4;
-
 class OnlineAlgorithm {
  public:
   virtual ~OnlineAlgorithm() = default;
@@ -62,9 +53,8 @@ class OnlineAlgorithm {
   [[nodiscard]] virtual bool slot_separable() const { return false; }
 
   // For slot-separable algorithms: a worker-private copy carrying the
-  // post-reset() state (skeletons, anchors, configuration) but none of the
-  // mutable per-slot trajectory, so several clones can decide disjoint slot
-  // blocks concurrently. Returns nullptr when cloning is unsupported, in
+  // post-reset() state (skeletons, configuration) with its own solver
+  // scratch, so several clones can decide disjoint slots concurrently. Returns nullptr when cloning is unsupported, in
   // which case the simulator falls back to the serial loop.
   [[nodiscard]] virtual std::unique_ptr<OnlineAlgorithm> clone_for_slots()
       const {

@@ -1,7 +1,7 @@
 // Deterministic solver fault injection (DESIGN.md §13).
 //
-// Every documented fallback path in the solve stack — active-set → dense,
-// warm → cold retry, skeleton → rebuild, baseline LP-failure recovery — is
+// Every documented fallback path in the solve stack — P2 warm → cold start,
+// skeleton → rebuild, baseline LP-failure recovery — is
 // only exercised when numerics actually go wrong, which hand-written tests
 // cannot arrange on demand. The fault seam makes each failure reachable on
 // purpose: a *plan* names a fault site and the 1-based occurrence at which
@@ -46,7 +46,7 @@ enum class FaultSite : int {
   kIterCap,
   // One usable warm-start point is rejected, forcing the cold start.
   kWarmReject,
-  // One interior-point LP attempt reports kNumericalError after solving.
+  // One interior-point LP solve reports kNumericalError after solving.
   kIpmFail,
   // One PDHG LP solve reports kIterationLimit after solving.
   kPdhgFail,

@@ -64,42 +64,29 @@ SimulationResult Simulator::run(const Instance& instance,
   const std::size_t min_work = options.min_slot_work > 0
                                    ? options.min_slot_work
                                    : ThreadPool::kDefaultBaselineMinWork;
-  const std::size_t kBlock = algo::kBaselineWarmBlock;
-  const std::size_t num_blocks = (num_slots + kBlock - 1) / kBlock;
   std::size_t workers = ThreadPool::resolve_baseline_threads(
       options.baseline_threads, work, min_work, !options.oversubscribe);
-  workers = std::min(workers, num_blocks);
+  workers = std::min(workers, num_slots);
 
-  std::size_t next_slot = 0;
-  if (workers > 1 && num_slots > 1 && algorithm.slot_separable()) {
-    // Slot 0 runs cold on the driving thread's own algorithm first: for
-    // warm-started baselines it establishes the anchor solution the
-    // clones' block heads restart from — the same order the serial loop
-    // produces.
-    const model::Allocation zero_previous(instance.num_clouds,
-                                          instance.num_users);
-    decide_slot(algorithm, 0, zero_previous);
-    next_slot = 1;
+  bool fanned_out = false;
+  if (workers > 1 && algorithm.slot_separable()) {
     std::vector<algo::AlgorithmPtr> clones;
     clones.reserve(workers - 1);
     for (std::size_t w = 1; w < workers; ++w) {
       clones.push_back(algorithm.clone_for_slots());
       if (clones.back() == nullptr) break;  // unsupported: serial fallback
     }
-    if (clones.empty() || clones.back() != nullptr) {
-      // Static block → worker assignment: worker w takes blocks w, w+W,
-      // w+2W, ... each in ascending slot order. Within a block the warm
-      // chain runs slot-to-slot; block heads restart from the anchor, so
-      // the trajectory is independent of which worker owns which block
-      // and bit-identical to the serial loop.
+    if (clones.back() != nullptr) {
+      // Static slot → worker assignment: worker w takes slots w, w+W,
+      // w+2W, ... A separable algorithm's slot-t decision depends only on
+      // (instance, t), so the result is independent of the assignment and
+      // bit-identical to the serial loop.
+      const model::Allocation zero_previous(instance.num_clouds,
+                                            instance.num_users);
       const auto worker_span = [&](std::size_t w,
                                    algo::OnlineAlgorithm& alg) {
-        for (std::size_t k = w; k < num_blocks; k += workers) {
-          const std::size_t lo = std::max<std::size_t>(1, k * kBlock);
-          const std::size_t hi = std::min(num_slots, (k + 1) * kBlock);
-          for (std::size_t t = lo; t < hi; ++t) {
-            decide_slot(alg, t, zero_previous);
-          }
+        for (std::size_t t = w; t < num_slots; t += workers) {
+          decide_slot(alg, t, zero_previous);
         }
       };
       ThreadPool pool(workers - 1);
@@ -109,16 +96,15 @@ SimulationResult Simulator::run(const Instance& instance,
       }
       worker_span(0, algorithm);  // driving thread is worker 0
       pool.wait_idle();
-      next_slot = num_slots;
+      fanned_out = true;
     }
   }
-  // Serial path — also the tail after a clone_for_slots() fallback, where
-  // the original algorithm continues from slot 1 with its own state.
-  model::Allocation previous(instance.num_clouds, instance.num_users);
-  if (next_slot > 0 && next_slot < num_slots) previous = seq[next_slot - 1];
-  for (std::size_t t = next_slot; t < num_slots; ++t) {
-    decide_slot(algorithm, t, previous);
-    previous = seq[t];
+  if (!fanned_out) {
+    model::Allocation previous(instance.num_clouds, instance.num_users);
+    for (std::size_t t = 0; t < num_slots; ++t) {
+      decide_slot(algorithm, t, previous);
+      previous = seq[t];
+    }
   }
   SimulationResult result = score(instance, algorithm.name(), std::move(seq));
   result.wall_seconds = seconds_since(start);

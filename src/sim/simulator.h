@@ -37,10 +37,10 @@ struct SimulationResult {
 // Knobs for the baseline slot fan-out. Only slot-separable algorithms
 // (OnlineAlgorithm::slot_separable()) are ever parallelized; all others
 // take the serial loop regardless of these settings. The parallel path is
-// bit-identical to the serial one for every worker count: slot 0 is decided
-// cold on the driving thread, whole kBaselineWarmBlock-aligned slot blocks
-// are handed to per-worker clone_for_slots() copies, and results land in
-// index-addressed buffers merged in slot order.
+// bit-identical to the serial one for every worker count: slots go
+// round-robin to per-worker clone_for_slots() copies, each slot's decision
+// depends only on (instance, t), and results land in index-addressed
+// buffers.
 struct SimulatorOptions {
   // Worker count for slot-separable algorithms: positive value wins, else
   // ECA_BASELINE_THREADS (fail-fast on invalid values), else 1 (serial).

@@ -28,17 +28,11 @@ constexpr double kRegularization = 1e-10;
 struct IpmMetrics {
   obs::Counter& solves;
   obs::Counter& iterations;
-  obs::Counter& warm_accepted;
-  obs::Counter& warm_fallbacks;
-  obs::Counter& warm_retries;
 
   static IpmMetrics& get() {
     static IpmMetrics m{
         obs::MetricsRegistry::global().counter("ipm.solves"),
-        obs::MetricsRegistry::global().counter("ipm.iterations"),
-        obs::MetricsRegistry::global().counter("ipm.warm_accepted"),
-        obs::MetricsRegistry::global().counter("ipm.warm_fallbacks"),
-        obs::MetricsRegistry::global().counter("ipm.warm_retries")};
+        obs::MetricsRegistry::global().counter("ipm.iterations")};
     return m;
   }
 };
@@ -87,11 +81,8 @@ struct IpmWorkspace::Impl {
   // A Theta A' and its factor; the envelope is analyzed once per build.
   linalg::EnvelopeCholesky normal;
 
-  // --- best iterate inside the soft tolerance (cold-attempt fallback) -----
+  // --- best iterate inside the soft tolerance (numerical-error fallback) --
   Vec best_x, best_y;
-
-  // --- warm-start candidate scratch ----------------------------------------
-  Vec wx, wy, wz, ww, wv, w_aty;
 };
 
 IpmWorkspace::IpmWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -224,118 +215,6 @@ void col_multiply_transpose(const Impl& sf, const Vec& y, Vec& out) {
   }
 }
 
-// Builds a strictly interior candidate point from the caller's warm hint
-// into (sf.wx, sf.wy, sf.wz, sf.ww, sf.wv). The construction keeps the dual
-// residual of upper-bounded coordinates exactly zero (z - v = c - A'y) and
-// recomputes slack values from the structural row activity, so an accurate
-// previous-slot point yields a candidate that is both nearly feasible and
-// nearly complementary. Returns the candidate's duality measure mu.
-double build_warm_candidate(Impl& sf, const LpProblem& lp,
-                            const IpmWarmStart& warm, double b_scale,
-                            double c_scale, std::size_t comp_dim) {
-  const std::size_t n = sf.n;
-  const std::size_t m = sf.m;
-  // Interior floors: far enough from the boundary that the first Newton
-  // steps are well-conditioned, small enough that the candidate's mu is
-  // orders of magnitude below the cold start's on an accurate hint.
-  const double floor_x = 1e-2 * b_scale;
-  const double floor_z = 1e-2 * c_scale;
-
-  // Structural primal coordinates: shift and clamp into the interior.
-  sf.wx.assign(n, 0.0);
-  for (std::size_t j = 0; j < lp.num_vars; ++j) {
-    const std::ptrdiff_t k = sf.var_map[j];
-    if (k < 0) continue;
-    const std::size_t kk = static_cast<std::size_t>(k);
-    double val = (*warm.x)[j] - sf.lower_shift[j];
-    const double hi = sf.upper[kk];
-    if (hi < kInf) {
-      const double cap = hi - floor_x;
-      val = cap > floor_x ? std::clamp(val, floor_x, cap) : hi / 2.0;
-    } else {
-      val = std::max(val, floor_x);
-    }
-    sf.wx[kk] = val;
-  }
-  // Slack coordinates from the structural row activity: each slack column
-  // holds a single entry (row, coef) with coef in {-1, +1}, and the row
-  // equation a'x + coef*s = b gives s exactly.
-  sf.ax.assign(m, 0.0);
-  for (std::size_t j = 0; j < sf.n_struct; ++j) {
-    const double xj = sf.wx[j];
-    if (xj == 0.0) continue;
-    for (const auto& [r, v] : sf.columns[j]) sf.ax[r] += v * xj;
-  }
-  for (std::size_t j = sf.n_struct; j < n; ++j) {
-    const auto& [r, coef] = sf.columns[j].front();
-    double s = (sf.b[r] - sf.ax[r]) / coef;
-    const double hi = sf.upper[j];
-    if (hi < kInf) {
-      const double cap = hi - floor_x;
-      s = cap > floor_x ? std::clamp(s, floor_x, cap) : hi / 2.0;
-    } else {
-      s = std::max(s, floor_x);
-    }
-    sf.wx[j] = s;
-  }
-
-  // Duals: carry row duals, derive reduced costs d = c - A'y, then split
-  // them into strictly positive (z, v) with z - v = d exactly for
-  // upper-bounded coordinates (zero dual residual at the warm point).
-  sf.wy.assign(m, 0.0);
-  for (std::size_t r = 0; r < lp.num_rows; ++r) {
-    const std::ptrdiff_t row = sf.row_map[r];
-    if (row >= 0) sf.wy[static_cast<std::size_t>(row)] = (*warm.row_duals)[r];
-  }
-  col_multiply_transpose(sf, sf.wy, sf.w_aty);
-  sf.wz.assign(n, 0.0);
-  sf.ww.assign(n, 0.0);
-  sf.wv.assign(n, 0.0);
-  double mu_acc = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double d = sf.c[j] - sf.w_aty[j];
-    if (sf.upper[j] < kInf) {
-      if (d >= 0.0) {
-        sf.wz[j] = d + floor_z;
-        sf.wv[j] = floor_z;
-      } else {
-        sf.wz[j] = floor_z;
-        sf.wv[j] = floor_z - d;
-      }
-      sf.ww[j] = sf.upper[j] - sf.wx[j];
-      mu_acc += sf.ww[j] * sf.wv[j];
-    } else {
-      sf.wz[j] = std::max(floor_z, d);
-    }
-    mu_acc += sf.wx[j] * sf.wz[j];
-  }
-  double warm_mu = mu_acc / static_cast<double>(comp_dim);
-  // Centrality floor: a previous-slot optimum has near-zero complementarity
-  // products in the basic coordinates and O(|reduced cost|) products in the
-  // nonbasic ones — a spread the centering steps would otherwise spend
-  // several iterations flattening. Raising only the dual factors (primal
-  // feasibility of the hint stays exact) lifts every product to a fixed
-  // fraction of the candidate's own mu.
-  const double product_floor = 0.1 * warm_mu;
-  if (product_floor > 0.0 && std::isfinite(product_floor)) {
-    mu_acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (sf.wx[j] * sf.wz[j] < product_floor) {
-        sf.wz[j] = product_floor / sf.wx[j];
-      }
-      mu_acc += sf.wx[j] * sf.wz[j];
-      if (sf.upper[j] < kInf) {
-        if (sf.ww[j] * sf.wv[j] < product_floor) {
-          sf.wv[j] = product_floor / sf.ww[j];
-        }
-        mu_acc += sf.ww[j] * sf.wv[j];
-      }
-    }
-    warm_mu = mu_acc / static_cast<double>(comp_dim);
-  }
-  return warm_mu;
-}
-
 }  // namespace
 
 double normal_factor_work(const LpProblem& lp, double cap) {
@@ -353,55 +232,22 @@ LpSolution InteriorPointLp::solve(const LpProblem& lp) const {
 }
 
 LpSolution InteriorPointLp::solve(const LpProblem& lp, IpmWorkspace& ws) const {
-  return solve(lp, ws, IpmWarmStart{});
-}
-
-LpSolution InteriorPointLp::solve(const LpProblem& lp, IpmWorkspace& ws,
-                                  const IpmWarmStart& warm) const {
   LpSolution sol;
-  solve_into(lp, ws, warm, sol);
+  solve_into(lp, ws, sol);
   return sol;
 }
 
 void InteriorPointLp::solve_into(const LpProblem& lp, IpmWorkspace& ws,
-                                 const IpmWarmStart& warm,
                                  LpSolution& sol) const {
   ECA_TRACE_SPAN("ipm_solve");
   IpmMetrics::get().solves.add(1);
-  solve_attempt(lp, ws, warm, sol);
+  solve_attempt(lp, ws, sol);
   if (fault_fire(FaultSite::kIpmFail)) [[unlikely]] {
     sol.status = SolveStatus::kNumericalError;
-  }
-  // A warm-started run counts as converged only at the full tolerance: an
-  // iterate accepted at the numerical floor inside the 100x soft tolerance
-  // can sit measurably off the constraints where the cold run converges.
-  const double tol = options_.tolerance;
-  const bool converged = sol.status == SolveStatus::kOptimal &&
-                         sol.primal_residual < tol &&
-                         sol.dual_residual < tol && sol.gap < tol;
-  if (sol.warm_started && !converged) {
-    // The hint steered the iteration somewhere the cold start would not
-    // have gone (divergence heuristics can mistake a bad trajectory for
-    // unboundedness). A warm start is an optimization, never a correctness
-    // risk: rerun cold, bit-identical to a never-warmed solve.
-    IpmMetrics::get().warm_retries.add(1);
-    ECA_LOG_WARN(
-        "ipm: warm-started solve failed (status=%s after %d iterations, "
-        "primal=%.3e dual=%.3e gap=%.3e); retrying cold",
-        to_string(sol.status), sol.iterations, sol.primal_residual,
-        sol.dual_residual, sol.gap);
-    solve_attempt(lp, ws, IpmWarmStart{}, sol);
-    // The retry counts as an ipm_fail hit of its own: occurrences number
-    // completed attempts, not solve_into calls.
-    if (fault_fire(FaultSite::kIpmFail)) [[unlikely]] {
-      sol.status = SolveStatus::kNumericalError;
-    }
-    sol.warm_fallback = true;
   }
 }
 
 void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
-                                    const IpmWarmStart& warm,
                                     LpSolution& sol) const {
   sol.status = SolveStatus::kNumericalError;
   sol.x.clear();
@@ -411,8 +257,6 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   sol.primal_residual = 0.0;
   sol.dual_residual = 0.0;
   sol.gap = 0.0;
-  sol.warm_started = false;
-  sol.warm_fallback = false;
 
   const std::string problem_error = lp.validate();
   ECA_CHECK(problem_error.empty(), problem_error);
@@ -462,8 +306,6 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   const double c_scale = 1.0 + linalg::norm_inf(sf.c);
 
   // Cold starting point: strictly interior, magnitude matched to the data.
-  // Always built, even when a warm hint is supplied — a rejected warm
-  // candidate falls back to it, bit-identical to a cold solve.
   Vec& x = sf.x;
   Vec& z = sf.z;
   Vec& y = sf.y;
@@ -498,28 +340,6 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
   };
 
   double mu = duality_mu();
-
-  // Warm start: build a candidate from the hint and adopt it only when it
-  // strictly beats the cold point's duality measure; otherwise keep the
-  // already-built cold point untouched.
-  if (warm.x != nullptr && warm.row_duals != nullptr &&
-      warm.x->size() == lp.num_vars && warm.row_duals->size() == lp.num_rows) {
-    const double warm_mu =
-        build_warm_candidate(sf, lp, warm, b_scale, c_scale, comp_dim);
-    if (std::isfinite(warm_mu) && warm_mu > 0.0 && warm_mu < mu) {
-      std::copy(sf.wx.begin(), sf.wx.end(), x.begin());
-      std::copy(sf.wy.begin(), sf.wy.end(), y.begin());
-      std::copy(sf.wz.begin(), sf.wz.end(), z.begin());
-      std::copy(sf.ww.begin(), sf.ww.end(), w.begin());
-      std::copy(sf.wv.begin(), sf.wv.end(), v.begin());
-      mu = duality_mu();
-      sol.warm_started = true;
-      IpmMetrics::get().warm_accepted.add(1);
-    } else {
-      sol.warm_fallback = true;
-      IpmMetrics::get().warm_fallbacks.add(1);
-    }
-  }
 
   Vec& ax = sf.ax;
   Vec& aty = sf.aty;
@@ -608,7 +428,7 @@ void InteriorPointLp::solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
       sol.status = SolveStatus::kOptimal;
       break;
     }
-    if (!sol.warm_started && rel_rb < best_worst && rel_ru < best_worst &&
+    if (rel_rb < best_worst && rel_ru < best_worst &&
         rel_rc < best_worst && rel_gap < best_worst) {
       std::copy(x.begin(), x.end(), sf.best_x.begin());
       std::copy(y.begin(), y.end(), sf.best_y.begin());

@@ -19,7 +19,7 @@
 // iterate. normal_factor_work() prices one factor from the sparsity
 // pattern alone.
 //
-// A cold attempt that ends in a numerical error after its iterate passed
+// A solve that ends in a numerical error after its iterate passed
 // through the soft tolerance (100x `tolerance` on residuals and gap) returns
 // the best such iterate as optimal instead: a retry would replay the same
 // trajectory.
@@ -29,14 +29,8 @@
 // normal matrix with its factor live in the workspace and are reused
 // across calls, so a steady-state resolve performs no heap allocation
 // (tests/solve/ipm_alloc_test.cc pins this down with a counting allocator).
-// A warm start built from the previous slot's primal/dual point can be
-// supplied via IpmWarmStart; when the warm point is rejected the solve falls
-// back to the cold starting point and is bitwise identical to a cold solve.
-// A warm-started run that does not converge to the full tolerance (an
-// iterate accepted inside the soft tolerance counts as not converged) is
-// retried cold automatically (warm_fallback=true on the result): the hint is
-// an optimization and must never change which problems the solver can solve
-// or how accurately.
+// Every solve starts from the same data-scaled cold point, so a reused
+// workspace never changes an iterate.
 #pragma once
 
 #include <memory>
@@ -48,15 +42,6 @@ namespace eca::solve {
 struct IpmOptions {
   int max_iterations = 200;
   double tolerance = 1e-8;        // relative primal/dual/gap tolerance
-};
-
-// Warm-start hint: primal/dual point of a previously solved LP with the same
-// variable/row layout (typically the previous slot's solution). Both vectors
-// are borrowed — the caller keeps them alive for the duration of solve().
-// Sizes must match the problem exactly or the hint is ignored.
-struct IpmWarmStart {
-  const Vec* x = nullptr;          // size num_vars, original variable space
-  const Vec* row_duals = nullptr;  // size num_rows
 };
 
 // Reusable solver state. Movable, not copyable; one workspace per thread —
@@ -92,19 +77,17 @@ class InteriorPointLp {
 
   [[nodiscard]] LpSolution solve(const LpProblem& lp) const;
   [[nodiscard]] LpSolution solve(const LpProblem& lp, IpmWorkspace& ws) const;
-  [[nodiscard]] LpSolution solve(const LpProblem& lp, IpmWorkspace& ws,
-                                 const IpmWarmStart& warm) const;
   // Allocation-free entry point: writes the solution into `sol`, reusing its
   // vector capacity. With a reused workspace and a reused `sol`, a
   // steady-state resolve of a same-shaped LP performs zero heap allocations.
   void solve_into(const LpProblem& lp, IpmWorkspace& ws,
-                  const IpmWarmStart& warm, LpSolution& sol) const;
+                  LpSolution& sol) const;
 
  private:
-  // One cold- or warm-started run of the predictor-corrector loop; the
-  // public solve_into adds the cold retry on a failed warm-started run.
+  // The predictor-corrector loop; solve_into wraps it in the trace span,
+  // the solve counter and the ipm_fail fault seam.
   void solve_attempt(const LpProblem& lp, IpmWorkspace& ws,
-                     const IpmWarmStart& warm, LpSolution& sol) const;
+                     LpSolution& sol) const;
 
   IpmOptions options_;
 };

@@ -93,11 +93,6 @@ struct LpSolution {
   double primal_residual = 0.0;
   double dual_residual = 0.0;
   double gap = 0.0;
-  // Warm-start outcome (IPM): whether the solve started from an accepted
-  // warm point, and whether a requested warm start was rejected and fell
-  // back to the cold starting point (bit-identical to a cold solve).
-  bool warm_started = false;
-  bool warm_fallback = false;
 };
 
 // Residuals of a candidate solution against the LP, used for acceptance

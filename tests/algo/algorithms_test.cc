@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "algo/baselines.h"
 #include "algo/online_approx.h"
+#include "algo/slot_lp.h"
 #include "sim/paper_examples.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
@@ -144,50 +148,78 @@ TEST(StatOpt, MinimizesStaticSlotCost) {
             Simulator::run(instance, oper).cost.static_cost() + 1e-6);
 }
 
-TEST(Baselines, SkeletonPathWithoutWarmStartMatchesLegacyBitwise) {
-  // With warm starts off, the cached-skeleton path must be indistinguishable
-  // from the legacy from-scratch path: the refreshed LP is bitwise equal to
-  // a fresh build, and a cold solve of equal inputs is deterministic.
+// The three atomistic baselines by (name, include_operation,
+// include_service_quality), as AtomisticAlgorithm takes them.
+struct AtomisticSpec {
+  const char* name;
+  bool operation;
+  bool service_quality;
+};
+constexpr AtomisticSpec kAtomistic[] = {{"perf-opt", false, true},
+                                        {"oper-opt", true, false},
+                                        {"stat-opt", true, true}};
+
+TEST(Baselines, AtomisticMatchesDirectColdSolveBitwise) {
+  // The skeleton refresh and the reused workspace are invisible: every
+  // decision equals a from-scratch build, a cold solve in a fresh workspace
+  // and the extraction, bit for bit.
   const Instance instance = small_instance(21);
-  BaselineOptions legacy;
-  legacy.reuse_skeleton = false;
-  legacy.warm_start = false;
-  BaselineOptions skeleton_cold;
-  skeleton_cold.reuse_skeleton = true;
-  skeleton_cold.warm_start = false;
-  StatOpt a(legacy);
-  StatOpt b(skeleton_cold);
-  const auto ra = Simulator::run(instance, a);
-  const auto rb = Simulator::run(instance, b);
-  ASSERT_EQ(ra.allocations.size(), rb.allocations.size());
-  for (std::size_t t = 0; t < ra.allocations.size(); ++t) {
-    EXPECT_EQ(ra.allocations[t].x, rb.allocations[t].x) << "slot " << t;
+  const model::Allocation none(instance.num_clouds, instance.num_users);
+  for (const AtomisticSpec& spec : kAtomistic) {
+    AtomisticAlgorithm algorithm(spec.name, spec.operation,
+                                 spec.service_quality);
+    algorithm.reset(instance);
+    for (std::size_t t = 0; t < instance.num_slots; ++t) {
+      const StaticSlotLp built = build_static_slot_lp(
+          instance, t, spec.operation, spec.service_quality);
+      const solve::LpSolution sol = solve::InteriorPointLp().solve(built.lp);
+      ASSERT_EQ(sol.status, solve::SolveStatus::kOptimal);
+      EXPECT_EQ(algorithm.decide(instance, t, none).x,
+                extract_static(instance, sol.x).x)
+          << spec.name << " slot " << t;
+    }
   }
-  EXPECT_EQ(ra.weighted_total, rb.weighted_total);
 }
 
-TEST(Baselines, WarmStartedPathStaysAtTheSlotOptimum) {
-  // Warm starts change the solver trajectory, not the optimum: the default
-  // path must land on the same per-slot costs as the legacy one up to
-  // solver tolerance. Online-greedy never warm-starts, so its variant
-  // checks the cold skeleton path.
+TEST(Baselines, OnlineGreedyMatchesDirectColdSolveBitwise) {
+  // Online-greedy's skeleton refresh also rewrites bounds that follow the
+  // previous decision; the decisions must still equal the direct reference.
   const Instance instance = small_instance(22);
-  BaselineOptions legacy;
-  legacy.reuse_skeleton = false;
-  legacy.warm_start = false;
-  for (int variant = 0; variant < 2; ++variant) {
-    auto make = [&](BaselineOptions options) -> AlgorithmPtr {
-      if (variant == 0) return std::make_unique<StatOpt>(options);
-      return std::make_unique<OnlineGreedy>(options);
-    };
-    auto warm = make(BaselineOptions{});
-    auto cold = make(legacy);
-    const auto rw = Simulator::run(instance, *warm);
-    const auto rc = Simulator::run(instance, *cold);
-    EXPECT_NEAR(rw.weighted_total, rc.weighted_total,
-                1e-5 * (1.0 + rc.weighted_total))
-        << warm->name();
-    EXPECT_LT(rw.max_violation, 1e-5);
+  OnlineGreedy greedy;
+  greedy.reset(instance);
+  model::Allocation previous(instance.num_clouds, instance.num_users);
+  for (std::size_t t = 0; t < instance.num_slots; ++t) {
+    const GreedySlotLp built = build_greedy_slot_lp(instance, t, previous);
+    const solve::LpSolution sol = solve::InteriorPointLp().solve(built.lp);
+    ASSERT_EQ(sol.status, solve::SolveStatus::kOptimal);
+    model::Allocation decided = greedy.decide(instance, t, previous);
+    EXPECT_EQ(decided.x, built.extract(instance, sol.x).x) << "slot " << t;
+    previous = std::move(decided);
+  }
+}
+
+TEST(Baselines, AtomisticSlotDecisionIgnoresEarlierSlots) {
+  // Slot separability, which the simulator's slot fan-out relies on: one
+  // algorithm object decides every slot forward, then again in reverse, and
+  // each slot's decision is bitwise the same both times.
+  sim::ScenarioOptions options;
+  options.num_users = 8;
+  options.num_slots = 9;
+  options.seed = 23;
+  const Instance instance = sim::make_random_walk_instance(options);
+  const model::Allocation none(instance.num_clouds, instance.num_users);
+  for (const AtomisticSpec& spec : kAtomistic) {
+    AtomisticAlgorithm algorithm(spec.name, spec.operation,
+                                 spec.service_quality);
+    algorithm.reset(instance);
+    std::vector<model::Allocation> forward;
+    for (std::size_t t = 0; t < instance.num_slots; ++t) {
+      forward.push_back(algorithm.decide(instance, t, none));
+    }
+    for (std::size_t t = instance.num_slots; t-- > 0;) {
+      EXPECT_EQ(algorithm.decide(instance, t, none).x, forward[t].x)
+          << spec.name << " slot " << t;
+    }
   }
 }
 

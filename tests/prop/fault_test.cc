@@ -208,35 +208,7 @@ TEST_F(FaultTest, WarmRejectReproducesColdSolveBitwise) {
   EXPECT_TRUE(bitwise_equal(rejected.x, cold.x));
 }
 
-// A failed warm-started IPM attempt retries cold; the recovery flips
-// ipm.warm_retries exactly once and the solution is bit-identical to the
-// never-faulted cold solve.
-TEST_F(FaultTest, IpmWarmRetryIsBitIdenticalToCold) {
-  const model::Instance instance = default_instance();
-  const algo::StaticSlotLp built =
-      algo::build_static_slot_lp(instance, 0, true, true);
-  solve::InteriorPointLp ipm;
-
-  solve::IpmWorkspace cold_ws;
-  const solve::LpSolution cold = ipm.solve(built.lp, cold_ws);
-  ASSERT_EQ(cold.status, solve::SolveStatus::kOptimal);
-
-  obs::MetricsRegistry::global().reset_values();
-  install_fault_plan("ipm_fail@1");
-  solve::IpmWorkspace warm_ws;
-  solve::IpmWarmStart warm;
-  warm.x = &cold.x;
-  warm.row_duals = &cold.row_duals;
-  const solve::LpSolution retried = ipm.solve(built.lp, warm_ws, warm);
-  EXPECT_EQ(fault_fired_count(FaultSite::kIpmFail), 1u);
-  EXPECT_TRUE(retried.warm_fallback);
-  ASSERT_EQ(retried.status, solve::SolveStatus::kOptimal);
-  EXPECT_EQ(counter_total("ipm.warm_retries"), 1u);
-  EXPECT_TRUE(bitwise_equal(retried.x, cold.x));
-}
-
-// A failed baseline LP check triggers the rebuild-and-cold-resolve
-// recovery: baseline.lp_failures flips exactly once and the whole run is
+// A failed baseline LP check triggers the rebuild-and-resolve recovery: baseline.lp_failures flips exactly once and the whole run is
 // bit-identical to the never-faulted run.
 TEST_F(FaultTest, BaselineLpFailureRecoversBitIdentically) {
   const model::Instance instance = default_instance();

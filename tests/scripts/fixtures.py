@@ -114,20 +114,24 @@ def make_prop_summary(failures=0):
 
 
 def make_bench_baselines(points=(("perf-opt", True, 16, 8),), clouds=15,
-                         threads=8, bit_identical=True, prop_smoke=None):
-    """A minimal eca.bench_baselines.v1 payload; points are (algorithm,
+                         threads=8, bit_identical=True,
+                         rebuild_bit_identical=True, prop_smoke=None,
+                         events_overhead=None):
+    """A minimal eca.bench_baselines.v2 payload; points are (algorithm,
     separable, users, slots) tuples, all unengaged. Pass prop_smoke (a dict
     like the one bench_common's write_meta_json emits) to attach the
-    verification-gate provenance block."""
+    verification-gate provenance block, and events_overhead (a dict like
+    write_events_overhead_json's) to attach the events-overhead block."""
     bench = {
-        "schema": "eca.bench_baselines.v1",
+        "schema": "eca.bench_baselines.v2",
         "clouds": clouds,
         "threads": threads,
         "points": [{
             "algorithm": algorithm, "separable": separable, "users": users,
-            "slots": slots, "warm_enabled": False, "pool_engaged": False,
-            "speedup": 1.0, "bit_identical": bit_identical,
-            "cost_drift": 0.0, "max_violation": 0.0, "warm_speedup": 1.0,
+            "slots": slots, "pool_engaged": False, "speedup": 1.0,
+            "bit_identical": bit_identical,
+            "rebuild_bit_identical": rebuild_bit_identical,
+            "max_violation": 0.0, "skeleton_speedup": 1.0,
         } for algorithm, separable, users, slots in points],
     }
     if prop_smoke is not None:
@@ -137,6 +141,8 @@ def make_bench_baselines(points=(("perf-opt", True, 16, 8),), clouds=15,
             "timestamp_utc": "2026-08-07T00:00:00Z",
             "checks": {"prop_smoke": prop_smoke},
         }
+    if events_overhead is not None:
+        bench["events_overhead"] = events_overhead
     return bench
 
 

@@ -1,6 +1,6 @@
 """Golden tests for scripts/perf_guard.py: the property-harness summary
 gate (eca.prop_summary.v1), the baseline-evaluation gate
-(eca.bench_baselines.v1) and the dispatch — valid inputs pass, corrupted
+(eca.bench_baselines.v2) with its events-overhead block, and the dispatch — valid inputs pass, corrupted
 JSON, unknown or retired schemas and regressions fail with exit 1."""
 import pathlib
 import sys
@@ -62,7 +62,7 @@ class PerfGuardTest(unittest.TestCase):
         # No gate reads these schemas any more, so a stale file must fail
         # rather than pass unchecked.
         for schema in ("eca.bench_solvers.v3", "eca.bench_offline.v1",
-                       "eca.bench_scale.v1"):
+                       "eca.bench_scale.v1", "eca.bench_baselines.v1"):
             with self.subTest(schema=schema):
                 path = fixtures.write_json(self.dir / "bench.json",
                                            {"schema": schema, "points": []})
@@ -105,6 +105,45 @@ class PerfGuardTest(unittest.TestCase):
         proc = fixtures.run_script("perf_guard.py", path)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("bit_identical=false", proc.stderr)
+
+    def test_bench_rebuild_bit_identity_regression_fails(self):
+        path = fixtures.write_json(
+            self.dir / "bench.json",
+            fixtures.make_bench_baselines(rebuild_bit_identical=False))
+        proc = fixtures.run_script("perf_guard.py", path)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("rebuild_bit_identical=false", proc.stderr)
+
+    @staticmethod
+    def events_block(ratios, median_seconds_off=0.03):
+        return {"seconds_off": median_seconds_off * 0.9,
+                "seconds_on": median_seconds_off * 0.9,
+                "median_seconds_off": median_seconds_off, "ratios": ratios}
+
+    def test_events_overhead_gates_the_median_ratio(self):
+        # Two outlier rounds above 2% do not decide the gate; the median
+        # does.
+        out = self.run_guard(fixtures.make_bench_baselines(
+            events_overhead=self.events_block(
+                [0.99, 1.08, 1.00, 1.01, 1.30])))
+        self.assertIn("events overhead +1.00% (median of 5 rounds", out)
+
+    def test_events_overhead_median_above_bound_fails(self):
+        path = fixtures.write_json(
+            self.dir / "bench.json",
+            fixtures.make_bench_baselines(events_overhead=self.events_block(
+                [1.03, 1.01, 1.04])))
+        proc = fixtures.run_script("perf_guard.py", path)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("median events-on/off ratio 1.0300", proc.stderr)
+
+    def test_events_overhead_below_floor_is_note(self):
+        # The floor applies to the median off leg: a slow round does not
+        # lift a quick-mode block over it.
+        out = self.run_guard(fixtures.make_bench_baselines(
+            events_overhead=self.events_block([1.5, 1.5, 1.5],
+                                              median_seconds_off=0.005)))
+        self.assertIn("below the gateable floor", out)
 
     def run_guard(self, payload):
         path = fixtures.write_json(self.dir / "bench.json", payload)

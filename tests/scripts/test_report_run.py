@@ -103,6 +103,24 @@ class ExperimentTableTest(unittest.TestCase):
             "| 3pm | 1.600 ± 0.265 | 1.200 ± 0.100 | 20.0 | 66.7% |",
             ""])
 
+    def test_greedy_excess_within_the_denominator_error_is_na(self):
+        # Fig 4(b) at mu=1000 read greedy ratios of 0.999 and 1.0000x, where
+        # (greedy - approx) / (greedy - 1) is noise: greedy at 1.0005 and
+        # 0.999 print n/a; just above the 1e-3 floor the cut prints.
+        events = []
+        for label, greedy in (("mu=100", 1.0005), ("mu=1000", 0.999),
+                              ("mu=10", 1.0011)):
+            events += experiment(label, [100.0], {
+                "online-greedy": [(100.0 * greedy, greedy)],
+                "online-approx": [(100.1, 1.001)]})
+        lines = self.table(events)
+        self.assertIn("| mu=100 | 1.000 ± 0.000 | 1.001 ± 0.000 | 100.0 "
+                      "| n/a |", lines)
+        self.assertIn("| mu=1000 | 0.999 ± 0.000 | 1.001 ± 0.000 | 100.0 "
+                      "| n/a |", lines)
+        self.assertIn("| mu=10 | 1.001 ± 0.000 | 1.001 ± 0.000 | 100.0 "
+                      "| 9.1% |", lines)
+
     def test_welford_matches_running_stats_order(self):
         # Pinned against eca::RunningStats over the same three values: its
         # running mean is 1.432, where sum / n gives 1.4320000000000002.

@@ -1,6 +1,6 @@
 // Bit-identity of the simulator's baseline slot fan-out: for every
-// slot-separable algorithm the parallel path (per-worker clones, block-
-// chained warm starts, index-addressed merge) must reproduce the serial
+// slot-separable algorithm the parallel path (per-worker clones, round-robin
+// slot assignment, index-addressed merge) must reproduce the serial
 // trajectory bit for bit at every worker count — including worker counts
 // beyond the core count (oversubscribed, so the interleaving is stressed on
 // any machine). Labelled tsan-smoke: a -DECA_SANITIZE=thread build races
@@ -53,8 +53,8 @@ void expect_run_bitwise_equal(const SimulationResult& a,
 }
 
 TEST(BaselineParallel, SeparableBaselinesAreBitIdenticalAcrossThreadCounts) {
-  // 13 slots: a partial head block [1,4), full blocks, and a partial tail
-  // block [12,13) — every block-boundary case the static assignment has.
+  // 13 slots: no worker count below divides it, so every round-robin
+  // assignment leaves some workers one slot more than others.
   const model::Instance instance = test_instance(7, 13);
   for (const auto& [name, make] : separable_roster()) {
     SimulatorOptions serial;
@@ -76,9 +76,9 @@ TEST(BaselineParallel, SeparableBaselinesAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BaselineParallel, SlotCountBelowBlockSizeStaysBitIdentical) {
-  // Fewer slots than one warm block: the fan-out degenerates to the
-  // driving thread (num_blocks == 1) and must still match serial.
+TEST(BaselineParallel, SlotCountBelowWorkerCountStaysBitIdentical) {
+  // Fewer slots than requested workers: the fan-out shrinks to one worker
+  // per slot and must still match serial.
   const model::Instance instance = test_instance(11, 3);
   for (const auto& [name, make] : separable_roster()) {
     auto a = make();

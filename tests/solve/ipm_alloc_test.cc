@@ -54,7 +54,7 @@ SolveProfile profile(const LpProblem& lp, const IpmOptions& options,
                      IpmWorkspace& ws, LpSolution& sol) {
   g_alloc_count.store(0);
   g_counting.store(true);
-  InteriorPointLp(options).solve_into(lp, ws, IpmWarmStart{}, sol);
+  InteriorPointLp(options).solve_into(lp, ws, sol);
   g_counting.store(false);
   EXPECT_EQ(sol.status, SolveStatus::kOptimal);
   return {g_alloc_count.load(), sol.iterations};
@@ -74,7 +74,7 @@ TEST(IpmAlloc, IterationLoopIsAllocationFree) {
   LpSolution sol;
   // Warm the workspace and the solution buffers so one-time sizing
   // allocations are out of the picture.
-  InteriorPointLp(tight).solve_into(lp, ws, IpmWarmStart{}, sol);
+  InteriorPointLp(tight).solve_into(lp, ws, sol);
 
   const SolveProfile few = profile(lp, loose, ws, sol);
   const SolveProfile many = profile(lp, tight, ws, sol);
@@ -97,38 +97,12 @@ TEST(IpmAlloc, SteadyStateResolveIsAllocationFree) {
   IpmWorkspace ws;
   LpSolution sol;
   InteriorPointLp solver;
-  solver.solve_into(lp, ws, IpmWarmStart{}, sol);
-  solver.solve_into(lp, ws, IpmWarmStart{}, sol);
+  solver.solve_into(lp, ws, sol);
+  solver.solve_into(lp, ws, sol);
 
   g_alloc_count.store(0);
   g_counting.store(true);
-  solver.solve_into(lp, ws, IpmWarmStart{}, sol);
-  g_counting.store(false);
-  EXPECT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_EQ(g_alloc_count.load(), 0u);
-}
-
-TEST(IpmAlloc, SteadyStateWarmResolveIsAllocationFree) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "allocation counting is unreliable under sanitizers";
-#endif
-  // Warm-started resolve from the previous solution, as the per-slot
-  // baseline loop issues it: also zero allocations (the warm candidate is
-  // built in workspace scratch, and the hint vectors are borrowed).
-  const LpProblem lp = sample_lp();
-  IpmWorkspace ws;
-  LpSolution sol;
-  LpSolution prev;
-  InteriorPointLp solver;
-  solver.solve_into(lp, ws, IpmWarmStart{}, prev);
-  IpmWarmStart warm;
-  warm.x = &prev.x;
-  warm.row_duals = &prev.row_duals;
-  solver.solve_into(lp, ws, warm, sol);
-
-  g_alloc_count.store(0);
-  g_counting.store(true);
-  solver.solve_into(lp, ws, warm, sol);
+  solver.solve_into(lp, ws, sol);
   g_counting.store(false);
   EXPECT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_EQ(g_alloc_count.load(), 0u);
@@ -147,7 +121,7 @@ TEST(IpmAlloc, MetricsEnabledKeepsIterationIndependence) {
   IpmWorkspace ws;
   LpSolution sol;
   // Warm-up registers the metric handle statics (one-time allocation).
-  InteriorPointLp(tight).solve_into(lp, ws, IpmWarmStart{}, sol);
+  InteriorPointLp(tight).solve_into(lp, ws, sol);
 
   const SolveProfile few = profile(lp, loose, ws, sol);
   const SolveProfile many = profile(lp, tight, ws, sol);

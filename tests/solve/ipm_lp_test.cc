@@ -160,7 +160,7 @@ TEST_P(IpmRandomLp, KktConditionsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IpmRandomLp, ::testing::Range(0, 40));
 
-// --- Workspace reuse and warm starting --------------------------------------
+// --- Workspace reuse ---------------------------------------------------------
 
 void expect_bitwise_equal(const LpSolution& a, const LpSolution& b) {
   EXPECT_EQ(a.status, b.status);
@@ -190,75 +190,7 @@ TEST(IpmWorkspace, ReusedWorkspaceMatchesFreshSolveBitwise) {
     const LpSolution fresh = solver.solve(lp);
     const LpSolution reused = solver.solve(lp, ws);
     expect_bitwise_equal(fresh, reused);
-    EXPECT_FALSE(reused.warm_started);
-    EXPECT_FALSE(reused.warm_fallback);
   }
-}
-
-TEST(IpmWarmStart, OwnSolutionAcceptedAndReachesSameOptimum) {
-  Rng rng(7);
-  InteriorPointLp solver;
-  IpmWorkspace ws;
-  int accepted = 0;
-  for (int round = 0; round < 10; ++round) {
-    const LpProblem lp = make_random_box_lp(rng, 6, 3, 2);
-    const LpSolution cold = solver.solve(lp, ws);
-    ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-    IpmWarmStart warm;
-    warm.x = &cold.x;
-    warm.row_duals = &cold.row_duals;
-    const LpSolution hot = solver.solve(lp, ws, warm);
-    ASSERT_EQ(hot.status, SolveStatus::kOptimal);
-    EXPECT_NEAR(hot.objective_value, cold.objective_value,
-                1e-6 * (1.0 + std::abs(cold.objective_value)));
-    if (hot.warm_started) {
-      ++accepted;
-      EXPECT_LE(hot.iterations, cold.iterations);
-    } else {
-      EXPECT_TRUE(hot.warm_fallback);
-    }
-  }
-  // The warm point built from an exact optimum must be accepted essentially
-  // always; require a solid majority so a floor-tuning regression shows up.
-  EXPECT_GE(accepted, 8);
-}
-
-TEST(IpmWarmStart, RejectedHintFallsBackBitIdenticalToCold) {
-  Rng rng(11);
-  const LpProblem lp = make_random_box_lp(rng, 6, 3, 2);
-  InteriorPointLp solver;
-  IpmWorkspace ws;
-  const LpSolution cold = solver.solve(lp, ws);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  // A wildly infeasible hint yields a candidate with a worse duality measure
-  // than the cold point; the solve must reject it and retrace the cold
-  // trajectory exactly.
-  Vec bad_x(lp.num_vars, 1e12);
-  Vec bad_y(lp.num_rows, -1e12);
-  IpmWarmStart warm;
-  warm.x = &bad_x;
-  warm.row_duals = &bad_y;
-  const LpSolution fallback = solver.solve(lp, ws, warm);
-  EXPECT_TRUE(fallback.warm_fallback);
-  EXPECT_FALSE(fallback.warm_started);
-  expect_bitwise_equal(cold, fallback);
-}
-
-TEST(IpmWarmStart, SizeMismatchedHintIsIgnored) {
-  Rng rng(13);
-  const LpProblem lp = make_random_box_lp(rng, 5, 2, 2);
-  InteriorPointLp solver;
-  IpmWorkspace ws;
-  const LpSolution cold = solver.solve(lp, ws);
-  Vec short_x(lp.num_vars - 1, 0.5);
-  Vec duals(lp.num_rows, 0.0);
-  IpmWarmStart warm;
-  warm.x = &short_x;
-  warm.row_duals = &duals;
-  const LpSolution sol = solver.solve(lp, ws, warm);
-  EXPECT_FALSE(sol.warm_started);
-  EXPECT_FALSE(sol.warm_fallback);
-  expect_bitwise_equal(cold, sol);
 }
 
 TEST(IpmWorkspace, SolveIntoReusesSolutionBuffers) {
@@ -270,9 +202,7 @@ TEST(IpmWorkspace, SolveIntoReusesSolutionBuffers) {
   LpSolution reused;
   reused.x.assign(99, -1.0);  // stale content from a previous, larger solve
   reused.row_duals.assign(99, -1.0);
-  reused.warm_started = true;
-  solver.solve_into(lp, ws, IpmWarmStart{}, reused);
-  EXPECT_FALSE(reused.warm_started);
+  solver.solve_into(lp, ws, reused);
   expect_bitwise_equal(fresh, reused);
 }
 
