@@ -1,16 +1,18 @@
 // Property-harness driver: generates N seeded scenarios, runs the
 // differential oracle on each, shrinks failures to minimal replay files and
-// writes an eca.prop_summary.v1 JSON. This is the binary behind
-// `scripts/check.sh fuzz` and the extended-seed-range soak.
+// prints each failure's seed and replay path. This is the binary behind
+// `scripts/check.sh`'s prop run and `scripts/check.sh fuzz`, the
+// extended-seed-range soak; its exit code is the gate.
 //
 //   prop_fuzz [--seed S] [--scenarios N] [--time-budget SEC]
-//             [--replay FILE] [--replay-dir DIR] [--summary FILE]
+//             [--replay FILE] [--replay-dir DIR]
 //             [--no-shrink] [--no-offline] [--fault PLAN]
 //
 // Environment: ECA_PROP_SEED / ECA_PROP_SCENARIOS override the defaults
 // (flags win over environment); both fail fast on invalid values.
-// Exit code: 0 = all scenarios verified, 1 = at least one oracle violation,
-// 2 = usage/configuration error.
+// Exit code: 0 = all scenarios verified, 1 = at least one oracle violation
+// or no scenario run (a time budget spent before the first), 2 =
+// usage/configuration error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +27,7 @@ namespace {
   std::fprintf(
       stderr,
       "usage: %s [--seed S] [--scenarios N] [--time-budget SEC]\n"
-      "          [--replay FILE] [--replay-dir DIR] [--summary FILE]\n"
+      "          [--replay FILE] [--replay-dir DIR]\n"
       "          [--no-shrink] [--no-offline] [--fault PLAN]\n",
       argv0);
   std::exit(2);
@@ -46,7 +48,6 @@ int main(int argc, char** argv) {
   options.seed = eca::check::prop_seed_from_env(1);
   options.num_scenarios = eca::check::prop_scenarios_from_env(50);
   std::string replay_file;
-  std::string summary_file;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -63,8 +64,6 @@ int main(int argc, char** argv) {
       replay_file = arg_value(argc, argv, i);
     } else if (std::strcmp(arg, "--replay-dir") == 0) {
       options.replay_dir = arg_value(argc, argv, i);
-    } else if (std::strcmp(arg, "--summary") == 0) {
-      summary_file = arg_value(argc, argv, i);
     } else if (std::strcmp(arg, "--no-shrink") == 0) {
       options.shrink_failures = false;
     } else if (std::strcmp(arg, "--no-offline") == 0) {
@@ -106,12 +105,6 @@ int main(int argc, char** argv) {
   }
 
   const HarnessSummary summary = eca::check::run_harness(options);
-  if (!summary_file.empty() &&
-      !eca::check::save_summary_json(summary, summary_file)) {
-    std::fprintf(stderr, "error: cannot write summary to %s\n",
-                 summary_file.c_str());
-    return 2;
-  }
   std::printf(
       "prop harness: %d scenario(s), %d failure(s), offline legs on %d, "
       "worst KKT %.3g, worst infeasibility %.3g, %.2fs%s\n",
@@ -125,6 +118,9 @@ int main(int argc, char** argv) {
     if (!failure.replay_path.empty()) {
       std::printf("    replay written to %s\n", failure.replay_path.c_str());
     }
+  }
+  if (summary.scenarios_run == 0) {
+    std::fprintf(stderr, "error: no scenario ran, so nothing was verified\n");
   }
   return summary.ok() ? 0 : 1;
 }

@@ -2,14 +2,13 @@
 # Full local gate: tier-1 build + tests, ThreadSanitizer smoke of the
 # parallel code paths, AddressSanitizer + UBSan smoke of the envelope
 # factor and the runner, the property-harness smoke sweep, a tiny Fig-3
-# table rendered from its event record, a tiny extensions run, and a
-# quick-mode baseline-evaluation sweep through the perf guard.
+# table rendered from its event record and a tiny extensions run.
 #
 #   scripts/check.sh                 # everything
 #   scripts/check.sh fuzz [N] [SEC]  # extended property-harness soak only:
 #                                    # N seeded scenarios (default 1000)
 #                                    # time-boxed to SEC seconds (default
-#                                    # 300), gated through perf_guard.py
+#                                    # 300), gated on prop_fuzz's exit code
 #   ECA_CHECK_SKIP_TSAN=1 scripts/check.sh   # skip the TSan build (slow)
 #   ECA_CHECK_SKIP_ASAN=1 scripts/check.sh   # skip the ASan + UBSan build
 #   ECA_PROP_SEED=7 scripts/check.sh fuzz    # soak a different seed range
@@ -21,9 +20,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 2)
 
-# Extended-seed-range fuzz mode: build only what the harness needs, run the
-# soak, and gate the summary like a perf result. Failures are shrunk to
-# replay files under build/prop-fuzz/.
+# Extended-seed-range fuzz mode: build only what the harness needs and run
+# the soak. prop_fuzz exits 1 on any oracle violation or when no scenario
+# ran, printing each failure's seed; failures are shrunk to replay files
+# under build/prop-fuzz/.
 if [[ "${1:-}" == "fuzz" ]]; then
   scenarios="${2:-1000}"
   budget="${3:-300}"
@@ -33,9 +33,7 @@ if [[ "${1:-}" == "fuzz" ]]; then
   fuzz_dir=build/prop-fuzz
   rm -rf "$fuzz_dir" && mkdir -p "$fuzz_dir"
   ./build/examples/prop_fuzz --scenarios "$scenarios" \
-    --time-budget "$budget" --replay-dir "$fuzz_dir" \
-    --summary "$fuzz_dir/prop_summary.json" || true
-  python3 scripts/perf_guard.py "$fuzz_dir/prop_summary.json"
+    --time-budget "$budget" --replay-dir "$fuzz_dir"
   echo "== check.sh fuzz: gate passed =="
   exit 0
 fi
@@ -79,12 +77,10 @@ fi
 echo "== prop-smoke: differential harness sweep (ctest -L prop-smoke) =="
 ctest --test-dir build -L prop-smoke --output-on-failure
 
-echo "== prop-smoke: harness summary through the perf guard =="
+echo "== prop-smoke: prop_fuzz run, gated on its exit code =="
 prop_dir=build/prop-check
 rm -rf "$prop_dir" && mkdir -p "$prop_dir"
-./build/examples/prop_fuzz --scenarios 50 --replay-dir "$prop_dir" \
-  --summary "$prop_dir/prop_summary.json" || true
-python3 scripts/perf_guard.py "$prop_dir/prop_summary.json"
+./build/examples/prop_fuzz --scenarios 50 --replay-dir "$prop_dir"
 
 echo "== scripts: python unit tests =="
 if command -v pytest >/dev/null 2>&1; then
@@ -133,18 +129,5 @@ echo "== bench: extensions at tiny scale =="
 # choice), lazy-greedy and the self-certification demo, end to end.
 ECA_USERS=6 ECA_SLOTS=6 ECA_REPS=1 ./build/bench/bench_extensions \
   > build/bench_extensions.log
-
-echo "== bench: baseline-evaluation sweep (quick mode) =="
-# Small points only: exercises the three-leg emitter (rebuild+cold vs
-# skeleton vs slot fan-out) and both bitwise cross-checks end to end (the
-# committed BENCH file is regenerated separately at full scale). The
-# bitwise gates and the events-overhead gate (median of per-round on/off
-# ratios) decide even on noisy hosts.
-ECA_BASELINE_MAX_USERS=32 ECA_BASELINE_SLOTS=8 \
-  ECA_BENCH_BASELINES_JSON=build/BENCH_baselines.quick.json \
-  ./build/bench/bench_baselines
-
-echo "== perf guard: baseline-evaluation gates =="
-python3 scripts/perf_guard.py build/BENCH_baselines.quick.json
 
 echo "== check.sh: all gates passed =="

@@ -124,10 +124,4 @@ Allocation StaticOnce::decide(const Instance& instance, std::size_t /*t*/,
   return fixed_;
 }
 
-AlgorithmPtr StaticOnce::clone_for_slots() const {
-  auto clone = std::make_unique<StaticOnce>();
-  clone->fixed_ = fixed_;
-  return clone;
-}
-
 }  // namespace eca::algo

@@ -94,16 +94,14 @@ class OnlineGreedy final : public OnlineAlgorithm {
 };
 
 // Solves one LP per run, built from scratch: a skeleton would have nothing
-// to save.
+// to save. Served serially: each slot only copies the fixed allocation, so
+// a slot fan-out would cost more than it spreads.
 class StaticOnce final : public OnlineAlgorithm {
  public:
   [[nodiscard]] std::string name() const override { return "static-once"; }
   void reset(const Instance& instance) override;
   [[nodiscard]] Allocation decide(const Instance& instance, std::size_t t,
                                   const Allocation& previous) override;
-
-  [[nodiscard]] bool slot_separable() const override { return true; }
-  [[nodiscard]] AlgorithmPtr clone_for_slots() const override;
 
  private:
   Allocation fixed_;

@@ -5,8 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <ostream>
 
 #include "common/log.h"
 
@@ -18,29 +16,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-// JSON string escaping for replay texts (they contain newlines).
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (c == '\n') {
-      os << "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-void write_double(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
 }
 
 }  // namespace
@@ -98,42 +73,6 @@ HarnessSummary run_harness(const HarnessOptions& options) {
   }
   summary.wall_seconds = seconds_since(start);
   return summary;
-}
-
-void write_summary_json(const HarnessSummary& summary, std::ostream& os) {
-  os << "{\"schema\":\"eca.prop_summary.v1\"";
-  os << ",\"scenarios\":" << summary.scenarios_run;
-  os << ",\"failures\":" << summary.failures;
-  os << ",\"offline_legs_run\":" << summary.offline_legs_run;
-  os << ",\"budget_exhausted\":"
-     << (summary.budget_exhausted ? "true" : "false");
-  os << ",\"wall_seconds\":";
-  write_double(os, summary.wall_seconds);
-  os << ",\"worst_kkt\":";
-  write_double(os, summary.worst_kkt);
-  os << ",\"worst_infeasibility\":";
-  write_double(os, summary.worst_infeasibility);
-  os << ",\"failure_details\":[";
-  for (std::size_t i = 0; i < summary.failure_details.size(); ++i) {
-    const HarnessFailure& f = summary.failure_details[i];
-    if (i > 0) os << ',';
-    os << "{\"seed\":" << f.scenario.seed << ",\"violation\":\"";
-    write_escaped(os, f.first_violation);
-    os << "\",\"replay\":\"";
-    write_escaped(os, to_replay(f.shrunk));
-    os << "\",\"replay_path\":\"";
-    write_escaped(os, f.replay_path);
-    os << "\"}";
-  }
-  os << "]}\n";
-}
-
-bool save_summary_json(const HarnessSummary& summary,
-                       const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_summary_json(summary, os);
-  return static_cast<bool>(os);
 }
 
 std::uint64_t prop_seed_from_env(std::uint64_t fallback) {

@@ -1,11 +1,10 @@
 // The property-harness driver (DESIGN.md §13): generate N seeded scenarios,
 // run each through the differential oracle, shrink every failure to a
-// minimal witness and summarize the run as data ("eca.prop_summary.v1"
-// JSON) that perf_guard.py gates on like a perf result.
+// minimal witness and summarize the run. examples/prop_fuzz exits 1 unless
+// the summary is ok().
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -43,16 +42,12 @@ struct HarnessSummary {
   int offline_legs_run = 0;  // scenarios whose offline legs executed
   bool budget_exhausted = false;
   std::vector<HarnessFailure> failure_details;
-  [[nodiscard]] bool ok() const { return failures == 0; }
+  // A run that verified no scenario (an exhausted time budget before the
+  // first one) proves nothing, so it is not ok either.
+  [[nodiscard]] bool ok() const { return scenarios_run > 0 && failures == 0; }
 };
 
 HarnessSummary run_harness(const HarnessOptions& options);
-
-// Serializes the summary as one-line-per-field JSON, schema
-// "eca.prop_summary.v1" (see scripts/perf_guard.py, which fails a commit on
-// failures > 0 exactly like a perf regression).
-void write_summary_json(const HarnessSummary& summary, std::ostream& os);
-bool save_summary_json(const HarnessSummary& summary, const std::string& path);
 
 // ECA_PROP_SEED / ECA_PROP_SCENARIOS with the repo-wide fail-fast contract:
 // unset returns the fallback, set-but-invalid exits(2). Exposed for death

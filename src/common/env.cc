@@ -63,13 +63,4 @@ std::string env_string(const char* name, const std::string& fallback) {
   return value != nullptr ? std::string(value) : fallback;
 }
 
-bool env_bool(const char* name, bool fallback) {
-  const char* value = raw(name);
-  if (value == nullptr) return fallback;
-  const std::string v(value);
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  invalid(name, value, "one of 1|0|true|false|yes|no|on|off");
-}
-
 }  // namespace eca

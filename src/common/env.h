@@ -27,6 +27,5 @@ std::int64_t parse_int(const char* what, const char* text,
 double parse_double(const char* what, const char* text);
 double env_double(const char* name, double fallback);
 std::string env_string(const char* name, const std::string& fallback);
-bool env_bool(const char* name, bool fallback);
 
 }  // namespace eca

@@ -159,24 +159,42 @@ constexpr AtomisticSpec kAtomistic[] = {{"perf-opt", false, true},
                                         {"oper-opt", true, false},
                                         {"stat-opt", true, true}};
 
+// A larger input than small_instance: a random walk over the default 15
+// clouds, J=32, 8 slots.
+Instance medium_instance() {
+  sim::ScenarioOptions options;
+  options.num_users = 32;
+  options.num_slots = 8;
+  options.seed = 33;
+  return sim::make_random_walk_instance(options);
+}
+
+// Feasibility bound on every decided allocation.
+constexpr double kMaxViolation = 1e-5;
+
 TEST(Baselines, AtomisticMatchesDirectColdSolveBitwise) {
   // The skeleton refresh and the reused workspace are invisible: every
   // decision equals a from-scratch build, a cold solve in a fresh workspace
   // and the extraction, bit for bit.
-  const Instance instance = small_instance(21);
-  const model::Allocation none(instance.num_clouds, instance.num_users);
-  for (const AtomisticSpec& spec : kAtomistic) {
-    AtomisticAlgorithm algorithm(spec.name, spec.operation,
-                                 spec.service_quality);
-    algorithm.reset(instance);
-    for (std::size_t t = 0; t < instance.num_slots; ++t) {
-      const StaticSlotLp built = build_static_slot_lp(
-          instance, t, spec.operation, spec.service_quality);
-      const solve::LpSolution sol = solve::InteriorPointLp().solve(built.lp);
-      ASSERT_EQ(sol.status, solve::SolveStatus::kOptimal);
-      EXPECT_EQ(algorithm.decide(instance, t, none).x,
-                extract_static(instance, sol.x).x)
-          << spec.name << " slot " << t;
+  for (const Instance& instance : {small_instance(21), medium_instance()}) {
+    const model::Allocation none(instance.num_clouds, instance.num_users);
+    for (const AtomisticSpec& spec : kAtomistic) {
+      AtomisticAlgorithm algorithm(spec.name, spec.operation,
+                                   spec.service_quality);
+      algorithm.reset(instance);
+      model::AllocationSequence decided;
+      for (std::size_t t = 0; t < instance.num_slots; ++t) {
+        const StaticSlotLp built = build_static_slot_lp(
+            instance, t, spec.operation, spec.service_quality);
+        const solve::LpSolution sol =
+            solve::InteriorPointLp().solve(built.lp);
+        ASSERT_EQ(sol.status, solve::SolveStatus::kOptimal);
+        decided.push_back(algorithm.decide(instance, t, none));
+        EXPECT_EQ(decided.back().x, extract_static(instance, sol.x).x)
+            << spec.name << " J=" << instance.num_users << " slot " << t;
+      }
+      EXPECT_LE(model::max_violation(instance, decided), kMaxViolation)
+          << spec.name << " J=" << instance.num_users;
     }
   }
 }
@@ -184,17 +202,22 @@ TEST(Baselines, AtomisticMatchesDirectColdSolveBitwise) {
 TEST(Baselines, OnlineGreedyMatchesDirectColdSolveBitwise) {
   // Online-greedy's skeleton refresh also rewrites bounds that follow the
   // previous decision; the decisions must still equal the direct reference.
-  const Instance instance = small_instance(22);
-  OnlineGreedy greedy;
-  greedy.reset(instance);
-  model::Allocation previous(instance.num_clouds, instance.num_users);
-  for (std::size_t t = 0; t < instance.num_slots; ++t) {
-    const GreedySlotLp built = build_greedy_slot_lp(instance, t, previous);
-    const solve::LpSolution sol = solve::InteriorPointLp().solve(built.lp);
-    ASSERT_EQ(sol.status, solve::SolveStatus::kOptimal);
-    model::Allocation decided = greedy.decide(instance, t, previous);
-    EXPECT_EQ(decided.x, built.extract(instance, sol.x).x) << "slot " << t;
-    previous = std::move(decided);
+  for (const Instance& instance : {small_instance(22), medium_instance()}) {
+    OnlineGreedy greedy;
+    greedy.reset(instance);
+    model::AllocationSequence decided;
+    model::Allocation previous(instance.num_clouds, instance.num_users);
+    for (std::size_t t = 0; t < instance.num_slots; ++t) {
+      const GreedySlotLp built = build_greedy_slot_lp(instance, t, previous);
+      const solve::LpSolution sol = solve::InteriorPointLp().solve(built.lp);
+      ASSERT_EQ(sol.status, solve::SolveStatus::kOptimal);
+      decided.push_back(greedy.decide(instance, t, previous));
+      EXPECT_EQ(decided.back().x, built.extract(instance, sol.x).x)
+          << "J=" << instance.num_users << " slot " << t;
+      previous = decided.back();
+    }
+    EXPECT_LE(model::max_violation(instance, decided), kMaxViolation)
+        << "J=" << instance.num_users;
   }
 }
 

@@ -152,19 +152,11 @@ TEST(EnvDeathTest, EnvDoubleRejectsNonNumeric) {
               ::testing::ExitedWithCode(2), "ECA_BW_SCALE");
 }
 
-TEST(EnvDeathTest, EnvBoolRejectsUnknownSpelling) {
-  ScopedEnv smoke("ECA_BENCH_PROP_SMOKE", "maybe");
-  EXPECT_EXIT(eca::env_bool("ECA_BENCH_PROP_SMOKE", true),
-              ::testing::ExitedWithCode(2), "ECA_BENCH_PROP_SMOKE");
-}
-
 TEST(EnvDeathTest, EnvParsersReadValidValues) {
   ScopedEnv users("ECA_USERS", "12");
   ScopedEnv scale("ECA_BW_SCALE", "0.25");
-  ScopedEnv smoke("ECA_BENCH_PROP_SMOKE", "off");
   EXPECT_EQ(eca::env_int("ECA_USERS", 30, 1), 12);
   EXPECT_EQ(eca::env_double("ECA_BW_SCALE", 0.4), 0.25);
-  EXPECT_FALSE(eca::env_bool("ECA_BENCH_PROP_SMOKE", true));
 }
 
 // Command-line numbers keep the same contract through parse_int and
@@ -189,6 +181,14 @@ TEST(EnvDeathTest, PropFuzzRejectsMalformedNumbers) {
               ::testing::ExitedWithCode(2), "--time-budget='abc' is invalid");
   EXPECT_EXIT(::execl(ECA_PROP_FUZZ, ECA_PROP_FUZZ, "--seed", "zz", nullptr),
               ::testing::ExitedWithCode(2), "--seed='zz' is invalid");
+}
+
+TEST(EnvDeathTest, PropFuzzFailsWhenNoScenarioRuns) {
+  // A time budget spent before the first scenario verifies nothing, and
+  // the exit code is the prop gate, so the run must fail.
+  EXPECT_EXIT(::execl(ECA_PROP_FUZZ, ECA_PROP_FUZZ, "--scenarios", "3",
+                      "--time-budget", "1e-9", nullptr),
+              ::testing::ExitedWithCode(1), "no scenario ran");
 }
 
 TEST(EnvDeathTest, RunInstanceRejectsMalformedLookaheadWindow) {

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "check/harness.h"
@@ -116,20 +115,6 @@ TEST(PropHarness, SmokeFiftyScenariosZeroViolations) {
   EXPECT_GT(summary.offline_legs_run, 10);
   EXPECT_LT(summary.worst_kkt, 1e-4);
   EXPECT_LT(summary.worst_infeasibility, 1e-5);
-}
-
-TEST(PropHarness, SummaryJsonHasSchemaAndCounts) {
-  HarnessOptions options;
-  options.seed = 3;
-  options.num_scenarios = 2;
-  const HarnessSummary summary = run_harness(options);
-  std::ostringstream os;
-  write_summary_json(summary, os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema\":\"eca.prop_summary.v1\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"scenarios\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"failures\":0"), std::string::npos);
 }
 
 // The forced-failure pipeline, end to end: a single-shot ipm_fail plan

@@ -1,7 +1,6 @@
 """Shared fixtures for the script golden tests: minimal-but-valid
-observability artifacts (eca.events.v4 streams) and gate inputs
-(eca.prop_summary.v1, eca.bench_baselines.v1) built in memory, plus a helper
-that runs a repo script as a subprocess the way check.sh does."""
+observability artifacts (eca.events.v4 streams) built in memory, plus a
+helper that runs a repo script as a subprocess the way check.sh does."""
 import json
 import pathlib
 import subprocess
@@ -88,64 +87,4 @@ def events_lines(events, dropped=0):
 def write_events(path, events, dropped=0):
     path.write_text("\n".join(events_lines(events, dropped)) + "\n",
                     encoding="utf-8")
-    return str(path)
-
-
-def make_prop_summary(failures=0):
-    details = []
-    for k in range(failures):
-        details.append({
-            "seed": 40 + k,
-            "violation": "offline IPM did not converge: numerical-error",
-            "replay": "schema=eca.prop.v1\nseed=1\n",
-            "replay_path": f"/tmp/prop_failure_{k}.replay",
-        })
-    return {
-        "schema": "eca.prop_summary.v1",
-        "scenarios": 50,
-        "failures": failures,
-        "offline_legs_run": 42,
-        "budget_exhausted": False,
-        "wall_seconds": 0.7,
-        "worst_kkt": 2.1e-8,
-        "worst_infeasibility": 2.8e-9,
-        "failure_details": details,
-    }
-
-
-def make_bench_baselines(points=(("perf-opt", True, 16, 8),), clouds=15,
-                         threads=8, bit_identical=True,
-                         rebuild_bit_identical=True, prop_smoke=None,
-                         events_overhead=None):
-    """A minimal eca.bench_baselines.v2 payload; points are (algorithm,
-    separable, users, slots) tuples, all unengaged. Pass prop_smoke (a dict
-    like the one bench_common's write_meta_json emits) to attach the
-    verification-gate provenance block, and events_overhead (a dict like
-    write_events_overhead_json's) to attach the events-overhead block."""
-    bench = {
-        "schema": "eca.bench_baselines.v2",
-        "clouds": clouds,
-        "threads": threads,
-        "points": [{
-            "algorithm": algorithm, "separable": separable, "users": users,
-            "slots": slots, "pool_engaged": False, "speedup": 1.0,
-            "bit_identical": bit_identical,
-            "rebuild_bit_identical": rebuild_bit_identical,
-            "max_violation": 0.0, "skeleton_speedup": 1.0,
-        } for algorithm, separable, users, slots in points],
-    }
-    if prop_smoke is not None:
-        bench["meta"] = {
-            "git_sha": "0123456789ab",
-            "build_type": "Release",
-            "timestamp_utc": "2026-08-07T00:00:00Z",
-            "checks": {"prop_smoke": prop_smoke},
-        }
-    if events_overhead is not None:
-        bench["events_overhead"] = events_overhead
-    return bench
-
-
-def write_json(path, payload):
-    path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)

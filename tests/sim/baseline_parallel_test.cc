@@ -37,7 +37,6 @@ separable_roster() {
       {"perf-opt", [] { return std::make_unique<algo::PerfOpt>(); }},
       {"oper-opt", [] { return std::make_unique<algo::OperOpt>(); }},
       {"stat-opt", [] { return std::make_unique<algo::StatOpt>(); }},
-      {"static-once", [] { return std::make_unique<algo::StaticOnce>(); }},
   };
 }
 
@@ -61,7 +60,7 @@ TEST(BaselineParallel, SeparableBaselinesAreBitIdenticalAcrossThreadCounts) {
     serial.baseline_threads = 1;
     auto reference_algorithm = make();
     const SimulationResult reference =
-        Simulator::run(instance, *reference_algorithm);
+        Simulator::run(instance, *reference_algorithm, serial);
     for (int threads : {2, 3, 5, 8}) {
       SimulatorOptions options;
       options.baseline_threads = threads;
@@ -94,18 +93,31 @@ TEST(BaselineParallel, SlotCountBelowWorkerCountStaysBitIdentical) {
 }
 
 TEST(BaselineParallel, SequentialAlgorithmIgnoresThreadRequest) {
-  // online-greedy chains through the previous slot, so it must take the
-  // serial loop regardless of the requested worker count — and produce
-  // exactly the serial trajectory.
+  // online-greedy chains through the previous slot, and static-once's slots
+  // only copy one fixed allocation, so both take the serial loop regardless
+  // of the requested worker count — and produce exactly the serial
+  // trajectory.
   const model::Instance instance = test_instance(5, 9);
-  algo::OnlineGreedy serial_greedy;
-  algo::OnlineGreedy parallel_greedy;
+  const std::vector<std::pair<std::string, std::function<AlgorithmPtr()>>>
+      sequential = {
+          {"online-greedy",
+           [] { return std::make_unique<algo::OnlineGreedy>(); }},
+          {"static-once", [] { return std::make_unique<algo::StaticOnce>(); }},
+      };
+  SimulatorOptions serial;
+  serial.baseline_threads = 1;
   SimulatorOptions options;
   options.baseline_threads = 4;
   options.min_slot_work = 1;
   options.oversubscribe = true;
-  expect_run_bitwise_equal(Simulator::run(instance, serial_greedy),
-                           Simulator::run(instance, parallel_greedy, options));
+  for (const auto& [name, make] : sequential) {
+    auto a = make();
+    auto b = make();
+    EXPECT_FALSE(b->slot_separable()) << name;
+    SCOPED_TRACE(name);
+    expect_run_bitwise_equal(Simulator::run(instance, *a, serial),
+                             Simulator::run(instance, *b, options));
+  }
 }
 
 TEST(BaselineParallel, WorkFloorKeepsTinyInstancesSerial) {
